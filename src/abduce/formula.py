@@ -14,7 +14,11 @@ Grammar (hypotheses)::
 
 Theory axioms additionally use ``(implies lhs rhs)``; the parser accepts it
 only when ``allow_implies`` is set, and hypothesis validation always rejects
-it.  All values here are immutable and all functions are pure.
+it.  Parenthesised expressions nest at most MAX_NESTING deep (``(P x)`` is 1,
+``(not (P x))`` is 2); deeper input is a FormulaSyntaxError, so untrusted
+text can never push this module's recursive walkers, or the evaluators'
+recursion over the parsed tree, into the interpreter's recursion limit.
+All values here are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 
 VARIABLE_NAMES = ("x", "y", "z", "w")
+MAX_NESTING = 100
 
 _CONSTANT_RE = re.compile(r"^a\d+$")
 
@@ -205,7 +210,9 @@ def _parse_variable(token: str) -> Variable:
     raise FormulaSyntaxError(f"variable token {token!r} outside {{x, y, z, w}}")
 
 
-def _parse_expr(stream: _TokenStream, allow_implies: bool) -> Formula:
+def _parse_expr(stream: _TokenStream, allow_implies: bool, depth: int = 1) -> Formula:
+    if depth > MAX_NESTING:
+        raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels")
     tok = stream.next()
     if tok != "(":
         raise FormulaSyntaxError(f"expected '(', got {tok!r}")
@@ -227,14 +234,14 @@ def _parse_expr(stream: _TokenStream, allow_implies: bool) -> Formula:
         return Equal(left, right)
 
     if head == "not":
-        child = _parse_expr(stream, allow_implies)
+        child = _parse_expr(stream, allow_implies, depth + 1)
         stream.expect(")")
         return Not(child)
 
     if head in ("and", "or"):
         children = []
         while stream.peek() != ")":
-            children.append(_parse_expr(stream, allow_implies))
+            children.append(_parse_expr(stream, allow_implies, depth + 1))
         stream.expect(")")
         if len(children) < 2:
             raise FormulaSyntaxError(f"{head} requires at least 2 arguments, got {len(children)}")
@@ -245,14 +252,14 @@ def _parse_expr(stream: _TokenStream, allow_implies: bool) -> Formula:
             raise FormulaSyntaxError(
                 "implies is not allowed here; encode A implies B as (or (not A) B)"
             )
-        lhs = _parse_expr(stream, allow_implies)
-        rhs = _parse_expr(stream, allow_implies)
+        lhs = _parse_expr(stream, allow_implies, depth + 1)
+        rhs = _parse_expr(stream, allow_implies, depth + 1)
         stream.expect(")")
         return Implies(lhs, rhs)
 
     if head in ("forall", "exists"):
         var = _parse_variable(stream.next())
-        body = _parse_expr(stream, allow_implies)
+        body = _parse_expr(stream, allow_implies, depth + 1)
         stream.expect(")")
         return Forall(var, body) if head == "forall" else Exists(var, body)
 
@@ -276,6 +283,62 @@ def parse_formula(text: str, allow_implies: bool = False) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Traversal: every structural walk goes through these per-type tables.  A
+# value that is not a formula node fails the lookup with a KeyError.
+
+# What a node prints before its children: operator or predicate, then the
+# variables it names.  Each head token counts 1 towards the AST size.
+_HEAD = {
+    Atom: lambda f: " ".join([f.pred, *[v.name for v in f.args]]),
+    Equal: lambda f: f"= {f.left.name} {f.right.name}",
+    Not: lambda f: "not",
+    And: lambda f: "and",
+    Or: lambda f: "or",
+    Implies: lambda f: "implies",
+    Forall: lambda f: "forall " + f.var.name,
+    Exists: lambda f: "exists " + f.var.name,
+}
+_CHILDREN = {
+    Atom: lambda f: (),
+    Equal: lambda f: (),
+    Not: lambda f: (f.child,),
+    And: lambda f: f.children,
+    Or: lambda f: f.children,
+    Implies: lambda f: (f.lhs, f.rhs),
+    Forall: lambda f: (f.body,),
+    Exists: lambda f: (f.body,),
+}
+_REBUILD = {
+    Atom: lambda f, kids: f,
+    Equal: lambda f, kids: f,
+    Not: lambda f, kids: Not(*kids),
+    And: lambda f, kids: And(kids),
+    Or: lambda f, kids: Or(kids),
+    Implies: lambda f, kids: Implies(*kids),
+    Forall: lambda f, kids: Forall(f.var, *kids),
+    Exists: lambda f, kids: Exists(f.var, *kids),
+}
+_BINDERS = (Forall, Exists)
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """Immediate subformulas, left to right."""
+    return _CHILDREN[type(f)](f)
+
+
+def rebuild(f: Formula, kids) -> Formula:
+    """A node like ``f`` (same operator, predicate and variables) over ``kids``."""
+    return _REBUILD[type(f)](f, tuple(kids))
+
+
+def subformulas(f: Formula, path: tuple[int, ...] = ()):
+    """Pre-order ``(path, subformula)`` pairs; a path lists child indices from ``f``."""
+    yield path, f
+    for i, child in enumerate(children(f)):
+        yield from subformulas(child, path + (i,))
+
+
+# ---------------------------------------------------------------------------
 # Rendering
 
 
@@ -284,23 +347,11 @@ def render_formula(f: Formula) -> str:
 
     ``parse_formula(render_formula(f))`` is structurally equal to ``f``.
     """
-    if isinstance(f, Atom):
-        return "(" + " ".join([f.pred] + [v.name for v in f.args]) + ")"
-    if isinstance(f, Equal):
-        return f"(= {f.left.name} {f.right.name})"
-    if isinstance(f, Not):
-        return f"(not {render_formula(f.child)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(render_formula(c) for c in f.children) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(render_formula(c) for c in f.children) + ")"
-    if isinstance(f, Implies):
-        return f"(implies {render_formula(f.lhs)} {render_formula(f.rhs)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var.name} {render_formula(f.body)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var.name} {render_formula(f.body)})"
-    raise TypeError(f"not a Formula: {f!r}")
+    t = type(f)
+    kids = _CHILDREN[t](f)
+    if not kids:
+        return "(" + _HEAD[t](f) + ")"
+    return "(" + _HEAD[t](f) + " " + " ".join([render_formula(c) for c in kids]) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -311,102 +362,64 @@ def formula_metrics(f: Formula) -> FormulaMetrics:
     """AST size and quantifier depth.
 
     Size: an atom counts 1 plus one per argument, equality counts 3, negation
-    1 + child, and/or/implies 1 + sum of children, a quantifier 2 + child.
-    Depth: atoms 0, connectives take the max of their children, quantifiers
-    add 1.
+    1 + child, and/or/implies 1 + sum of children, a quantifier 2 + child;
+    that is, one per head token.  Depth: atoms 0, connectives take the max
+    of their children, quantifiers add 1.
     """
-    return FormulaMetrics(_ast_size(f), _quantifier_depth(f))
+    return FormulaMetrics(*_size_depth(f))
 
 
-def _ast_size(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 1 + len(f.args)
-    if isinstance(f, Equal):
-        return 3
-    if isinstance(f, Not):
-        return 1 + _ast_size(f.child)
-    if isinstance(f, (And, Or)):
-        return 1 + sum(_ast_size(c) for c in f.children)
-    if isinstance(f, Implies):
-        return 1 + _ast_size(f.lhs) + _ast_size(f.rhs)
-    if isinstance(f, (Forall, Exists)):
-        return 2 + _ast_size(f.body)
-    raise TypeError(f"not a Formula: {f!r}")
+def _size_depth(f: Formula) -> tuple[int, int]:
+    t = type(f)
+    size, depth = _HEAD[t](f).count(" ") + 1, 0
+    for child in _CHILDREN[t](f):
+        s, d = _size_depth(child)
+        size += s
+        if d > depth:
+            depth = d
+    return size, depth + (t in _BINDERS)
 
 
-def _quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Equal)):
-        return 0
-    if isinstance(f, Not):
-        return _quantifier_depth(f.child)
-    if isinstance(f, (And, Or)):
-        return max(_quantifier_depth(c) for c in f.children)
-    if isinstance(f, Implies):
-        return max(_quantifier_depth(f.lhs), _quantifier_depth(f.rhs))
-    if isinstance(f, (Forall, Exists)):
-        return 1 + _quantifier_depth(f.body)
-    raise TypeError(f"not a Formula: {f!r}")
+def _scope_facts(f: Formula) -> tuple[set[str], set[str], bool]:
+    """(predicates used, free variable names, implication present), one pass.
+
+    Shadowed variables resolve to the innermost binder.
+    """
+    t = type(f)
+    kids = _CHILDREN[t](f)
+    if not kids:
+        tokens = _HEAD[t](f).split()
+        return ({tokens[0]} if t is Atom else set()), set(tokens[1:]), False
+    preds, free, implies = set(), set(), t is Implies
+    for child in kids:
+        p, v, i = _scope_facts(child)
+        preds |= p
+        free |= v
+        implies = implies or i
+    if t in _BINDERS:
+        free.discard(f.var.name)
+    return preds, free, implies
 
 
 def free_variables(f: Formula) -> frozenset[str]:
     """Free variable names; shadowed variables resolve to the innermost binder."""
-    return frozenset(_free(f, frozenset()))
-
-
-def _free(f: Formula, bound: frozenset[str]) -> set[str]:
-    if isinstance(f, Atom):
-        return {v.name for v in f.args if v.name not in bound}
-    if isinstance(f, Equal):
-        return {v.name for v in (f.left, f.right) if v.name not in bound}
-    if isinstance(f, Not):
-        return _free(f.child, bound)
-    if isinstance(f, (And, Or)):
-        out: set[str] = set()
-        for c in f.children:
-            out |= _free(c, bound)
-        return out
-    if isinstance(f, Implies):
-        return _free(f.lhs, bound) | _free(f.rhs, bound)
-    if isinstance(f, (Forall, Exists)):
-        return _free(f.body, bound | {f.var.name})
-    raise TypeError(f"not a Formula: {f!r}")
+    return frozenset(_scope_facts(f)[1])
 
 
 def predicates_used(f: Formula) -> frozenset[str]:
-    out: set[str] = set()
-    _collect_predicates(f, out)
+    # a plain loop: the engine asks this on every validity and cost call
+    out, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Atom:
+            out.add(g.pred)
+        else:
+            stack.extend(_CHILDREN[type(g)](g))
     return frozenset(out)
 
 
-def _collect_predicates(f: Formula, out: set[str]) -> None:
-    if isinstance(f, Atom):
-        out.add(f.pred)
-    elif isinstance(f, Equal):
-        pass
-    elif isinstance(f, Not):
-        _collect_predicates(f.child, out)
-    elif isinstance(f, (And, Or)):
-        for c in f.children:
-            _collect_predicates(c, out)
-    elif isinstance(f, Implies):
-        _collect_predicates(f.lhs, out)
-        _collect_predicates(f.rhs, out)
-    elif isinstance(f, (Forall, Exists)):
-        _collect_predicates(f.body, out)
-    else:
-        raise TypeError(f"not a Formula: {f!r}")
-
-
 def contains_implies(f: Formula) -> bool:
-    if isinstance(f, Implies):
-        return True
-    if isinstance(f, Not):
-        return contains_implies(f.child)
-    if isinstance(f, (And, Or)):
-        return any(contains_implies(c) for c in f.children)
-    if isinstance(f, (Forall, Exists)):
-        return contains_implies(f.body)
-    return False
+    return any(type(g) is Implies for _, g in subformulas(f))
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +438,14 @@ def validate_hypothesis(
     """
     allowed = frozenset(allowed)
     forbidden = frozenset(forbidden)
-    if contains_implies(f):
+    used, free, implies = _scope_facts(f)
+    if implies:
         raise HypothesisError("implication is not allowed in a hypothesis")
-    used = predicates_used(f)
     if "Ab" in used:
         raise HypothesisError("hypothesis must not mention Ab (it defines Ab)")
     bad = sorted((used & forbidden) | (used - allowed))
     if bad:
         raise HypothesisError(f"forbidden predicate(s) used: {', '.join(bad)}")
-    free = free_variables(f)
     if free != {"x"}:
         got = "{" + ", ".join(sorted(free)) + "}"
         raise HypothesisError(f"free-variable set must be exactly {{x}}, got {got}")

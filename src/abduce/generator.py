@@ -21,11 +21,12 @@ per-instance seeds, never shared.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import time
+import weakref
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import Regime, cost, opt_cost, validity
 from .formula import (
@@ -40,9 +41,12 @@ from .formula import (
     Not,
     Or,
     Variable,
+    children,
     formula_metrics,
     parse_formula,
+    rebuild,
     render_formula,
+    subformulas,
     validate_hypothesis,
 )
 from .theory import TheorySpec, UNKNOWN_RATES, builtin_theory
@@ -324,13 +328,48 @@ def _scope_split(theory: TheorySpec):
     return unary, binary
 
 
+@functools.lru_cache(maxsize=64)
+def _pool_renders(theory: TheorySpec) -> frozenset[str]:
+    """Renderings of the theory's static tier-1 and tier-2 pool formulas."""
+    return frozenset(
+        render_formula(h.formula) for h in tier1_formulas(theory) + tier2_formulas(theory)
+    )
+
+
+def _try_instantiate(name: str, theory: TheorySpec, rng: Random) -> Optional[Hypothesis]:
+    """One instantiation of a gold template, or None when it is out of
+    scope, outside GOLD_AST_RANGE, or identical to a static pool formula:
+    such a gold would survive its own competitor pool forever and the
+    instance could never be accepted."""
+    unary, binary = _scope_split(theory)
+    f = dict(GOLD_TEMPLATES)[name](rng, unary, binary)
+    if f is None:
+        return None
+    if not GOLD_AST_RANGE[0] <= formula_metrics(f).ast_size <= GOLD_AST_RANGE[1]:
+        return None
+    if render_formula(f) in _pool_renders(theory):
+        return None
+    try:
+        return validate_hypothesis(f, theory.allowed, theory.forbidden)
+    except HypothesisError:
+        return None
+
+
+@functools.lru_cache(maxsize=64)
+def _applicable_templates(theory: TheorySpec) -> tuple[str, ...]:
+    probe = Random(12345)
+    return tuple(
+        name
+        for name, _ in GOLD_TEMPLATES
+        if any(_try_instantiate(name, theory, probe) for _ in range(60))
+    )
+
+
 class GoldSampler:
     """Draws gold rules from the template library under the diversity cap.
 
     Usage counts grow only via record_use, so eligibility reflects accepted
-    instances, not failed attempts.  Instantiations identical to a static
-    tier-1/tier-2 pool formula are skipped: such a gold would survive its
-    own competitor pool forever and the instance could never be accepted.
+    instances, not failed attempts.
     """
 
     DORMANCY_THRESHOLD = 60
@@ -340,7 +379,6 @@ class GoldSampler:
         self.counts: dict[str, int] = {}
         self.failures: dict[str, int] = {}
         self.total = 0
-        self._static_pool: dict = {}
 
     def _eligible(self, name: str) -> bool:
         if self.failures.get(name, 0) >= self.DORMANCY_THRESHOLD:
@@ -350,44 +388,11 @@ class GoldSampler:
         limit = max(1, int(self.diversity_cap * (self.total + 1)))
         return self.counts.get(name, 0) + 1 <= limit
 
-    def _pool_renders(self, theory: TheorySpec) -> frozenset[str]:
-        got = self._static_pool.get(theory.short_id)
-        if got is None:
-            got = frozenset(
-                render_formula(h.formula) for h in tier1_formulas(theory) + tier2_formulas(theory)
-            )
-            self._static_pool[theory.short_id] = got
-        return got
-
-    def _try_instantiate(self, name, theory, rng) -> Optional[Hypothesis]:
-        unary, binary = _scope_split(theory)
-        f = dict(GOLD_TEMPLATES)[name](rng, unary, binary)
-        if f is None:
-            return None
-        if not GOLD_AST_RANGE[0] <= formula_metrics(f).ast_size <= GOLD_AST_RANGE[1]:
-            return None
-        if render_formula(f) in self._pool_renders(theory):
-            return None
-        try:
-            return validate_hypothesis(f, theory.allowed, theory.forbidden)
-        except HypothesisError:
-            return None
-
     def applicable_templates(self, theory: TheorySpec) -> tuple[str, ...]:
         """Templates with at least one in-scope, non-pool instantiation;
         the rest (e.g., unary pairs under a single unary predicate, or
         shapes the mined-shortcut list fully covers) are never drawn."""
-        key = f"applicable:{theory.short_id}"
-        got = self._static_pool.get(key)
-        if got is None:
-            probe = Random(12345)
-            names = []
-            for name, _ in GOLD_TEMPLATES:
-                if any(self._try_instantiate(name, theory, probe) for _ in range(60)):
-                    names.append(name)
-            got = tuple(names)
-            self._static_pool[key] = got
-        return got
+        return _applicable_templates(theory)
 
     def draw(self, theory: TheorySpec, rng: Random) -> tuple[Hypothesis, str]:
         applicable = self.applicable_templates(theory)
@@ -400,7 +405,7 @@ class GoldSampler:
             ] or list(applicable)
         for _ in range(400):
             name = rng.choice(names)
-            hyp = self._try_instantiate(name, theory, rng)
+            hyp = _try_instantiate(name, theory, rng)
             if hyp is not None:
                 return hyp, name
         raise AssertionError(f"no gold template fits theory {theory.short_id}")
@@ -455,6 +460,21 @@ def _try_scope(text_or_formula, theory: TheorySpec) -> Optional[Hypothesis]:
         return None
 
 
+def _distinct(items: Iterable, hyp: Callable = lambda item: item) -> list:
+    """Items in order, dropping None and any whose hypothesis renders like
+    an earlier item's."""
+    seen: set[str] = set()
+    out = []
+    for item in items:
+        if item is None:
+            continue
+        key = render_formula(hyp(item).formula)
+        if key not in seen:
+            seen.add(key)
+            out.append(item)
+    return out
+
+
 def tier1_formulas(theory: TheorySpec) -> list[Hypothesis]:
     """Curated shortcuts: constants, literals, self-loops, bare existence,
     and pairwise unary combinations, restricted to the theory's scope."""
@@ -481,70 +501,31 @@ def tier1_formulas(theory: TheorySpec) -> list[Hypothesis]:
                 for op in ("and", "or"):
                     texts.append(f"({op} ({u1} x) ({u2} x))")
                     texts.append(f"({op} ({u1} x) (not ({u2} x)))")
-    out = []
-    seen = set()
-    for t in texts:
-        h = _try_scope(t, theory)
-        if h is not None and render_formula(h.formula) not in seen:
-            seen.add(render_formula(h.formula))
-            out.append(h)
-    return out
+    return _distinct(_try_scope(t, theory) for t in texts)
 
 
 def tier2_formulas(theory: TheorySpec, extra: Sequence[str] = ()) -> list[Hypothesis]:
-    out = []
-    seen = set()
-    for t in tuple(TIER2_PATTERNS) + tuple(extra):
-        h = _try_scope(t, theory)
-        if h is not None and render_formula(h.formula) not in seen:
-            seen.add(render_formula(h.formula))
-            out.append(h)
-    return out
+    return _distinct(_try_scope(t, theory) for t in (*TIER2_PATTERNS, *extra))
 
 
 def cheater_pool(theory: TheorySpec, extra_tier2: Sequence[str] = ()) -> list[Hypothesis]:
-    seen = set()
-    out = []
-    for h in tier1_formulas(theory) + tier2_formulas(theory, extra_tier2):
-        key = render_formula(h.formula)
-        if key not in seen:
-            seen.add(key)
-            out.append(h)
-    return out
+    return _distinct(tier1_formulas(theory) + tier2_formulas(theory, extra_tier2))
 
 
 # Mutations: operator flips, quantifier swaps, polarity flips, subterm
 # deletions, predicate renames.
 
 
-def _subnodes(f: Formula, path=()):
-    yield path, f
-    if isinstance(f, Not):
-        yield from _subnodes(f.child, path + (0,))
-    elif isinstance(f, (And, Or)):
-        for i, c in enumerate(f.children):
-            yield from _subnodes(c, path + (i,))
-    elif isinstance(f, (Forall, Exists)):
-        yield from _subnodes(f.body, path + (0,))
-
-
 def _replace_at(f: Formula, path, new: Formula) -> Formula:
     if not path:
         return new
-    i, rest = path[0], path[1:]
-    if isinstance(f, Not):
-        return Not(_replace_at(f.child, rest, new))
-    if isinstance(f, (And, Or)):
-        children = list(f.children)
-        children[i] = _replace_at(children[i], rest, new)
-        return type(f)(tuple(children))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, _replace_at(f.body, rest, new))
-    raise AssertionError("bad path")
+    kids = list(children(f))
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
+    return rebuild(f, kids)
 
 
 def _mutate_once(f: Formula, rng: Random, allowed: frozenset[str]) -> Optional[Formula]:
-    nodes = list(_subnodes(f))
+    nodes = list(subformulas(f))
     path, node = nodes[rng.randrange(len(nodes))]
     ops = []
     if isinstance(node, (And, Or)):
@@ -614,19 +595,12 @@ def build_competitor_pool(
     never be beaten, so such instances reject at the world budget and the
     attempt loop draws a fresh gold; generate_instance fast-fails the
     syntactic case."""
-    entries: list[tuple[Hypothesis, str]] = []
-    seen: set[str] = set()
-    for tier, formulas in (
+    tiers = (
         ("tier1", tier1_formulas(theory)),
         ("tier2", tier2_formulas(theory, extra_tier2)),
         ("mutant", gold_mutants(gold, theory, rng, count=10)),
-    ):
-        for h in formulas:
-            key = render_formula(h.formula)
-            if key in seen:
-                continue
-            seen.add(key)
-            entries.append((h, tier))
+    )
+    entries = _distinct(((h, tier) for tier, formulas in tiers for h in formulas), lambda e: e[0])
     return CompetitorPool(tuple(entries[:pool_cap]))
 
 
@@ -646,24 +620,30 @@ def holdout_seed(dataset_path: str, instance_id: str, holdout_idx: int, global_s
 
 
 class _EvalCache:
-    """Per-generation memo of (world, formula) -> (valid, per-world cost)."""
+    """Per-generation memo of (world, formula) -> (valid, per-world cost).
+
+    Keyed weakly on the world (worlds hash by identity), so an entry dies
+    with its world and rejected candidates are not kept alive.
+    """
 
     def __init__(self, regime: Regime, theory: TheorySpec, cap: int):
         self.regime = regime
         self.theory = theory
         self.cap = cap
-        self.memo: dict = {}
+        self.memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def world_eval(self, world: World, hyp: Hypothesis) -> tuple[bool, Optional[int]]:
-        key = (id(world), hyp.formula)
-        hit = self.memo.get(key)
+        memo = self.memo.get(world)
+        if memo is None:
+            memo = self.memo[world] = {}
+        hit = memo.get(hyp.formula)
         if hit is None:
             verdict = validity(self.regime, self.theory, [world], hyp, cap=self.cap)
             if verdict.valid:
                 hit = (True, cost(self.regime, self.theory, [world], hyp, cap=self.cap).total)
             else:
                 hit = (False, None)
-            self.memo[key] = hit
+            memo[hyp.formula] = hit
         return hit
 
     def total_cost(self, worlds: Sequence[World], hyp: Hypothesis) -> Optional[int]:
@@ -949,7 +929,6 @@ def generate_holdouts(
     dataset_path: str,
     global_seed: int,
     params: Optional[GenParams] = None,
-    time_budget: Optional[float] = 30.0,
 ) -> InstanceRecord:
     """Attach k holdout worlds sampled from the instance's distribution.
 
@@ -959,6 +938,8 @@ def generate_holdouts(
     their per-world gold cost and gap must fall inside the min-max range
     seen in training.  No competitor elimination, cheater screen, or
     refinement here.  Failure leaves the instance flagged without holdouts.
+    HOLDOUT_ATTEMPTS_PER_WORLD bounds the search, so the outcome depends
+    only on the seeds.
     """
     params = params or GenParams(
         scenario=instance.scenario, theory_id=instance.theory_id, global_seed=global_seed
@@ -971,15 +952,12 @@ def generate_holdouts(
     cost_lo, cost_hi = min(costs), max(costs)
     gap_lo, gap_hi = min(gap_values), max(gap_values)
 
-    start = time.monotonic()
     accepted: list[_AcceptedWorld] = []
     for idx in range(params.holdout_count):
         seed = holdout_seed(dataset_path, instance.id, idx, global_seed)
         rng = Random(seed)
         found = False
         for _ in range(HOLDOUT_ATTEMPTS_PER_WORLD):
-            if time_budget is not None and time.monotonic() - start > time_budget:
-                break
             aw = acceptor.try_candidate(rng)
             if aw is None:
                 continue
@@ -1099,7 +1077,6 @@ def generate_batch(
     count: int,
     dataset_path: str = "",
     with_holdouts: bool = True,
-    holdout_time_budget: Optional[float] = 30.0,
 ) -> list[InstanceRecord]:
     """Generate `count` accepted instances (plus holdouts) deterministically.
 
@@ -1123,12 +1100,6 @@ def generate_batch(
             continue
         index += 1
         if with_holdouts:
-            record = generate_holdouts(
-                record,
-                dataset_path,
-                params.global_seed,
-                params=params,
-                time_budget=holdout_time_budget,
-            )
+            record = generate_holdouts(record, dataset_path, params.global_seed, params=params)
         records.append(record)
     return records

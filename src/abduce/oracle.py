@@ -1,104 +1,38 @@
 """Naive brute-force reference for validity, costs, and the free-Ab bound.
 
-Deliberately independent of the engine: formulas are re-grounded here into
-plain propositional trees and every query is answered by literal sweeps
-over completions and abnormal sets.  No constant folding, no component
-decomposition, no closed forms.  Small worlds only (use the size guards).
+Deliberately independent of the engine: every query is answered by
+evaluating the theory axiom with ``world.eval_formula`` (the package's one
+naive first-order semantics) on every completion from
+``enumerate_completions``, and, for the free-Ab bound, on every abnormal
+set in ascending cardinality.  No grounding, no constant folding, no
+component decomposition, no closed forms.  Small worlds only: more than
+ORACLE_MAX_UNKNOWNS unknown atoms raise EnumerationCapError.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .formula import (
-    And,
-    Atom,
-    Equal,
-    Exists,
-    Forall,
-    Formula,
-    Hypothesis,
-    Implies,
-    Not,
-    Or,
-)
+from .formula import Formula, Hypothesis
 from .theory import TheorySpec
-from .world import World
+from .world import Completion, World, enumerate_completions, eval_formula
 
 ORACLE_MAX_UNKNOWNS = 16
 
 
-def _ground(f: Formula, world: World, env: dict, alpha: Optional[Formula]):
-    """Ground to a propositional tree; Ab leaves stay symbolic unless alpha
-    is supplied, in which case they expand to alpha at the element."""
-    if isinstance(f, Atom):
-        if f.pred == "Ab":
-            elem = env[f.args[0].name]
-            if alpha is None:
-                return ("ab", elem)
-            return _ground(alpha, world, {"x": elem}, None)
-        elems = tuple(env[v.name] for v in f.args)
-        atom = elems[0] if len(elems) == 1 else elems
-        if atom in world.true_atoms[f.pred]:
-            return ("const", True)
-        if atom in world.unknown_atoms[f.pred]:
-            return ("unk", f.pred, atom)
-        return ("const", False)
-    if isinstance(f, Equal):
-        return ("const", env[f.left.name] == env[f.right.name])
-    if isinstance(f, Not):
-        return ("not", _ground(f.child, world, env, alpha))
-    if isinstance(f, And):
-        return ("and", tuple(_ground(c, world, env, alpha) for c in f.children))
-    if isinstance(f, Or):
-        return ("or", tuple(_ground(c, world, env, alpha) for c in f.children))
-    if isinstance(f, Implies):
-        return (
-            "or",
-            (("not", _ground(f.lhs, world, env, alpha)), _ground(f.rhs, world, env, alpha)),
-        )
-    if isinstance(f, Forall):
-        return ("and", tuple(_ground(f.body, world, {**env, f.var.name: e}, alpha) for e in world.elements()))
-    if isinstance(f, Exists):
-        return ("or", tuple(_ground(f.body, world, {**env, f.var.name: e}, alpha) for e in world.elements()))
-    raise TypeError(f"not a Formula: {f!r}")
-
-
-def _eval(tree, completion: dict, abnormal: frozenset) -> bool:
-    tag = tree[0]
-    if tag == "const":
-        return tree[1]
-    if tag == "unk":
-        return completion[(tree[1], tree[2])]
-    if tag == "ab":
-        return tree[1] in abnormal
-    if tag == "not":
-        return not _eval(tree[1], completion, abnormal)
-    if tag == "and":
-        return all(_eval(c, completion, abnormal) for c in tree[1])
-    return any(_eval(c, completion, abnormal) for c in tree[1])
-
-
-def _completions(world: World):
-    order = world.unknown_order()
-    if len(order) > ORACLE_MAX_UNKNOWNS:
-        raise ValueError(f"{len(order)} unknown atoms is too many for the naive oracle")
-    for values in itertools.product((False, True), repeat=len(order)):
-        yield dict(zip(order, values))
-
-
-_EMPTY = frozenset()
+def _regime_completions(regime, world: World) -> tuple[str, list[Completion]]:
+    """The regime's name and all completions of the world; a fully observed
+    world has exactly one, the empty completion."""
+    regime = str(getattr(regime, "value", regime))
+    if regime == "full" and world.num_unknowns():
+        raise ValueError("full regime requires a fully observed world")
+    return regime, list(enumerate_completions(world, cap=ORACLE_MAX_UNKNOWNS))
 
 
 def world_valid(regime, theory: TheorySpec, world: World, alpha: Hypothesis) -> bool:
-    regime = str(getattr(regime, "value", regime))
-    tree = _ground(theory.axiom, world, {}, alpha.formula)
-    if regime == "full":
-        if world.num_unknowns():
-            raise ValueError("full regime requires a fully observed world")
-        return _eval(tree, {}, _EMPTY)
-    results = [_eval(tree, c, _EMPTY) for c in _completions(world)]
+    regime, completions = _regime_completions(regime, world)
+    results = [eval_formula(world, c, {}, theory.axiom, ab_rule=alpha) for c in completions]
     return any(results) if regime == "partial" else all(results)
 
 
@@ -106,66 +40,46 @@ def validity(regime, theory: TheorySpec, worlds: Sequence[World], alpha: Hypothe
     return all(world_valid(regime, theory, w, alpha) for w in worlds)
 
 
-def _abnormal_count(alpha: Formula, world: World, completion: dict) -> int:
-    count = 0
-    for a in world.elements():
-        tree = _ground(alpha, world, {"x": a}, None)
-        if _eval(tree, completion, _EMPTY):
-            count += 1
-    return count
+def _abnormal_count(alpha: Formula, world: World, completion: Completion) -> int:
+    return sum(eval_formula(world, completion, {"x": a}, alpha) for a in world.elements())
 
 
 def world_cost(regime, theory: TheorySpec, world: World, alpha: Hypothesis) -> int:
     """Per-world abnormality count; caller must have established validity."""
-    regime = str(getattr(regime, "value", regime))
-    if regime == "full":
-        return _abnormal_count(alpha.formula, world, {})
-    axiom = _ground(theory.axiom, world, {}, alpha.formula)
-    counts = []
-    for c in _completions(world):
-        if regime == "partial":
-            if _eval(axiom, c, _EMPTY):
-                counts.append(_abnormal_count(alpha.formula, world, c))
-        else:
-            counts.append(_abnormal_count(alpha.formula, world, c))
+    regime, completions = _regime_completions(regime, world)
+    counts = [
+        _abnormal_count(alpha.formula, world, c)
+        for c in completions
+        if regime != "partial" or eval_formula(world, c, {}, theory.axiom, ab_rule=alpha)
+    ]
     if not counts:
         raise ValueError("cost undefined: no completion satisfies the repaired theory")
-    return min(counts) if regime == "partial" else max(counts)
+    return max(counts) if regime == "skeptical" else min(counts)
 
 
 def cost(regime, theory: TheorySpec, worlds: Sequence[World], alpha: Hypothesis) -> int:
     return sum(world_cost(regime, theory, w, alpha) for w in worlds)
 
 
-def _min_ab_size(axiom_tree, world: World, completions: list[dict], mode: str) -> int:
-    """Smallest abnormal set satisfying the grounded axiom, by ascending
-    cardinality; mode picks whether one/the given/all completions must hold."""
-    elements = list(world.elements())
+def _min_ab_size(theory: TheorySpec, world: World, completions: list[Completion], mode: str) -> int:
+    """Smallest abnormal set satisfying the axiom, by ascending cardinality;
+    mode "all" needs every given completion to hold, "any" needs one."""
+    holds = all if mode == "all" else any
     for k in range(world.n + 1):
-        for combo in itertools.combinations(elements, k):
-            abset = frozenset(combo)
-            if mode == "all":
-                if all(_eval(axiom_tree, c, abset) for c in completions):
-                    return k
-            else:
-                if any(_eval(axiom_tree, c, abset) for c in completions):
-                    return k
+        for combo in itertools.combinations(world.elements(), k):
+            abnormal = frozenset(combo)
+            if holds(eval_formula(world, c, {}, theory.axiom, abnormal=abnormal) for c in completions):
+                return k
     raise AssertionError("unreachable: the full domain always satisfies the default")
 
 
 def world_opt_cost(regime, theory: TheorySpec, world: World, variant: str = "pointwise") -> int:
-    regime = str(getattr(regime, "value", regime))
-    axiom = _ground(theory.axiom, world, {}, None)
-    if regime == "full":
-        if world.num_unknowns():
-            raise ValueError("full regime requires a fully observed world")
-        return _min_ab_size(axiom, world, [{}], "any")
-    completions = list(_completions(world))
-    if regime == "partial":
-        return _min_ab_size(axiom, world, completions, "any")
+    regime, completions = _regime_completions(regime, world)
+    if regime != "skeptical":
+        return _min_ab_size(theory, world, completions, "any")
     if variant == "uniform":
-        return _min_ab_size(axiom, world, completions, "all")
-    return max(_min_ab_size(axiom, world, [c], "any") for c in completions)
+        return _min_ab_size(theory, world, completions, "all")
+    return max(_min_ab_size(theory, world, [c], "any") for c in completions)
 
 
 def opt_cost(regime, theory: TheorySpec, worlds: Sequence[World], variant: str = "pointwise") -> int:

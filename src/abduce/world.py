@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterator, Mapping, Optional
+from typing import AbstractSet, Iterator, Mapping, Optional
 
 from .formula import (
     And,
@@ -25,7 +25,6 @@ from .formula import (
     Not,
     Or,
     PREDICATES,
-    UNARY_PREDICATES,
 )
 
 OBSERVABLE_PREDICATES = ("P", "Q", "R", "S")
@@ -120,24 +119,6 @@ class Completion:
         return hash(self._key())
 
 
-EMPTY_COMPLETION = Completion({})
-
-
-def check_completion(world: World, completion: Completion) -> None:
-    keys = set(completion.assignment)
-    expected = set(world.unknown_order())
-    if keys != expected:
-        raise ValueError("completion keys do not match the world's unknown atoms")
-
-
-@dataclass(frozen=True)
-class AbnormalSet:
-    members: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(m) for m in self.members))
-
-
 @dataclass(frozen=True)
 class DensityRanges:
     """Closed density interval per predicate; true count = max(1, floor(n^arity * rho))."""
@@ -178,21 +159,25 @@ def eval_formula(
     env: Mapping[str, int],
     f: Formula,
     ab_rule: Optional[Hypothesis] = None,
+    abnormal: Optional[AbstractSet[int]] = None,
 ) -> bool:
     """Standard first-order satisfaction over the completed world.
 
     Quantifiers range over the full domain.  An atom is true if listed true,
     else its completion value if unknown, else false (closed world).  Ab(a)
-    evaluates as the ab_rule formula instantiated at a.
+    holds iff a is in ``abnormal`` when that set is given (the free-Ab
+    reading), else evaluates as the ab_rule formula instantiated at a.
     """
     if isinstance(f, Atom):
         if f.pred == "Ab":
-            if ab_rule is None:
+            if ab_rule is None and abnormal is None:
                 raise EvalError("Ab encountered with no ab_rule")
             elem = _lookup(env, f.args[0].name)
+            if abnormal is not None:
+                return elem in abnormal
             return eval_formula(world, completion, {"x": elem}, ab_rule.formula, None)
-        elems = tuple(_lookup(env, v.name) for v in f.args)
-        atom = elems[0] if len(elems) == 1 else elems
+        elems = [_lookup(env, v.name) for v in f.args]
+        atom = elems[0] if len(elems) == 1 else tuple(elems)
         if atom in world.true_atoms[f.pred]:
             return True
         if atom in world.unknown_atoms[f.pred]:
@@ -203,18 +188,18 @@ def eval_formula(
     if isinstance(f, Equal):
         return _lookup(env, f.left.name) == _lookup(env, f.right.name)
     if isinstance(f, Not):
-        return not eval_formula(world, completion, env, f.child, ab_rule)
+        return not eval_formula(world, completion, env, f.child, ab_rule, abnormal)
     if isinstance(f, And):
-        return all(eval_formula(world, completion, env, c, ab_rule) for c in f.children)
+        return all(eval_formula(world, completion, env, c, ab_rule, abnormal) for c in f.children)
     if isinstance(f, Or):
-        return any(eval_formula(world, completion, env, c, ab_rule) for c in f.children)
+        return any(eval_formula(world, completion, env, c, ab_rule, abnormal) for c in f.children)
     if isinstance(f, Implies):
-        return (not eval_formula(world, completion, env, f.lhs, ab_rule)) or eval_formula(
-            world, completion, env, f.rhs, ab_rule
+        return (not eval_formula(world, completion, env, f.lhs, ab_rule, abnormal)) or eval_formula(
+            world, completion, env, f.rhs, ab_rule, abnormal
         )
     if isinstance(f, (Forall, Exists)):
         results = (
-            eval_formula(world, completion, {**env, f.var.name: e}, f.body, ab_rule)
+            eval_formula(world, completion, {**env, f.var.name: e}, f.body, ab_rule, abnormal)
             for e in world.elements()
         )
         return all(results) if isinstance(f, Forall) else any(results)

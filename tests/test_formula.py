@@ -211,3 +211,48 @@ class TestValidateHypothesis:
         for text in examples:
             h = parse_hypothesis(text, {"P", "Q", "R", "S"})
             assert free_variables(h.formula) == {"x"}
+
+
+class TestTraversal:
+    def test_rebuild_from_children_is_identity(self, rng):
+        from abduce.formula import children, rebuild
+
+        for _ in range(200):
+            f = random_formula(rng, ("P", "Q", "R", "S"), max_depth=3)
+            assert rebuild(f, children(f)) == f
+
+    def test_subformulas_pre_order_with_paths(self):
+        from abduce.formula import subformulas
+
+        f = parse_formula("(and (P x) (not (exists y (R x y))))")
+        got = [(path, render_formula(g)) for path, g in subformulas(f)]
+        assert got == [
+            ((), render_formula(f)),
+            ((0,), "(P x)"),
+            ((1,), "(not (exists y (R x y)))"),
+            ((1, 0), "(exists y (R x y))"),
+            ((1, 0, 0), "(R x y)"),
+        ]
+
+    def test_implies_children(self):
+        from abduce.formula import children
+
+        f = parse_formula("(implies (P x) (Q x))", allow_implies=True)
+        assert [render_formula(c) for c in children(f)] == ["(P x)", "(Q x)"]
+        assert formula_metrics(f).ast_size == 5 and contains_implies(f)
+
+
+class TestNestingCap:
+    def test_cap_is_exact(self):
+        from abduce.formula import MAX_NESTING
+
+        def nested(depth):
+            return "(not " * (depth - 1) + "(P x)" + ")" * (depth - 1)
+
+        assert formula_metrics(parse_formula(nested(MAX_NESTING))).ast_size == MAX_NESTING + 1
+        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+            parse_formula(nested(MAX_NESTING + 1))
+
+    def test_very_deep_line_is_a_syntax_error(self):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula("(not " * 3000 + "(P x)" + ")" * 3000)

@@ -242,3 +242,30 @@ class TestHoldouts:
             assert lo <= gc <= hi
             assert min(gaps) <= gc - opt <= max(gaps)
         assert audit_instance(held, params) == []
+
+
+class TestCachesByValue:
+    def test_eval_cache_entry_dies_with_its_world(self):
+        import gc
+
+        from abduce.engine import clear_caches
+        from abduce.formula import parse_hypothesis
+
+        cache = _EvalCache(Regime.FULL, T1, 24)
+        world = World(3, {"P": {1}, "R": {(0, 1)}})
+        cache.world_eval(world, parse_hypothesis("(P x)", T1.allowed))
+        assert len(cache.memo) == 1
+        del world
+        clear_caches()  # the engine's own caches hold worlds too
+        gc.collect()
+        assert len(cache.memo) == 0
+
+    def test_custom_theories_sharing_an_id_do_not_share_pools(self):
+        from abduce.theory import custom_theory
+
+        narrow = custom_theory("(P x)", "(Q x)", allowed={"P"})
+        wide = custom_theory("(P x)", "(Q x)", allowed={"P", "R", "S"})
+        assert narrow.short_id == wide.short_id
+        sampler = GoldSampler()
+        assert sampler.applicable_templates(narrow) == ()  # one unary predicate, no binary
+        assert sampler.applicable_templates(wide) != ()

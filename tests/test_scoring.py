@@ -314,3 +314,10 @@ class TestAggregates:
     def test_empty_records(self):
         with pytest.raises(ValueError):
             aggregate_report([])
+
+
+class TestHostileLines:
+    def test_deep_nesting_scores_as_parse_error(self):
+        deep = "(not " * 3000 + "(P x)" + ")" * 3000
+        rec = score_prediction(Prediction("fix_1", "m", deep), I1)
+        assert not rec.parse_ok and rec.failure_class == "ParseError"
