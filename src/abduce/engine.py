@@ -14,13 +14,19 @@ The free-Ab lower bound exploits that Ab(a) occurs in exactly one grounded
 axiom, positively: the cheapest abnormal set under any fixed completion is
 exactly the set of elements whose default is violated.  The naive oracle
 (oracle module) rechecks all of this by literal enumeration.
+
+Neither evaluator's cost grows with quantifier depth, because the grammar
+has four variable names.  The closed-world evaluator gives each name a fixed
+array axis (x, y, z, w -> 0-3), so no intermediate array exceeds n^4 cells.
+Grounding memoizes each quantifier node on the values of its free variables
+(at most three), so it grounds at most n^4 bodies per node.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +42,7 @@ from .formula import (
     Implies,
     Not,
     Or,
+    free_variables,
     predicates_used,
 )
 from .theory import TheorySpec
@@ -157,38 +164,27 @@ def _g_not(c: _GExpr) -> _GExpr:
     return _GNot(c)
 
 
-def _g_and(children) -> _GExpr:
+def _g_junction(children, absorb: bool) -> _GExpr:
+    """And (absorb False) or Or (absorb True) of children, folding constants."""
     kept = []
     for c in children:
         if isinstance(c, _GConst):
-            if not c.value:
-                return _GFALSE
+            if c.value is absorb:
+                return c
         else:
             kept.append(c)
-    if not kept:
-        return _GTRUE
-    if len(kept) == 1:
-        return kept[0]
-    return _GAnd(tuple(kept))
+    if len(kept) > 1:
+        return (_GOr if absorb else _GAnd)(tuple(kept))
+    return kept[0] if kept else (_GFALSE if absorb else _GTRUE)
 
 
-def _g_or(children) -> _GExpr:
-    kept = []
-    for c in children:
-        if isinstance(c, _GConst):
-            if c.value:
-                return _GTRUE
-        else:
-            kept.append(c)
-    if not kept:
-        return _GFALSE
-    if len(kept) == 1:
-        return kept[0]
-    return _GOr(tuple(kept))
+def _ground(f: Formula, world: World, env: dict, unk_index: dict, memo: dict) -> _GExpr:
+    """Ground a formula (no Ab) at a concrete environment, folding knowns.
 
-
-def _ground(f: Formula, world: World, env: dict, unk_index: dict) -> _GExpr:
-    """Ground a formula (no Ab) at a concrete environment, folding knowns."""
+    memo maps a quantifier node (by id) to its free variable names and its
+    groundings per binding of them, so each node grounds its body at most
+    n times per binding: n^4 body groundings at most, whatever the depth.
+    """
     if isinstance(f, Atom):
         elems = tuple(env[v.name] for v in f.args)
         atom = elems[0] if len(elems) == 1 else elems
@@ -201,57 +197,61 @@ def _ground(f: Formula, world: World, env: dict, unk_index: dict) -> _GExpr:
     if isinstance(f, Equal):
         return _GTRUE if env[f.left.name] == env[f.right.name] else _GFALSE
     if isinstance(f, Not):
-        return _g_not(_ground(f.child, world, env, unk_index))
-    if isinstance(f, And):
+        return _g_not(_ground(f.child, world, env, unk_index, memo))
+    if isinstance(f, (And, Or)):
+        absorb = isinstance(f, Or)
         kept = []
         for c in f.children:
-            g = _ground(c, world, env, unk_index)
-            if isinstance(g, _GConst):
-                if not g.value:
-                    return _GFALSE
-            else:
-                kept.append(g)
-        return _g_and(kept) if kept else _GTRUE
-    if isinstance(f, Or):
-        kept = []
-        for c in f.children:
-            g = _ground(c, world, env, unk_index)
-            if isinstance(g, _GConst):
-                if g.value:
-                    return _GTRUE
-            else:
-                kept.append(g)
-        return _g_or(kept) if kept else _GFALSE
-    if isinstance(f, Implies):
-        return _g_or([_g_not(_ground(f.lhs, world, env, unk_index)), _ground(f.rhs, world, env, unk_index)])
-    if isinstance(f, (Forall, Exists)):
-        combine, absorb = (_g_and, False) if isinstance(f, Forall) else (_g_or, True)
-        kept = []
-        for e in world.elements():
-            g = _ground(f.body, world, {**env, f.var.name: e}, unk_index)
+            g = _ground(c, world, env, unk_index, memo)
             if isinstance(g, _GConst):
                 if g.value is absorb:
-                    return _GTRUE if absorb else _GFALSE
+                    return g
             else:
                 kept.append(g)
-        return combine(kept) if kept else (_GFALSE if absorb else _GTRUE)
+        return _g_junction(kept, absorb)
+    if isinstance(f, Implies):
+        lhs = _ground(f.lhs, world, env, unk_index, memo)
+        return _g_junction([_g_not(lhs), _ground(f.rhs, world, env, unk_index, memo)], True)
+    if isinstance(f, (Forall, Exists)):
+        entry = memo.get(id(f))
+        if entry is None:
+            entry = memo[id(f)] = (sorted(free_variables(f)), {})
+        names, done = entry
+        key = tuple(env[v] for v in names)
+        got = done.get(key)
+        if got is None:
+            got = done[key] = _ground_quantifier(f, world, env, unk_index, memo)
+        return got
     raise TypeError(f"not a groundable Formula: {f!r}")
+
+
+def _ground_quantifier(f: Formula, world: World, env: dict, unk_index: dict, memo: dict) -> _GExpr:
+    absorb = isinstance(f, Exists)
+    kept = []
+    for e in world.elements():
+        g = _ground(f.body, world, {**env, f.var.name: e}, unk_index, memo)
+        if isinstance(g, _GConst):
+            if g.value is absorb:
+                return g
+        else:
+            kept.append(g)
+    return _g_junction(kept, absorb)
 
 
 @dataclass(frozen=True, eq=False)
 class _WorldGrounding:
-    world: World
-    order: tuple
-    index: dict
     antecedent: tuple[_GExpr, ...]
     consequent: tuple[_GExpr, ...]
     violation: tuple[_GExpr, ...]
 
 
 # Closed-world fast path: on a fully observed world an Ab-free formula
-# evaluates to a boolean tensor with one axis per open variable (x as axis
-# 0, each quantifier adding a trailing axis), so the full regime never
-# touches the grounding recursion.
+# evaluates to a boolean array with one fixed axis per variable name (x, y,
+# z, w -> 0-3; size 1 where the value does not depend on it), and a
+# quantifier reduces its own axis.  No intermediate array exceeds n^4 cells,
+# and the full regime never touches the grounding recursion.
+
+_AXIS = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 
 @lru_cache(maxsize=4096)
@@ -271,46 +271,36 @@ def _world_arrays(world: World) -> dict:
     return out
 
 
-def _eval_closed(f: Formula, world: World, arrays: dict, axes: dict, depth: int) -> np.ndarray:
-    shape = (world.n,) * depth
+def _on_axes(values: np.ndarray, variables) -> np.ndarray:
+    """A relation over the given variables, laid out on their fixed axes."""
+    axes = [_AXIS[v.name] for v in variables]
+    if len(axes) == 2:
+        i, j = axes
+        if i == j:
+            values, axes = values.diagonal(), [i]
+        elif i > j:
+            values, axes = values.T, [j, i]
+    shape = [1, 1, 1, 1]
+    for a in axes:
+        shape[a] = values.shape[0]
+    return values.reshape(shape)
 
-    def expand(values: np.ndarray, axis: int) -> np.ndarray:
-        view = values.reshape((1,) * axis + (world.n,) + (1,) * (depth - axis - 1))
-        return np.broadcast_to(view, shape)
 
+def _eval_closed(f: Formula, world: World, arrays: dict) -> np.ndarray:
     if isinstance(f, Atom):
-        if len(f.args) == 1:
-            return expand(arrays[f.pred], axes[f.args[0].name])
-        i = axes[f.args[0].name]
-        j = axes[f.args[1].name]
-        idx_i = np.arange(world.n).reshape((1,) * i + (world.n,) + (1,) * (depth - i - 1))
-        idx_j = np.arange(world.n).reshape((1,) * j + (world.n,) + (1,) * (depth - j - 1))
-        return np.broadcast_to(arrays[f.pred][idx_i, idx_j], shape)
+        return _on_axes(arrays[f.pred], f.args)
     if isinstance(f, Equal):
-        i, j = axes[f.left.name], axes[f.right.name]
-        idx_i = np.arange(world.n).reshape((1,) * i + (world.n,) + (1,) * (depth - i - 1))
-        idx_j = np.arange(world.n).reshape((1,) * j + (world.n,) + (1,) * (depth - j - 1))
-        return np.broadcast_to(idx_i == idx_j, shape)
+        return _on_axes(np.eye(world.n, dtype=bool), (f.left, f.right))
     if isinstance(f, Not):
-        return ~_eval_closed(f.child, world, arrays, axes, depth)
-    if isinstance(f, And):
-        out = _eval_closed(f.children[0], world, arrays, axes, depth)
-        for c in f.children[1:]:
-            out = out & _eval_closed(c, world, arrays, axes, depth)
-        return out
-    if isinstance(f, Or):
-        out = _eval_closed(f.children[0], world, arrays, axes, depth)
-        for c in f.children[1:]:
-            out = out | _eval_closed(c, world, arrays, axes, depth)
-        return out
+        return ~_eval_closed(f.child, world, arrays)
+    if isinstance(f, (And, Or)):
+        op = np.logical_and if isinstance(f, And) else np.logical_or
+        return reduce(op, [_eval_closed(c, world, arrays) for c in f.children])
     if isinstance(f, Implies):
-        return ~_eval_closed(f.lhs, world, arrays, axes, depth) | _eval_closed(
-            f.rhs, world, arrays, axes, depth
-        )
+        return ~_eval_closed(f.lhs, world, arrays) | _eval_closed(f.rhs, world, arrays)
     if isinstance(f, (Forall, Exists)):
-        inner_axes = {**axes, f.var.name: depth}
-        body = _eval_closed(f.body, world, arrays, inner_axes, depth + 1)
-        return body.all(axis=-1) if isinstance(f, Forall) else body.any(axis=-1)
+        reduce_axis = np.all if isinstance(f, Forall) else np.any
+        return reduce_axis(_eval_closed(f.body, world, arrays), axis=_AXIS[f.var.name], keepdims=True)
     raise TypeError(f"not a closed-world Formula: {f!r}")
 
 
@@ -318,7 +308,8 @@ def _eval_closed(f: Formula, world: World, arrays: dict, axes: dict, depth: int)
 def closed_world_extension(world: World, formula: Formula) -> np.ndarray:
     """Boolean vector over the domain: which elements satisfy the Ab-free
     formula (free variable x) under closed-world semantics."""
-    arr = _eval_closed(formula, world, _world_arrays(world), {"x": 0}, 1)
+    out = _eval_closed(formula, world, _world_arrays(world))
+    arr = np.broadcast_to(out.reshape(out.shape[0]), (world.n,)).copy()
     arr.setflags(write=False)
     return arr
 
@@ -332,25 +323,27 @@ def _closed_violations(world: World, theory: TheorySpec) -> np.ndarray:
     return arr
 
 
+def _unknown_index(world: World) -> dict:
+    return {atom: i for i, atom in enumerate(world.unknown_order())}
+
+
 @lru_cache(maxsize=2048)
 def _world_grounding(world: World, theory: TheorySpec) -> _WorldGrounding:
-    order = tuple(world.unknown_order())
-    index = {atom: i for i, atom in enumerate(order)}
+    index, memo = _unknown_index(world), {}
     ante, cons, viol = [], [], []
     for a in world.elements():
-        ga = _ground(theory.antecedent, world, {"x": a}, index)
-        gc = _ground(theory.consequent, world, {"x": a}, index)
+        ga = _ground(theory.antecedent, world, {"x": a}, index, memo)
+        gc = _ground(theory.consequent, world, {"x": a}, index, memo)
         ante.append(ga)
         cons.append(gc)
-        viol.append(_g_and([ga, _g_not(gc)]))
-    return _WorldGrounding(world, order, index, tuple(ante), tuple(cons), tuple(viol))
+        viol.append(_g_junction([ga, _g_not(gc)], False))
+    return _WorldGrounding(tuple(ante), tuple(cons), tuple(viol))
 
 
 @lru_cache(maxsize=16384)
 def _alpha_grounding(world: World, alpha_formula: Formula) -> tuple[_GExpr, ...]:
-    order = tuple(world.unknown_order())
-    index = {atom: i for i, atom in enumerate(order)}
-    return tuple(_ground(alpha_formula, world, {"x": a}, index) for a in world.elements())
+    index, memo = _unknown_index(world), {}
+    return tuple(_ground(alpha_formula, world, {"x": a}, index, memo) for a in world.elements())
 
 
 def clear_caches() -> None:
@@ -382,35 +375,32 @@ def _table(expr: _GExpr, var_pos: dict, k: int, memo: dict) -> np.ndarray:
         out = _bit_column(k, var_pos[expr.index])
     elif isinstance(expr, _GNot):
         out = ~_table(expr.child, var_pos, k, memo)
-    elif isinstance(expr, _GAnd):
+    elif isinstance(expr, (_GAnd, _GOr)):
+        op = np.logical_and if isinstance(expr, _GAnd) else np.logical_or
         out = _table(expr.children[0], var_pos, k, memo).copy()
         for c in expr.children[1:]:
-            out &= _table(c, var_pos, k, memo)
-    elif isinstance(expr, _GOr):
-        out = _table(expr.children[0], var_pos, k, memo).copy()
-        for c in expr.children[1:]:
-            out |= _table(c, var_pos, k, memo)
+            op(out, _table(c, var_pos, k, memo), out=out)
     else:
         raise TypeError(expr)
     memo[key] = out
     return out
 
 
-class _Component:
-    __slots__ = ("vars", "constraints", "costs")
-
-    def __init__(self):
-        self.vars: set[int] = set()
-        self.constraints: list[_GExpr] = []
-        self.costs: list[_GExpr] = []
+def _expr_table(expr: _GExpr) -> tuple[np.ndarray, list[int]]:
+    """Truth table of one expression over its own support, in sorted order."""
+    ordered = sorted(expr.support)
+    return _table(expr, {v: i for i, v in enumerate(ordered)}, len(ordered), {}), ordered
 
 
-def _split_components(constraints: Sequence[_GExpr], costs: Sequence[_GExpr]) -> tuple[list[_Component], int, bool]:
-    """Group residual expressions by shared unknown atoms.
+def _sweep(constraints: Sequence[_GExpr], costs: Sequence[_GExpr], pick) -> Optional[tuple[int, dict[int, bool]]]:
+    """Best count of true cost expressions over assignments of the unknowns
+    that satisfy every constraint, and one assignment attaining it; None if
+    no assignment does.
 
-    Returns (components, constant_cost, constant_feasible): constant-true
-    cost expressions contribute to constant_cost; a constant-false
-    constraint makes the whole instance infeasible.
+    Expressions that share unknowns form a component, and components are
+    independent: each builds its truth tables over its own unknowns and
+    picks one row, with pick np.argmin (best case) or np.argmax (worst
+    case) over its feasible rows, the first row on ties.
     """
     parent: dict[int, int] = {}
 
@@ -420,50 +410,58 @@ def _split_components(constraints: Sequence[_GExpr], costs: Sequence[_GExpr]) ->
             v = parent[v]
         return v
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    exprs = [(e, True) for e in constraints] + [(e, False) for e in costs]
-    constant_cost = 0
-    feasible = True
-    live = []
-    for e, is_constraint in exprs:
+    total, live = 0, []
+    for e, is_constraint in [(e, True) for e in constraints] + [(e, False) for e in costs]:
         if isinstance(e, _GConst):
-            if is_constraint:
-                if not e.value:
-                    feasible = False
-            elif e.value:
-                constant_cost += 1
+            if not is_constraint:
+                total += e.value
+            elif not e.value:
+                return None
             continue
         live.append((e, is_constraint))
-        it = iter(e.support)
-        first = next(it)
+        first, *rest = e.support
         parent.setdefault(first, first)
-        for v in it:
-            parent.setdefault(v, v)
-            union(first, v)
+        for v in rest:
+            root, other = find(first), find(parent.setdefault(v, v))
+            if root != other:
+                parent[other] = root
 
-    groups: dict[int, _Component] = {}
+    groups: dict[int, tuple[set, list, list]] = {}
     for e, is_constraint in live:
         root = find(next(iter(e.support)))
-        comp = groups.get(root)
-        if comp is None:
-            comp = groups[root] = _Component()
-        comp.vars |= e.support
-        (comp.constraints if is_constraint else comp.costs).append(e)
-    return list(groups.values()), constant_cost, feasible
+        if root not in groups:
+            groups[root] = (set(), [], [])
+        variables, comp_constraints, comp_costs = groups[root]
+        variables |= e.support
+        (comp_constraints if is_constraint else comp_costs).append(e)
+
+    assignment: dict[int, bool] = {}
+    for variables, comp_constraints, comp_costs in groups.values():
+        ordered = sorted(variables)
+        var_pos, k = {v: i for i, v in enumerate(ordered)}, len(ordered)
+        memo: dict = {}
+        counts = np.zeros(1 << k, dtype=np.int32)
+        for e in comp_costs:
+            counts += _table(e, var_pos, k, memo)
+        feasible = np.ones(1 << k, dtype=bool)
+        for e in comp_constraints:
+            feasible &= _table(e, var_pos, k, memo)
+        rows = np.flatnonzero(feasible)
+        if not rows.size:
+            return None
+        best = int(rows[pick(counts[rows])])
+        total += int(counts[best])
+        assignment.update(_row_assignment(ordered, best))
+    return total, assignment
 
 
-def _component_layout(comp: _Component) -> tuple[dict, int]:
-    ordered = sorted(comp.vars)
-    return {v: i for i, v in enumerate(ordered)}, len(ordered)
+def _row_assignment(ordered: Sequence[int], row: int) -> dict[int, bool]:
+    """Truth-table row -> values of the unknowns it ranges over (bit i is ordered[i])."""
+    return {v: bool((row >> i) & 1) for i, v in enumerate(ordered)}
 
 
-def _assignment_from_index(comp: _Component, idx: int) -> dict[int, bool]:
-    ordered = sorted(comp.vars)
-    return {v: bool((idx >> i) & 1) for i, v in enumerate(ordered)}
+def _completion(world: World, assignment: dict[int, bool]) -> Completion:
+    return Completion({atom: assignment.get(i, False) for i, atom in enumerate(world.unknown_order())})
 
 
 def _check_cap(world: World, cap: int) -> None:
@@ -475,7 +473,7 @@ def _check_cap(world: World, cap: int) -> None:
 def _axiom_exprs(world: World, theory: TheorySpec, alpha: Hypothesis) -> list[_GExpr]:
     g = _world_grounding(world, theory)
     al = _alpha_grounding(world, alpha.formula)
-    return [_g_or([_g_not(g.antecedent[a]), al[a], g.consequent[a]]) for a in world.elements()]
+    return [_g_junction([_g_not(g.antecedent[a]), al[a], g.consequent[a]], True) for a in world.elements()]
 
 
 def check_scope(theory: TheorySpec, alpha: Hypothesis) -> None:
@@ -517,48 +515,23 @@ def validity(
             valid_w = bool((~violations | marked).all())
         elif regime is Regime.PARTIAL:
             _check_cap(world, cap)
-            comps, _, feasible = _split_components(_axiom_exprs(world, theory, alpha), [])
-            parts: dict[int, bool] = {}
-            if feasible:
-                for comp in comps:
-                    var_pos, k = _component_layout(comp)
-                    memo: dict = {}
-                    feas = np.ones(1 << k, dtype=bool)
-                    for e in comp.constraints:
-                        feas &= _table(e, var_pos, k, memo)
-                    hit = int(np.argmax(feas))
-                    if not feas[hit]:
-                        feasible = False
-                        break
-                    parts.update(_assignment_from_index(comp, hit))
-            valid_w = feasible
+            best = _sweep(_axiom_exprs(world, theory, alpha), [], np.argmin)
+            valid_w = best is not None
             if valid_w and wi == 0:
-                order = world.unknown_order()
-                first_partial_witness = Completion(
-                    {atom: parts.get(i, False) for i, atom in enumerate(order)}
-                )
+                first_partial_witness = _completion(world, best[1])
         else:
             _check_cap(world, cap)
             valid_w = True
             for e in _axiom_exprs(world, theory, alpha):
-                if isinstance(e, _GConst):
-                    if e.value:
-                        continue
-                    bad_idx, bad_vars = 0, []
-                else:
-                    ordered = sorted(e.support)
-                    var_pos = {v: i for i, v in enumerate(ordered)}
-                    tbl = _table(e, var_pos, len(ordered), {})
-                    miss = int(np.argmin(tbl))
-                    if tbl[miss]:
-                        continue
-                    bad_idx, bad_vars = miss, ordered
+                if e is _GTRUE:
+                    continue
+                table, ordered = _expr_table(e)
+                miss = int(np.argmin(table))
+                if table[miss]:
+                    continue
                 valid_w = False
                 if witness is None:
-                    order = world.unknown_order()
-                    assign = {v: bool((bad_idx >> i) & 1) for i, v in enumerate(bad_vars)}
-                    witness = Completion({atom: assign.get(i, False) for i, atom in enumerate(order)})
-                    witness_world = wi
+                    witness, witness_world = _completion(world, _row_assignment(ordered, miss)), wi
                 break
         per_world.append(valid_w)
     overall = all(per_world)
@@ -589,31 +562,14 @@ def cost(
     if not verdict.valid:
         bad = [i for i, ok in enumerate(verdict.per_world_valid) if not ok]
         raise InvalidHypothesisError(f"hypothesis is invalid on world(s) {bad}; cost is undefined")
+    pick = np.argmin if regime is Regime.PARTIAL else np.argmax
     per_world = []
     for world in worlds:
         if regime is Regime.FULL:
             per_world.append(int(closed_world_extension(world, alpha.formula).sum()))
             continue
-        al = _alpha_grounding(world, alpha.formula)
-        if regime is Regime.PARTIAL:
-            comps, const_cost, feasible = _split_components(_axiom_exprs(world, theory, alpha), al)
-        else:
-            comps, const_cost, feasible = _split_components([], al)
-        assert feasible
-        total_w = const_cost
-        for comp in comps:
-            var_pos, k = _component_layout(comp)
-            memo: dict = {}
-            counts = np.zeros(1 << k, dtype=np.int32)
-            for e in comp.costs:
-                counts += _table(e, var_pos, k, memo)
-            if comp.constraints:
-                feas = np.ones(1 << k, dtype=bool)
-                for e in comp.constraints:
-                    feas &= _table(e, var_pos, k, memo)
-                counts = counts[feas]
-            total_w += int(counts.min() if regime is Regime.PARTIAL else counts.max())
-        per_world.append(total_w)
+        constraints = _axiom_exprs(world, theory, alpha) if regime is Regime.PARTIAL else []
+        per_world.append(_sweep(constraints, _alpha_grounding(world, alpha.formula), pick)[0])
     return CostReport(regime, tuple(per_world), sum(per_world))
 
 
@@ -639,31 +595,13 @@ def opt_cost(
         if world.num_unknowns():
             raise ValueError("full regime requires a fully observed world")
         return int(_closed_violations(world, theory).sum())
-    g = _world_grounding(world, theory)
     _check_cap(world, cap)
+    g = _world_grounding(world, theory)
     if regime is Regime.SKEPTICAL and variant == "uniform":
         # Elements with some violating completion must be abnormal under a
         # completion-independent Ab; the rest never need to be.
-        forced = 0
-        for e in g.violation:
-            if isinstance(e, _GConst):
-                forced += 1 if e.value else 0
-            else:
-                ordered = sorted(e.support)
-                var_pos = {v: i for i, v in enumerate(ordered)}
-                if bool(_table(e, var_pos, len(ordered), {}).any()):
-                    forced += 1
-        return forced
-    comps, const_cost, _ = _split_components([], g.violation)
-    total = const_cost
-    for comp in comps:
-        var_pos, k = _component_layout(comp)
-        memo: dict = {}
-        counts = np.zeros(1 << k, dtype=np.int32)
-        for e in comp.costs:
-            counts += _table(e, var_pos, k, memo)
-        total += int(counts.min() if regime is Regime.PARTIAL else counts.max())
-    return total
+        return sum(bool(_expr_table(e)[0].any()) for e in g.violation)
+    return _sweep([], g.violation, np.argmin if regime is Regime.PARTIAL else np.argmax)[0]
 
 
 def opt_costs(

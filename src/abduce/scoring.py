@@ -370,13 +370,6 @@ def _holdout_conditional_rows(records):
     return rows
 
 
-def _bin_of(ast_size: int) -> str:
-    for lo, hi in AST_BINS:
-        if ast_size >= lo and (hi is None or ast_size < hi):
-            return f"[{lo},{hi if hi is not None else 'inf'})"
-    raise AssertionError
-
-
 def _complexity_rows(records):
     rows = []
     for scen in sorted({r.scenario for r in records}):

@@ -218,3 +218,70 @@ class TestOracleAgreement:
                     )
                 checked += 1
         assert checked > 150
+
+
+def _exists_chain(variables: str, body: str) -> str:
+    for v in reversed(variables):
+        body = f"(exists {v} {body})"
+    return body
+
+
+class TestQuantifierDepth:
+    """Cost must not grow with quantifier depth: the grammar has four
+    variable names, so evaluation and grounding stay within n^4."""
+
+    T1 = builtin_theory("T1")
+    # n = 11; the violations of T1 all fall on P = {0..5}, so the hypothesis
+    # below is valid in every regime.  In the masked world P(6), P(7) and six
+    # R atoms are unknown, which makes partial and skeptical costs differ.
+    P = set(range(6))
+    R = {(i, j) for i in range(6) for j in range(11) if (i + j) % 3 == 0}
+    COMPLETE = World(11, {"P": P, "R": R})
+    MASKED = World(11, {"P": P, "R": R}, {"P": {6, 7}, "R": {(i, (2 * i + 1) % 11) for i in range(6)} - R})
+    BODY = "(and (P x) (or (R x y) (P y)))"
+    SHALLOW = f"(exists y {BODY})"
+    DEEP = _exists_chain("yzwyzw", BODY)
+
+    def hyp(self, text):
+        return parse_hypothesis(text, self.T1.allowed, self.T1.forbidden)
+
+    def test_full_validity_memory(self):
+        import tracemalloc
+
+        from abduce.engine import clear_caches
+
+        deep = self.hyp(self.DEEP)
+        clear_caches()
+        tracemalloc.start()
+        try:
+            validity(Regime.FULL, self.T1, [self.COMPLETE], deep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
+    @pytest.mark.parametrize("regime", [Regime.PARTIAL, Regime.SKEPTICAL])
+    def test_masked_validity_time(self, regime):
+        import time
+
+        from abduce.engine import clear_caches
+
+        deep = self.hyp(self.DEEP)
+        clear_caches()
+        start = time.perf_counter()
+        assert validity(regime, self.T1, [self.MASKED], deep).valid
+        assert time.perf_counter() - start < 2.0
+
+    def test_same_values_as_shallow(self):
+        deep, shallow = self.hyp(self.DEEP), self.hyp(self.SHALLOW)
+        costs = {}
+        for regime, world in (
+            (Regime.FULL, self.COMPLETE),
+            (Regime.PARTIAL, self.MASKED),
+            (Regime.SKEPTICAL, self.MASKED),
+        ):
+            d, s = validity(regime, self.T1, [world], deep), validity(regime, self.T1, [world], shallow)
+            assert (d.valid, d.per_world_valid, d.witness) == (s.valid, s.per_world_valid, s.witness)
+            costs[regime] = cost(regime, self.T1, [world], deep).total
+            assert costs[regime] == cost(regime, self.T1, [world], shallow).total
+        assert costs == {Regime.FULL: 6, Regime.PARTIAL: 6, Regime.SKEPTICAL: 8}

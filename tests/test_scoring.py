@@ -321,3 +321,43 @@ class TestHostileLines:
         deep = "(not " * 3000 + "(P x)" + ")" * 3000
         rec = score_prediction(Prediction("fix_1", "m", deep), I1)
         assert not rec.parse_ok and rec.failure_class == "ParseError"
+
+
+class TestDeepQuantifierChains:
+    """A 12-deep quantifier chain scores in bounded time in every regime and
+    gets the failure class of its shallow equivalent."""
+
+    BODY = "(and (P x) (or (R x y) (P y)))"
+
+    @staticmethod
+    def instance(scenario, world):
+        from dataclasses import replace
+
+        from abduce.engine import cost, opt_cost
+
+        inst = t1_instance(f"deep_{scenario}", [world], [0], [0], [world], [0], [0])
+        opt = (opt_cost(scenario, inst.theory, world),)
+        gold = tuple(cost(scenario, inst.theory, [world], inst.gold).per_world_cost)
+        return replace(inst, scenario=scenario, train_opt_costs=opt, train_gold_costs=gold,
+                       holdout_opt_costs=opt, holdout_gold_costs=gold)
+
+    @pytest.mark.parametrize("scenario", ["full", "partial", "skeptical"])
+    def test_twelve_deep_chain(self, scenario):
+        import time
+
+        from abduce.engine import clear_caches
+
+        P = set(range(6))
+        R = {(i, j) for i in range(6) for j in range(11) if (i + j) % 3 == 0}
+        unknown = {} if scenario == "full" else {"P": {6, 7}, "R": {(i, (2 * i + 1) % 11) for i in range(6)} - R}
+        inst = self.instance(scenario, World(11, {"P": P, "R": R}, unknown))
+        deep = self.BODY
+        for v in reversed("yzw" * 4):
+            deep = f"(exists {v} {deep})"
+        clear_caches()
+        start = time.perf_counter()
+        rec = score_prediction(Prediction(inst.id, "m", deep), inst)
+        assert time.perf_counter() - start < 1.0
+        shallow = score_prediction(Prediction(inst.id, "m", f"(exists y {self.BODY})"), inst)
+        assert rec.parse_ok and rec.failure_class == shallow.failure_class
+        assert rec.train_cost == shallow.train_cost
