@@ -15,11 +15,12 @@ axiom, positively: the cheapest abnormal set under any fixed completion is
 exactly the set of elements whose default is violated.  The naive oracle
 (oracle module) rechecks all of this by literal enumeration.
 
-Neither evaluator's cost grows with quantifier depth, because the grammar
-has four variable names.  The closed-world evaluator gives each name a fixed
-array axis (x, y, z, w -> 0-3), so no intermediate array exceeds n^4 cells.
-Grounding memoizes each quantifier node on the values of its free variables
-(at most three), so it grounds at most n^4 bodies per node.
+Neither evaluator's cost is exponential in quantifier depth, because the
+grammar has four variable names.  The closed-world evaluator gives each
+name a fixed array axis (x, y, z, w -> 0-3), so no intermediate array
+exceeds n^4 cells.  Grounding memoizes each quantifier node on the values
+of its free variables (at most three), so it grounds at most n^4 bodies
+per node.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def _ground(f: Formula, world: World, env: dict, unk_index: dict, memo: dict) ->
 
     memo maps a quantifier node (by id) to its free variable names and its
     groundings per binding of them, so each node grounds its body at most
-    n times per binding: n^4 body groundings at most, whatever the depth.
+    n times per binding: at most n^4 times, whatever the depth.
     """
     if isinstance(f, Atom):
         elems = tuple(env[v.name] for v in f.args)
