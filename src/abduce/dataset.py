@@ -44,12 +44,7 @@ def world_to_json(world: World) -> dict:
 
 
 def world_from_json(data: dict) -> World:
-    def conv(vals):
-        return frozenset(tuple(v) if isinstance(v, list) else int(v) for v in vals)
-
-    true = {p: conv(data.get("true", {}).get(p, ())) for p in OBSERVABLE_PREDICATES}
-    unknown = {p: conv(data.get("unknown", {}).get(p, ())) for p in OBSERVABLE_PREDICATES}
-    return World(int(data["n"]), true, unknown)
+    return World(int(data["n"]), data.get("true", {}), data.get("unknown", {}))
 
 
 def instance_to_json(rec: InstanceRecord) -> dict:

@@ -76,8 +76,35 @@ UNARY_PREDICATES = ("P", "Q", "Ab")
 BINARY_PREDICATES = ("R", "S")
 
 
+def memoize_hash(cls):
+    """Class decorator for a frozen dataclass: compute its field hash once
+    per instance and keep it.
+
+    The memo lives in the instance ``__dict__``, outside the dataclass
+    fields, so ``__eq__``, ``repr``, ``asdict`` and ``replace`` (which builds
+    a new instance) are unchanged.  Pickling drops it: string hashes differ
+    between processes.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 class Formula:
-    """Marker base class for AST nodes."""
+    """Marker base class for AST nodes; each caches its hash (memoize_hash)."""
 
     __slots__ = ()
 
@@ -85,6 +112,7 @@ class Formula:
         return render_formula(self)
 
 
+@memoize_hash
 @dataclass(frozen=True, repr=False)
 class Atom(Formula):
     pred: str
@@ -101,17 +129,20 @@ class Atom(Formula):
         object.__setattr__(self, "args", tuple(self.args))
 
 
+@memoize_hash
 @dataclass(frozen=True, repr=False)
 class Equal(Formula):
     left: Variable
     right: Variable
 
 
+@memoize_hash
 @dataclass(frozen=True, repr=False)
 class Not(Formula):
     child: Formula
 
 
+@memoize_hash
 @dataclass(frozen=True, repr=False)
 class And(Formula):
     children: tuple[Formula, ...]
@@ -122,6 +153,7 @@ class And(Formula):
             raise FormulaSyntaxError("and requires at least 2 arguments")
 
 
+@memoize_hash
 @dataclass(frozen=True, repr=False)
 class Or(Formula):
     children: tuple[Formula, ...]
@@ -132,18 +164,21 @@ class Or(Formula):
             raise FormulaSyntaxError("or requires at least 2 arguments")
 
 
+@memoize_hash
 @dataclass(frozen=True, repr=False)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
+@memoize_hash
 @dataclass(frozen=True, repr=False)
 class Forall(Formula):
     var: Variable
     body: Formula
 
 
+@memoize_hash
 @dataclass(frozen=True, repr=False)
 class Exists(Formula):
     var: Variable

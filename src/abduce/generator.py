@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
-from .engine import Regime, cost, opt_cost, validity
+from .engine import Regime, clear_caches, cost, opt_cost, validity
 from .formula import (
     And,
     Atom,
@@ -1096,10 +1096,13 @@ def generate_batch(
         try:
             record = generate_instance(params, index=index, sampler=sampler)
         except GenerationError:
-            index += 1
-            continue
+            record = None
         index += 1
-        if with_holdouts:
-            record = generate_holdouts(record, dataset_path, params.global_seed, params=params)
-        records.append(record)
+        if record is not None:
+            if with_holdouts:
+                record = generate_holdouts(record, dataset_path, params.global_seed, params=params)
+            records.append(record)
+        # The engine caches key on worlds, and no later instance evaluates
+        # this one's candidates: drop them rather than keep them alive.
+        clear_caches()
     return records

@@ -19,6 +19,7 @@ from .formula import (
     Not,
     Variable,
     free_variables,
+    memoize_hash,
     parse_formula,
     predicates_used,
 )
@@ -26,6 +27,7 @@ from .formula import (
 SCENARIOS = ("full", "partial", "skeptical")
 
 
+@memoize_hash
 @dataclass(frozen=True)
 class TheorySpec:
     short_id: str

@@ -8,7 +8,10 @@ evaluation is pure.  Sampling requires exclusive access to its rng.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import product
 from random import Random
 from typing import AbstractSet, Iterator, Mapping, Optional
 
@@ -38,39 +41,92 @@ class EvalError(ValueError):
     """Formula evaluation hit an unbound variable or missing context."""
 
 
-def _as_atom_set(pred: str, atoms) -> frozenset:
-    arity = PREDICATES[pred].arity
-    out = set()
-    for a in atoms:
-        if arity == 1:
-            out.add(int(a))
-        else:
-            i, j = a
-            out.add((int(i), int(j)))
-    return frozenset(out)
+class _AtomTable(dict):
+    """Canonical ground atoms of one domain size and arity.
+
+    Looking up a value equal to a ground atom returns its one canonical
+    ``int`` or ``(int, int)``; a value equal to none raises ValueError.  The
+    table fills on demand, so a large domain costs only the atoms it uses.
+    """
+
+    def __init__(self, n: int, arity: int):
+        super().__init__()
+        self.n = n
+        self.arity = arity
+
+    def __missing__(self, atom):
+        try:
+            if self.arity == 1:
+                coords = (atom,)
+            else:
+                i, j = atom
+                coords = (i, j)
+            canon = tuple(int(c) for c in coords)
+            valid = canon == coords and all(0 <= c < self.n for c in canon)
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ValueError(f"atom {atom!r} is malformed or outside the domain of size {self.n}")
+        if self.arity == 1:
+            canon = canon[0]
+        self[canon] = canon
+        return canon
+
+    @cached_property
+    def population(self) -> tuple:
+        """Every ground atom, row-major, as canonical objects: the sampling
+        population, so sampled atoms are interned already."""
+        atoms = range(self.n) if self.arity == 1 else product(range(self.n), repeat=2)
+        return tuple(map(self.__getitem__, atoms))
+
+
+@lru_cache(maxsize=64)
+def _atom_table(n: int, arity: int) -> _AtomTable:
+    return _AtomTable(n, arity)
+
+
+def _hashable(atom):
+    return atom if isinstance(atom, Hashable) else tuple(atom)
+
+
+def _as_atom_set(pred: str, n: int, atoms) -> frozenset:
+    """Validate and intern a predicate's atoms in one pass over them."""
+    table = _atom_table(n, PREDICATES[pred].arity)
+    if not isinstance(atoms, (frozenset, set, list, tuple)):
+        atoms = tuple(atoms)  # the retry below iterates a second time
+    try:
+        try:
+            return frozenset(map(table.__getitem__, atoms))
+        except TypeError:  # unhashable atoms, such as list pairs read from JSON
+            return frozenset(map(table.__getitem__, map(_hashable, atoms)))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{pred}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
 class World:
-    """Compared with worlds_equivalent; hashed by identity so groundings cache."""
+    """Compared with worlds_equivalent; hashed by identity so groundings cache.
+
+    An atom is an int for P and Q and an (int, int) pair for R and S, each
+    index in range(n).  Any value equal to one is accepted (numpy integers,
+    True, 1.0, list pairs) and stored as the canonical Python object, which
+    every world of the same domain size shares; anything else raises
+    ValueError.
+    """
 
     n: int
     true_atoms: Mapping[str, frozenset] = field(default_factory=dict)
     unknown_atoms: Mapping[str, frozenset] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("domain size must be >= 1")
-        true = {p: _as_atom_set(p, self.true_atoms.get(p, ())) for p in OBSERVABLE_PREDICATES}
-        unk = {p: _as_atom_set(p, self.unknown_atoms.get(p, ())) for p in OBSERVABLE_PREDICATES}
+        true = {p: _as_atom_set(p, n, self.true_atoms.get(p, ())) for p in OBSERVABLE_PREDICATES}
+        unk = {p: _as_atom_set(p, n, self.unknown_atoms.get(p, ())) for p in OBSERVABLE_PREDICATES}
         for p in OBSERVABLE_PREDICATES:
-            if true[p] & unk[p]:
+            if not true[p].isdisjoint(unk[p]):
                 raise ValueError(f"{p}: true and unknown atom sets overlap")
-            for atoms in (true[p], unk[p]):
-                for a in atoms:
-                    idxs = (a,) if PREDICATES[p].arity == 1 else a
-                    if any(i < 0 or i >= self.n for i in idxs):
-                        raise ValueError(f"{p} atom {a} outside domain of size {self.n}")
         object.__setattr__(self, "true_atoms", true)
         object.__setattr__(self, "unknown_atoms", unk)
 
@@ -251,11 +307,7 @@ def sample_complete_world(n_range, densities: DensityRanges, rng: Random) -> Wor
         arity = PREDICATES[p].arity
         total = n**arity
         count = min(total, max(1, int(total * rho)))
-        if arity == 1:
-            population = list(range(n))
-        else:
-            population = [(i, j) for i in range(n) for j in range(n)]
-        true[p] = frozenset(rng.sample(population, count))
+        true[p] = frozenset(rng.sample(_atom_table(n, arity).population, count))
     return World(n, true, {})
 
 
@@ -287,8 +339,7 @@ def mask_world(
         base = n * n if mask_basis == "grid" else len(true[p])
         count = min(n * n, round(rate * base))
         if count:
-            population = [(i, j) for i in range(n) for j in range(n)]
-            masked = frozenset(rng.sample(population, count))
+            masked = frozenset(rng.sample(_atom_table(n, 2).population, count))
             hidden[p] = true[p] & masked
             unknown[p] = unknown[p] | masked
             true[p] = true[p] - masked

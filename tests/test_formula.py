@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -19,7 +21,7 @@ from abduce.formula import (
     render_formula,
     validate_hypothesis,
 )
-from abduce.theory import builtin_theory
+from abduce.theory import builtin_theory, custom_theory
 
 from conftest import random_formula
 
@@ -256,3 +258,34 @@ class TestNestingCap:
     def test_very_deep_line_is_a_syntax_error(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("(not " * 3000 + "(P x)" + ")" * 3000)
+
+
+class TestHashMemo:
+    def test_equal_formulas_built_separately_hash_alike(self, rng):
+        for _ in range(50):
+            f = random_formula(rng, {"P", "Q", "R", "S"}, max_depth=4)
+            g = parse_formula(render_formula(f))
+            assert f is not g and f == g and hash(f) == hash(g)
+
+    def test_replace_carries_no_stale_hash(self):
+        f = parse_formula("(exists y (and (R x y) (P y)))")
+        hash(f)
+        g = dataclasses.replace(f, body=parse_formula("(S x y)"))
+        assert g == parse_formula("(exists y (S x y))")
+        assert hash(g) == hash(parse_formula("(exists y (S x y))"))
+        assert hash(g) != hash(f)
+        assert dataclasses.asdict(g) == dataclasses.asdict(parse_formula("(exists y (S x y))"))
+
+    def test_pickle_drops_the_memo(self):
+        f = parse_formula("(forall y (or (R x y) (P y)))")
+        hash(f)
+        g = pickle.loads(pickle.dumps(f))
+        assert "_hash" not in vars(g) and g == f and hash(g) == hash(f)
+
+    def test_equal_theory_specs_hash_alike(self):
+        t1, t2 = builtin_theory("T1"), builtin_theory("T2")
+        again = dataclasses.replace(t1, description=t1.description)
+        assert again is not t1 and again == t1 and hash(again) == hash(t1)
+        c1, c2 = (custom_theory("(exists y (R x y))", "(Q x)", {"P", "R"}) for _ in range(2))
+        assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
+        assert t1 != t2

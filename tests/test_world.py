@@ -1,8 +1,13 @@
+import json
 import random
 
+import numpy as np
 import pytest
 
+from abduce import engine
+from abduce.dataset import DatasetError, load_dataset, save_dataset
 from abduce.formula import parse_formula, parse_hypothesis
+from abduce.generator import GenParams, generate_batch
 from abduce.world import (
     DENSITY_RANGES,
     DOMAIN_SIZES,
@@ -28,6 +33,32 @@ class TestWorld:
     def test_out_of_domain_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             World(3, {"P": {3}})
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [{"R": {5}}, {"P": {(1, 2)}}, {"P": {1.5}}, {"P": {"1"}}, {"P": {-1}},
+         {"R": {(0, 3)}}, {"R": [[0, 1, 2]]}, {"R": {"01"}}, {"P": [[1]]}, {"S": [None]}],
+    )
+    def test_malformed_atom_rejected(self, atoms):
+        pred = next(iter(atoms))
+        with pytest.raises(ValueError, match=f"^{pred}: "):
+            World(3, atoms)
+        with pytest.raises(ValueError, match=f"^{pred}: "):
+            World(3, {}, atoms)
+
+    def test_equal_atoms_stored_as_canonical_python_objects(self):
+        w = World(3, {"P": {np.int64(2), True}, "Q": {1.0}, "R": [[0, 2], (np.int32(1), 1)]})
+        assert w.true_atoms["P"] == {1, 2} and w.true_atoms["Q"] == {1}
+        assert w.true_atoms["R"] == {(0, 2), (1, 1)}
+        assert all(type(a) is int for p in "PQ" for a in w.true_atoms[p])
+        assert all(type(a) is tuple and all(type(i) is int for i in a) for a in w.true_atoms["R"])
+
+    def test_worlds_share_atom_objects(self):
+        w1 = World(4, {"P": {3}, "R": {(1, 2)}}, {"S": [[0, 3]]})
+        w2 = World(4, {"P": [np.int64(3)], "S": {(0, 3)}}, {"R": [[1, 2]]})
+        assert next(iter(w1.true_atoms["R"])) is next(iter(w2.unknown_atoms["R"]))
+        assert next(iter(w1.unknown_atoms["S"])) is next(iter(w2.true_atoms["S"]))
+        assert next(iter(w1.true_atoms["P"])) is next(iter(w2.true_atoms["P"]))
 
     def test_unknown_order_sorted(self):
         w = World(3, {}, {"S": {(2, 0), (0, 1)}, "R": {(1, 2)}, "P": {2}})
@@ -185,3 +216,30 @@ class TestEquivalence:
     def test_domain_size_tables(self):
         assert DOMAIN_SIZES["full"] == (9, 10, 11)
         assert DOMAIN_SIZES["skeptical"] == (10, 11, 12)
+
+
+class TestGeneratedWorlds:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
+        params = GenParams(scenario="partial", theory_id="T2", global_seed=6)
+        records = generate_batch(params, 1, dataset_path=str(path))
+        caches = {name: getattr(engine, name).cache_info().currsize
+                  for name in ("_world_arrays", "closed_world_extension", "_closed_violations",
+                               "_world_grounding", "_alpha_grounding", "_bit_column")}
+        save_dataset(records, str(path), [params], global_seed=6)
+        return path, caches
+
+    def test_generate_batch_leaves_engine_caches_empty(self, saved):
+        _, caches = saved
+        assert caches == dict.fromkeys(caches, 0)
+
+    def test_bad_atom_in_dataset_is_a_dataset_error(self, saved, tmp_path):
+        path, _ = saved
+        header, line = path.read_text().splitlines()
+        data = json.loads(line)
+        data["train_worlds"][0]["true"]["R"].append(5)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(header + "\n" + json.dumps(data) + "\n")
+        with pytest.raises(DatasetError, match="R: atom 5"):
+            load_dataset(str(bad))
