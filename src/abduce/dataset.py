@@ -131,7 +131,12 @@ def load_dataset(path: str, check: bool = True) -> list[InstanceRecord]:
         lines = fh.read().splitlines()
     if not lines:
         raise DatasetError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except ValueError as exc:
+        raise DatasetError(f"{path}:1: bad header line: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DatasetError(f"{path}:1: bad header line: not a JSON object")
     if header.get("format") != FORMAT_NAME:
         raise DatasetError(f"{path}: not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:
@@ -142,7 +147,8 @@ def load_dataset(path: str, check: bool = True) -> list[InstanceRecord]:
             continue
         try:
             rec = instance_from_json(json.loads(line))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            # a missing field, a bad value, or a field of the wrong JSON type
             raise DatasetError(f"{path}:{i}: bad instance line: {exc}") from exc
         if check:
             violations = audit_instance(rec, pools=False)

@@ -15,12 +15,25 @@ axiom, positively: the cheapest abnormal set under any fixed completion is
 exactly the set of elements whose default is violated.  The naive oracle
 (oracle module) rechecks all of this by literal enumeration.
 
-Neither evaluator's cost is exponential in quantifier depth, because the
-grammar has four variable names.  The closed-world evaluator gives each
-name a fixed array axis (x, y, z, w -> 0-3), so no intermediate array
-exceeds n^4 cells.  Grounding memoizes each quantifier node on the values
-of its free variables (at most three), so it grounds at most n^4 bodies
-per node.
+One array evaluator serves every regime.  It evaluates A, C and alpha for
+all elements at once as a (must, may) pair in Kleene's strong three-valued
+logic: must where the formula holds under every completion, may where it
+holds under some.  On a fully observed world the two are one array, which
+is the full regime's answer.  With unknowns, an element where must equals
+may is decided, and gets a constant without being grounded.  This is sound,
+and it decides exactly the elements whose grounding would fold to that
+constant, because the grounding's constant folding is strong Kleene
+evaluation; so the grounded expressions, and every result, are the same as
+with no pre-pass.  Kleene evaluation is incomplete: (or (R x y) (not (R x
+y))) with R(x, y) unknown stays undecided, is grounded, and the exact table
+sweep decides it.
+
+Neither the evaluator's nor the grounding's cost is exponential in
+quantifier depth, because the grammar has four variable names.  The
+evaluator gives each name a fixed array axis (x, y, z, w -> 0-3), so no
+intermediate array exceeds n^4 cells.  Grounding memoizes each quantifier
+node on the values of its free variables (at most three), so it grounds at
+most n^4 bodies per node.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from .formula import (
     Implies,
     Not,
     Or,
+    PREDICATES,
     free_variables,
     predicates_used,
 )
@@ -246,29 +260,35 @@ class _WorldGrounding:
     violation: tuple[_GExpr, ...]
 
 
-# Closed-world fast path: on a fully observed world an Ab-free formula
-# evaluates to a boolean array with one fixed axis per variable name (x, y,
-# z, w -> 0-3; size 1 where the value does not depend on it), and a
-# quantifier reduces its own axis.  No intermediate array exceeds n^4 cells,
-# and the full regime never touches the grounding recursion.
+# The fixed-axis evaluator: an Ab-free formula evaluates to a (must, may)
+# pair of boolean arrays, with one fixed axis per variable name (x, y, z,
+# w -> 0-3; size 1 where the value does not depend on it), and a quantifier
+# reduces its own axis.  No intermediate array exceeds n^4 cells.  must holds
+# where the formula is true under every completion, may where it is true
+# under some: Kleene's strong three-valued logic over the unknown atoms.
+# Where no unknown atom matters one array serves as both halves, so on a
+# fully observed world each node costs one numpy operation.
 
 _AXIS = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 
+def _atom_array(atoms, shape) -> np.ndarray:
+    arr = np.zeros(shape, dtype=bool)
+    for a in atoms:
+        arr[a] = True
+    return arr
+
+
 @lru_cache(maxsize=4096)
 def _world_arrays(world: World) -> dict:
-    n = world.n
+    """Per predicate, (must, may): its known-true atoms, and those plus its
+    unknown ones (one shared array when it has no unknown atoms)."""
     out = {}
-    for p in ("P", "Q"):
-        vec = np.zeros(n, dtype=bool)
-        for a in world.true_atoms[p]:
-            vec[a] = True
-        out[p] = vec
-    for p in ("R", "S"):
-        mat = np.zeros((n, n), dtype=bool)
-        for i, j in world.true_atoms[p]:
-            mat[i, j] = True
-        out[p] = mat
+    for p in ("P", "Q", "R", "S"):
+        shape = (world.n,) * PREDICATES[p].arity
+        true, unknown = world.true_atoms[p], world.unknown_atoms[p]
+        must = _atom_array(true, shape)
+        out[p] = (must, _atom_array(true | unknown, shape) if unknown else must)
     return out
 
 
@@ -287,30 +307,54 @@ def _on_axes(values: np.ndarray, variables) -> np.ndarray:
     return values.reshape(shape)
 
 
-def _eval_closed(f: Formula, world: World, arrays: dict) -> np.ndarray:
+def _eval(f: Formula, n: int, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(must, may) arrays of an Ab-free formula; may is must where no
+    unknown atom below f matters."""
     if isinstance(f, Atom):
-        return _on_axes(arrays[f.pred], f.args)
+        must, may = arrays[f.pred]
+        out = _on_axes(must, f.args)
+        return out, (out if may is must else _on_axes(may, f.args))
     if isinstance(f, Equal):
-        return _on_axes(np.eye(world.n, dtype=bool), (f.left, f.right))
+        out = _on_axes(np.eye(n, dtype=bool), (f.left, f.right))
+        return out, out
     if isinstance(f, Not):
-        return ~_eval_closed(f.child, world, arrays)
+        must, may = _eval(f.child, n, arrays)
+        out = ~may
+        return out, (out if may is must else ~must)
     if isinstance(f, (And, Or)):
         op = np.logical_and if isinstance(f, And) else np.logical_or
-        return reduce(op, [_eval_closed(c, world, arrays) for c in f.children])
+        pairs = [_eval(c, n, arrays) for c in f.children]
+        out = reduce(op, [must for must, _ in pairs])
+        if all(must is may for must, may in pairs):
+            return out, out
+        return out, reduce(op, [may for _, may in pairs])
     if isinstance(f, Implies):
-        return ~_eval_closed(f.lhs, world, arrays) | _eval_closed(f.rhs, world, arrays)
+        lhs_must, lhs_may = _eval(f.lhs, n, arrays)
+        rhs_must, rhs_may = _eval(f.rhs, n, arrays)
+        out = ~lhs_may | rhs_must
+        return out, (out if lhs_may is lhs_must and rhs_may is rhs_must else ~lhs_must | rhs_may)
     if isinstance(f, (Forall, Exists)):
         reduce_axis = np.all if isinstance(f, Forall) else np.any
-        return reduce_axis(_eval_closed(f.body, world, arrays), axis=_AXIS[f.var.name], keepdims=True)
-    raise TypeError(f"not a closed-world Formula: {f!r}")
+        axis = _AXIS[f.var.name]
+        must, may = _eval(f.body, n, arrays)
+        out = reduce_axis(must, axis=axis, keepdims=True)
+        return out, (out if may is must else reduce_axis(may, axis=axis, keepdims=True))
+    raise TypeError(f"not an Ab-free Formula: {f!r}")
+
+
+def _extension(world: World, formula: Formula) -> tuple[np.ndarray, np.ndarray]:
+    """(must, may) boolean vectors over the domain for a formula in x."""
+    must, may = _eval(formula, world.n, _world_arrays(world))
+    out = np.broadcast_to(must.reshape(must.shape[0]), (world.n,))
+    return out, (out if may is must else np.broadcast_to(may.reshape(may.shape[0]), (world.n,)))
 
 
 @lru_cache(maxsize=16384)
 def closed_world_extension(world: World, formula: Formula) -> np.ndarray:
     """Boolean vector over the domain: which elements satisfy the Ab-free
-    formula (free variable x) under closed-world semantics."""
-    out = _eval_closed(formula, world, _world_arrays(world))
-    arr = np.broadcast_to(out.reshape(out.shape[0]), (world.n,)).copy()
+    formula (free variable x) under every completion; on a fully observed
+    world, under closed-world semantics."""
+    arr = _extension(world, formula)[0].copy()
     arr.setflags(write=False)
     return arr
 
@@ -324,27 +368,35 @@ def _closed_violations(world: World, theory: TheorySpec) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=4096)
 def _unknown_index(world: World) -> dict:
     return {atom: i for i, atom in enumerate(world.unknown_order())}
 
 
+def _groundings(world: World, formula: Formula) -> tuple[_GExpr, ...]:
+    """The grounded formula per element.  The evaluator decides every
+    element whose known atoms fix its value, which is exactly where _ground
+    would fold to that constant; only the rest are grounded."""
+    must, may = _extension(world, formula)
+    if may is must:
+        return tuple(_GTRUE if v else _GFALSE for v in must.tolist())
+    index, memo = _unknown_index(world), {}
+    return tuple(
+        (_GTRUE if lo else _GFALSE) if lo == hi else _ground(formula, world, {"x": a}, index, memo)
+        for a, (lo, hi) in enumerate(zip(must.tolist(), may.tolist()))
+    )
+
+
 @lru_cache(maxsize=2048)
 def _world_grounding(world: World, theory: TheorySpec) -> _WorldGrounding:
-    index, memo = _unknown_index(world), {}
-    ante, cons, viol = [], [], []
-    for a in world.elements():
-        ga = _ground(theory.antecedent, world, {"x": a}, index, memo)
-        gc = _ground(theory.consequent, world, {"x": a}, index, memo)
-        ante.append(ga)
-        cons.append(gc)
-        viol.append(_g_junction([ga, _g_not(gc)], False))
-    return _WorldGrounding(tuple(ante), tuple(cons), tuple(viol))
+    ante = _groundings(world, theory.antecedent)
+    cons = _groundings(world, theory.consequent)
+    return _WorldGrounding(ante, cons, tuple(_g_junction([ga, _g_not(gc)], False) for ga, gc in zip(ante, cons)))
 
 
 @lru_cache(maxsize=16384)
 def _alpha_grounding(world: World, alpha_formula: Formula) -> tuple[_GExpr, ...]:
-    index, memo = _unknown_index(world), {}
-    return tuple(_ground(alpha_formula, world, {"x": a}, index, memo) for a in world.elements())
+    return _groundings(world, alpha_formula)
 
 
 def clear_caches() -> None:
@@ -354,6 +406,7 @@ def clear_caches() -> None:
     _world_arrays.cache_clear()
     closed_world_extension.cache_clear()
     _closed_violations.cache_clear()
+    _unknown_index.cache_clear()
 
 
 # ---------------------------------------------------------------------------

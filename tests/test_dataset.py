@@ -73,6 +73,36 @@ class TestDatasetFile:
         with pytest.raises(DatasetError, match="not a"):
             load_dataset(str(p))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["train_worlds"][0].update(n=None),
+            lambda d: d.update(train_worlds=None),
+            lambda d: d["train_worlds"][0].update(true=[1]),
+            lambda d: d.update(gold={"formula": 5}),
+            lambda d: d.update(baselines=[]),
+        ],
+        ids=["n-null", "train-worlds-null", "true-list", "gold-formula-int", "baselines-list"],
+    )
+    def test_malformed_instance_line(self, batch, tmp_path, edit):
+        _, _, path = batch
+        lines = open(path).read().splitlines()
+        data = json.loads(lines[1])
+        edit(data)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(data)]) + "\n")
+        with pytest.raises(DatasetError, match=r"bad\.jsonl:2: bad instance line"):
+            load_dataset(str(bad))
+
+    @pytest.mark.parametrize("header", ["[1]", '{"format":"abduce-data', ""], ids=["list", "truncated", "empty"])
+    def test_malformed_header_line(self, batch, tmp_path, header):
+        _, _, path = batch
+        lines = open(path).read().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([header] + lines[1:]) + "\n")
+        with pytest.raises(DatasetError, match=r"bad\.jsonl:1: bad header line"):
+            load_dataset(str(bad))
+
     def test_generation_log_sidecar(self, batch, tmp_path):
         _, records, _ = batch
         log = tmp_path / "log.jsonl"

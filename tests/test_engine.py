@@ -220,6 +220,38 @@ class TestOracleAgreement:
         assert checked > 150
 
 
+class TestKleeneIncompleteness:
+    """Strong Kleene logic cannot see that (or A (not A)) holds when A is
+    unknown, so the pre-pass must leave such elements to the exact path."""
+
+    T1 = builtin_theory("T1")
+    # R(0, 1), R(2, 2) and R(2, 0) are unknown; every R(1, y) is known.
+    WORLD = World(3, {"P": {0, 1, 2}, "Q": {1}, "R": {(0, 0), (1, 2)}}, {"R": {(0, 1), (2, 2), (2, 0)}})
+    ALPHA = parse_hypothesis("(forall y (or (R x y) (not (R x y))))", T1.allowed, T1.forbidden)
+
+    def test_tautology_left_undecided(self):
+        from abduce import engine
+
+        must, may = engine._extension(self.WORLD, self.ALPHA.formula)
+        assert must.tolist() == [False, True, False]
+        assert may.tolist() == [True, True, True]
+        grounded = engine._alpha_grounding(self.WORLD, self.ALPHA.formula)
+        assert grounded[1] is engine._GTRUE
+        assert not isinstance(grounded[0], engine._GConst)
+        assert not isinstance(grounded[2], engine._GConst)
+
+    @pytest.mark.parametrize("regime", ["partial", "skeptical"])
+    def test_exact_path_agrees_with_oracle(self, regime):
+        spec, world, alpha = self.T1, self.WORLD, self.ALPHA
+        assert validity(regime, spec, [world], alpha).valid
+        assert oracle.world_valid(regime, spec, world, alpha)
+        assert cost(regime, spec, [world], alpha).total == oracle.world_cost(regime, spec, world, alpha) == 3
+        for variant in ("pointwise", "uniform"):
+            assert opt_cost(regime, spec, world, variant=variant) == oracle.world_opt_cost(
+                regime, spec, world, variant=variant
+            )
+
+
 def _exists_chain(variables: str, body: str) -> str:
     for v in reversed(variables):
         body = f"(exists {v} {body})"

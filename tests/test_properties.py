@@ -1,16 +1,17 @@
-"""Property-based differential test: engine against the naive oracle.
+"""Property-based differential tests: engine against the naive oracle.
 
 Hypothesis draws small worlds (n <= 4, at most 6 unknown atoms), a theory
 and an in-scope hypothesis, so a disagreement shrinks to a minimal world
 and formula.  The fixed-seed sweep of acceptance Criterion 1 stays as it is;
-this test adds shrinking and a different distribution.
+this test adds shrinking and a different distribution.  A second test pins
+the engine's three-valued pre-pass to the grounding it stands in for.
 """
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from abduce import oracle
+from abduce import engine, oracle
 from abduce.engine import cost, opt_cost, validity
 from abduce.formula import (
     And,
@@ -25,7 +26,7 @@ from abduce.formula import (
     validate_hypothesis,
 )
 from abduce.theory import THEORY_IDS, builtin_theory
-from abduce.world import World
+from abduce.world import World, enumerate_completions, eval_formula
 
 UNARY = ("P", "Q")
 BINARY = ("R", "S")
@@ -90,3 +91,34 @@ def test_engine_matches_oracle(regime, data):
         assert opt_cost(regime, spec, world, variant=variant) == oracle.world_opt_cost(
             regime, spec, world, variant=variant
         )
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_prepass_decides_what_grounding_folds(data):
+    """The (must, may) evaluator decides an element exactly when _ground
+    folds it to a constant, with the same value, and a decided value holds
+    under every completion."""
+    spec = builtin_theory(data.draw(st.sampled_from(THEORY_IDS), label="theory"))
+    world = data.draw(worlds(max_unknowns=8), label="world")
+    alpha = data.draw(formulas(sorted(spec.allowed)), label="alpha")
+    assume(free_variables(alpha) == {"x"})
+    completions = list(enumerate_completions(world))
+    index = engine._unknown_index(world)
+    for f in (alpha, spec.antecedent, spec.consequent):
+        must, may = engine._extension(world, f)
+        for a in world.elements():
+            grounded = engine._ground(f, world, {"x": a}, index, {})
+            decided = bool(must[a] == may[a])
+            assert decided == isinstance(grounded, engine._GConst)
+            if decided:
+                assert grounded.value == bool(must[a])
+                assert all(eval_formula(world, c, {"x": a}, f) == must[a] for c in completions)
+            else:
+                assert not must[a] and may[a]
