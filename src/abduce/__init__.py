@@ -42,6 +42,7 @@ from .engine import (
     opt_cost,
     opt_costs,
     validity,
+    world_costs,
 )
 
 __version__ = "0.1.0"
@@ -80,5 +81,6 @@ __all__ = [
     "sample_world",
     "validate_hypothesis",
     "validity",
+    "world_costs",
     "worlds_equivalent",
 ]

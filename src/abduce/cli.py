@@ -12,6 +12,7 @@ import sys
 
 from . import oracle
 from .dataset import (
+    DatasetError,
     load_dataset,
     load_predictions,
     load_score_records,
@@ -232,7 +233,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except DatasetError as exc:
+        print(f"abduce {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -196,17 +196,31 @@ def load_predictions(predictions_path: str, manifest_path: str) -> list[Predicti
     with open(predictions_path) as fh:
         lines = fh.read().splitlines()
     with open(manifest_path) as fh:
-        manifest = [json.loads(line) for line in fh.read().splitlines() if line.strip()]
+        manifest = [_manifest_entry(manifest_path, i, line)
+                    for i, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
     if len(manifest) != len(lines):
         raise DatasetError(
             f"manifest has {len(manifest)} entries but predictions file has {len(lines)} lines"
         )
-    out = []
-    for line, meta in zip(lines, manifest):
-        out.append(
-            parse_prediction_line(line, instance_id=meta["instance_id"], model_id=meta["model_id"])
-        )
-    return out
+    return [
+        parse_prediction_line(line, instance_id=instance_id, model_id=model_id)
+        for line, (instance_id, model_id) in zip(lines, manifest)
+    ]
+
+
+def _manifest_entry(path: str, lineno: int, line: str) -> tuple[str, str]:
+    """(instance_id, model_id) of one manifest line; DatasetError naming the
+    line when it is not a JSON object with both keys as strings."""
+    try:
+        meta = json.loads(line)
+    except ValueError as exc:
+        raise DatasetError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DatasetError(f"{path}:{lineno}: bad manifest line: not a JSON object")
+    ids = meta.get("instance_id"), meta.get("model_id")
+    if not all(isinstance(v, str) for v in ids):
+        raise DatasetError(f"{path}:{lineno}: bad manifest line: instance_id and model_id must be strings")
+    return ids
 
 
 def save_score_records(records, path: str) -> None:

@@ -30,10 +30,17 @@ sweep decides it.
 
 Neither the evaluator's nor the grounding's cost is exponential in
 quantifier depth, because the grammar has four variable names.  The
-evaluator gives each name a fixed array axis (x, y, z, w -> 0-3), so no
-intermediate array exceeds n^4 cells.  Grounding memoizes each quantifier
-node on the values of its free variables (at most three), so it grounds at
-most n^4 bodies per node.
+evaluator gives each name a fixed array axis (x, y, z, w -> 1-4), so no
+intermediate array exceeds B x n^4 cells.  Grounding memoizes each
+quantifier node on the values of its free variables (at most three), so it
+grounds at most n^4 bodies per node.
+
+Axis 0 of every evaluator array is a batch of worlds of one domain size.
+Queries on one World use a batch of 1.  closed_block evaluates a block of B
+fully observed worlds at once, so the generator screens candidate worlds
+(nontriviality floor, exception cap, gold validity and gap) with one pass
+per block instead of one per world; the numbers are those of opt_cost,
+validity and cost on each world.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -61,9 +68,7 @@ from .formula import (
     predicates_used,
 )
 from .theory import TheorySpec
-from .world import Completion, EnumerationCapError, World
-
-DEFAULT_ENUMERATION_CAP = 24
+from .world import DEFAULT_ENUMERATION_CAP, Completion, EnumerationCapError, World
 
 
 class Regime(enum.Enum):
@@ -261,22 +266,25 @@ class _WorldGrounding:
 
 
 # The fixed-axis evaluator: an Ab-free formula evaluates to a (must, may)
-# pair of boolean arrays, with one fixed axis per variable name (x, y, z,
-# w -> 0-3; size 1 where the value does not depend on it), and a quantifier
-# reduces its own axis.  No intermediate array exceeds n^4 cells.  must holds
-# where the formula is true under every completion, may where it is true
-# under some: Kleene's strong three-valued logic over the unknown atoms.
-# Where no unknown atom matters one array serves as both halves, so on a
-# fully observed world each node costs one numpy operation.
+# pair of boolean arrays.  Axis 0 is the batch of worlds (size 1 for one
+# World, or where the value is the same for every world of the batch), and
+# each variable name has a fixed axis (x, y, z, w -> 1-4; size 1 where the
+# value does not depend on it); a quantifier reduces its own axis.  No
+# intermediate array exceeds B x n^4 cells.  must holds where the formula is
+# true under every completion, may where it is true under some: Kleene's
+# strong three-valued logic over the unknown atoms.  Where no unknown atom
+# matters one array serves as both halves, so on a fully observed world each
+# node costs one numpy operation.
 
-_AXIS = {"x": 0, "y": 1, "z": 2, "w": 3}
+_AXIS = {"x": 1, "y": 2, "z": 3, "w": 4}
 
 
 def _atom_array(atoms, shape) -> np.ndarray:
+    """A batch of one: shape (1,) + shape, True at the given atoms."""
     arr = np.zeros(shape, dtype=bool)
     for a in atoms:
         arr[a] = True
-    return arr
+    return arr[None]
 
 
 @lru_cache(maxsize=4096)
@@ -293,17 +301,18 @@ def _world_arrays(world: World) -> dict:
 
 
 def _on_axes(values: np.ndarray, variables) -> np.ndarray:
-    """A relation over the given variables, laid out on their fixed axes."""
+    """A batch of relations over the given variables (batch on axis 0),
+    laid out on their fixed axes."""
     axes = [_AXIS[v.name] for v in variables]
     if len(axes) == 2:
         i, j = axes
         if i == j:
-            values, axes = values.diagonal(), [i]
+            values, axes = values.diagonal(axis1=1, axis2=2), [i]
         elif i > j:
-            values, axes = values.T, [j, i]
-    shape = [1, 1, 1, 1]
+            values, axes = values.transpose(0, 2, 1), [j, i]
+    shape = [values.shape[0], 1, 1, 1, 1]
     for a in axes:
-        shape[a] = values.shape[0]
+        shape[a] = values.shape[1]
     return values.reshape(shape)
 
 
@@ -315,7 +324,7 @@ def _eval(f: Formula, n: int, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
         out = _on_axes(must, f.args)
         return out, (out if may is must else _on_axes(may, f.args))
     if isinstance(f, Equal):
-        out = _on_axes(np.eye(n, dtype=bool), (f.left, f.right))
+        out = _on_axes(np.eye(n, dtype=bool)[None], (f.left, f.right))
         return out, out
     if isinstance(f, Not):
         must, may = _eval(f.child, n, arrays)
@@ -342,11 +351,16 @@ def _eval(f: Formula, n: int, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError(f"not an Ab-free Formula: {f!r}")
 
 
+def _per_element(values: np.ndarray, batch: int, n: int) -> np.ndarray:
+    """An evaluated formula in x as a (batch, n) array."""
+    return np.broadcast_to(values.reshape(values.shape[:2]), (batch, n))
+
+
 def _extension(world: World, formula: Formula) -> tuple[np.ndarray, np.ndarray]:
     """(must, may) boolean vectors over the domain for a formula in x."""
     must, may = _eval(formula, world.n, _world_arrays(world))
-    out = np.broadcast_to(must.reshape(must.shape[0]), (world.n,))
-    return out, (out if may is must else np.broadcast_to(may.reshape(may.shape[0]), (world.n,)))
+    out = _per_element(must, 1, world.n)[0]
+    return out, (out if may is must else _per_element(may, 1, world.n)[0])
 
 
 @lru_cache(maxsize=16384)
@@ -366,6 +380,24 @@ def _closed_violations(world: World, theory: TheorySpec) -> np.ndarray:
     arr = ante & ~cons
     arr.setflags(write=False)
     return arr
+
+
+def closed_block(
+    theory: TheorySpec, alpha: Formula, n: int, relations: Mapping[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-regime answers for a block of B fully observed worlds of domain
+    size n, each predicate given as a (B, n) or (B, n, n) bool array of its
+    true atoms: per world, opt_cost, whether alpha (an Ab-free formula in x)
+    is valid, and alpha's cost.  One evaluator pass serves the whole block."""
+    arrays = {p: (a, a) for p, a in relations.items()}
+    batch = len(relations["P"])
+
+    def extension(f):
+        return _per_element(_eval(f, n, arrays)[0], batch, n)
+
+    violations = extension(theory.antecedent) & ~extension(theory.consequent)
+    marked = extension(alpha)
+    return violations.sum(axis=1), (marked | ~violations).all(axis=1), marked.sum(axis=1)
 
 
 @lru_cache(maxsize=4096)
@@ -538,7 +570,30 @@ def check_scope(theory: TheorySpec, alpha: Hypothesis) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Validity
+# Validity and costs
+
+
+def _full_cost(world: World, theory: TheorySpec, alpha: Hypothesis) -> Optional[int]:
+    """Direct count of a valid hypothesis on a fully observed world; None
+    where some violated default is not marked abnormal."""
+    if world.num_unknowns():
+        raise ValueError("full regime requires a fully observed world")
+    violations = _closed_violations(world, theory)
+    marked = closed_world_extension(world, alpha.formula)
+    return int(marked.sum()) if (~violations | marked).all() else None
+
+
+def _counterexample(axioms: Sequence[_GExpr]) -> Optional[dict[int, bool]]:
+    """An assignment falsifying the first grounded axiom that some
+    completion falsifies (its first such truth-table row), or None."""
+    for e in axioms:
+        if e is _GTRUE:
+            continue
+        table, ordered = _expr_table(e)
+        miss = int(np.argmin(table))
+        if not table[miss]:
+            return _row_assignment(ordered, miss)
+    return None
 
 
 def validity(
@@ -562,11 +617,7 @@ def validity(
     first_partial_witness = None
     for wi, world in enumerate(worlds):
         if regime is Regime.FULL:
-            if world.num_unknowns():
-                raise ValueError("full regime requires a fully observed world")
-            violations = _closed_violations(world, theory)
-            marked = closed_world_extension(world, alpha.formula)
-            valid_w = bool((~violations | marked).all())
+            valid_w = _full_cost(world, theory, alpha) is not None
         elif regime is Regime.PARTIAL:
             _check_cap(world, cap)
             best = _sweep(_axiom_exprs(world, theory, alpha), [], np.argmin)
@@ -575,18 +626,10 @@ def validity(
                 first_partial_witness = _completion(world, best[1])
         else:
             _check_cap(world, cap)
-            valid_w = True
-            for e in _axiom_exprs(world, theory, alpha):
-                if e is _GTRUE:
-                    continue
-                table, ordered = _expr_table(e)
-                miss = int(np.argmin(table))
-                if table[miss]:
-                    continue
-                valid_w = False
-                if witness is None:
-                    witness, witness_world = _completion(world, _row_assignment(ordered, miss)), wi
-                break
+            miss = _counterexample(_axiom_exprs(world, theory, alpha))
+            valid_w = miss is None
+            if not valid_w and witness is None:
+                witness, witness_world = _completion(world, miss), wi
         per_world.append(valid_w)
     overall = all(per_world)
     if regime is Regime.PARTIAL and overall and first_partial_witness is not None:
@@ -594,8 +637,39 @@ def validity(
     return EngineVerdict(overall, tuple(per_world), witness, witness_world)
 
 
-# ---------------------------------------------------------------------------
-# Costs
+def world_costs(
+    regime,
+    theory: TheorySpec,
+    worlds: Sequence[World],
+    alpha: Hypothesis,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[Optional[int], ...]:
+    """Per world, the hypothesis's abnormality count, or None where it is
+    invalid: validity and cost in one pass.
+
+    Full counts directly; partial takes the best case over completions that
+    satisfy the repaired theory (one sweep with the axioms as constraints);
+    skeptical takes the worst case over all completions, once no completion
+    falsifies an axiom.
+    """
+    regime = Regime.parse(regime)
+    check_scope(theory, alpha)
+    out = []
+    for world in worlds:
+        if regime is Regime.FULL:
+            out.append(_full_cost(world, theory, alpha))
+            continue
+        _check_cap(world, cap)
+        axioms = _axiom_exprs(world, theory, alpha)
+        alpha_exprs = _alpha_grounding(world, alpha.formula)
+        if regime is Regime.PARTIAL:
+            best = _sweep(axioms, alpha_exprs, np.argmin)
+            out.append(None if best is None else best[0])
+        elif _counterexample(axioms) is None:
+            out.append(_sweep([], alpha_exprs, np.argmax)[0])
+        else:
+            out.append(None)
+    return tuple(out)
 
 
 def cost(
@@ -605,26 +679,14 @@ def cost(
     alpha: Hypothesis,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CostReport:
-    """Abnormality counts for a valid hypothesis (error otherwise).
-
-    Full counts directly; partial takes the best case over completions that
-    satisfy the repaired theory; skeptical takes the worst case over all
-    completions.
-    """
+    """Abnormality counts for a valid hypothesis (error otherwise); see
+    world_costs."""
     regime = Regime.parse(regime)
-    verdict = validity(regime, theory, worlds, alpha, cap=cap)
-    if not verdict.valid:
-        bad = [i for i, ok in enumerate(verdict.per_world_valid) if not ok]
+    per_world = world_costs(regime, theory, worlds, alpha, cap=cap)
+    bad = [i for i, c in enumerate(per_world) if c is None]
+    if bad:
         raise InvalidHypothesisError(f"hypothesis is invalid on world(s) {bad}; cost is undefined")
-    pick = np.argmin if regime is Regime.PARTIAL else np.argmax
-    per_world = []
-    for world in worlds:
-        if regime is Regime.FULL:
-            per_world.append(int(closed_world_extension(world, alpha.formula).sum()))
-            continue
-        constraints = _axiom_exprs(world, theory, alpha) if regime is Regime.PARTIAL else []
-        per_world.append(_sweep(constraints, _alpha_grounding(world, alpha.formula), pick)[0])
-    return CostReport(regime, tuple(per_world), sum(per_world))
+    return CostReport(regime, per_world, sum(per_world))
 
 
 def opt_cost(

@@ -23,12 +23,18 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import weakref
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .engine import Regime, clear_caches, cost, opt_cost, validity
+import numpy as np
+
+from .engine import DEFAULT_ENUMERATION_CAP, Regime, clear_caches, closed_block, opt_cost, world_costs
+# validity and cost stay importable from here: the benchmark's tracer
+# patches them by name in this module.
+from .engine import cost, validity  # noqa: F401
 from .formula import (
     And,
     Atom,
@@ -55,6 +61,7 @@ from .world import (
     DOMAIN_SIZES,
     DensityRanges,
     World,
+    draw_complete_world,
     mask_world,
     sample_complete_world,
     unmask_world,
@@ -63,6 +70,8 @@ from .world import (
 
 GOLD_AST_RANGE = (5, 30)
 HOLDOUT_ATTEMPTS_PER_WORLD = 150
+# Candidate worlds drawn, and screened in one evaluator pass, at a time.
+_BLOCK = 16
 MASK_BASIS = {"full": "grid", "partial": "true_count", "skeptical": "grid"}
 
 
@@ -87,7 +96,7 @@ class GenParams:
     refine: bool = False
     world_attempts: int = 200
     instance_attempts: int = 40
-    enumeration_cap: int = 24
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
         if self.scenario not in ("full", "partial", "skeptical"):
@@ -638,12 +647,8 @@ class _EvalCache:
             memo = self.memo[world] = {}
         hit = memo.get(hyp.formula)
         if hit is None:
-            verdict = validity(self.regime, self.theory, [world], hyp, cap=self.cap)
-            if verdict.valid:
-                hit = (True, cost(self.regime, self.theory, [world], hyp, cap=self.cap).total)
-            else:
-                hit = (False, None)
-            memo[hyp.formula] = hit
+            c = world_costs(self.regime, self.theory, [world], hyp, cap=self.cap)[0]
+            hit = memo[hyp.formula] = (c is not None, c)
         return hit
 
     def total_cost(self, worlds: Sequence[World], hyp: Hypothesis) -> Optional[int]:
@@ -668,7 +673,17 @@ class _AcceptedWorld:
 
 
 class _WorldAcceptor:
-    """Two-stage world acceptance shared by training and holdout sampling."""
+    """Two-stage world acceptance shared by training and holdout sampling.
+
+    Candidates are drawn _BLOCK at a time as index draws
+    (draw_complete_world), and the closed-world stage screens a whole block
+    in one evaluator pass per domain size.  Only the first survivor becomes
+    a World: the rng is rewound to just before its draws, it is redrawn by
+    sample_complete_world and masked, and the rest of the block is dropped
+    and drawn again after it.  So every accepted world comes out at the rng
+    position that drawing one candidate at a time reaches, and the output
+    does not depend on _BLOCK.
+    """
 
     def __init__(self, params: GenParams, gold: Hypothesis, shared_n: Optional[int]):
         self.params = params
@@ -679,28 +694,65 @@ class _WorldAcceptor:
             self.n_range = (shared_n,)
         else:
             self.n_range = DOMAIN_SIZES[params.scenario]
-        self.full_cache = _EvalCache(Regime.FULL, self.theory, params.enumeration_cap)
         self.scen_cache = _EvalCache(self.regime, self.theory, params.enumeration_cap)
 
-    def try_candidate(self, rng: Random) -> Optional[_AcceptedWorld]:
+    def _screen(self, draws: Sequence[tuple[int, dict]]) -> list[tuple[int, bool, int]]:
+        """Per drawn complete world: opt_cost(FULL), whether the gold is
+        valid, and its cost, from one closed_block pass per domain size."""
+        out: list = [None] * len(draws)
+        for n in sorted({n for n, _ in draws}):
+            members = [i for i, (m, _) in enumerate(draws) if m == n]
+            relations = {}
+            for p, arity in (("P", 1), ("Q", 1), ("R", 2), ("S", 2)):
+                idx = [draws[i][1][p] for i in members]
+                counts = [len(a) for a in idx]
+                cols = np.fromiter(itertools.chain.from_iterable(idx), np.intp, sum(counts))
+                flat = np.zeros((len(members), n**arity), dtype=bool)
+                flat[np.repeat(np.arange(len(members)), counts), cols] = True
+                relations[p] = flat.reshape((len(members),) + (n,) * arity)
+            opts, valid, costs = closed_block(self.theory, self.gold.formula, n, relations)
+            for i, o, v, c in zip(members, opts.tolist(), valid.tolist(), costs.tolist()):
+                out[i] = (o, v, c)
+        return out
+
+    def _passes(self, n: int, opt: int, valid: bool, gold_cost: int) -> bool:
+        """The closed-world stage: nontriviality floor, exception cap, gold
+        validity and gold gap."""
         params = self.params
-        complete = sample_complete_world(self.n_range, params.densities, rng)
-        pre_opt = opt_cost(Regime.FULL, self.theory, complete)
-        if pre_opt < 1 or pre_opt / complete.n > params.exception_cap:
-            return None
-        valid, pre_gold = self.full_cache.world_eval(complete, self.gold)
-        if not valid or pre_gold > pre_opt + params.gold_gap_slack:
-            return None
-        if params.scenario == "full":
-            return _AcceptedWorld(complete, {}, pre_opt, pre_gold, pre_opt, pre_gold)
-        masked, hidden = mask_world(
-            complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario]
-        )
-        valid, scen_gold = self.scen_cache.world_eval(masked, self.gold)
-        if not valid:
-            return None
-        scen_opt = opt_cost(self.regime, self.theory, masked, cap=params.enumeration_cap)
-        return _AcceptedWorld(masked, hidden, scen_opt, scen_gold, pre_opt, pre_gold)
+        if opt < 1 or opt / n > params.exception_cap:
+            return False
+        return valid and gold_cost <= opt + params.gold_gap_slack
+
+    def candidates(self, rng: Random, attempts: int) -> Iterator[_AcceptedWorld]:
+        """Accepted worlds among `attempts` candidates drawn from rng, each
+        yielded with rng just past its own draws and masking; a caller that
+        stops there leaves rng where one-at-a-time sampling would."""
+        params = self.params
+        left = attempts
+        while left > 0:
+            states, draws = [], []
+            for _ in range(min(_BLOCK, left)):
+                states.append(rng.getstate())
+                draws.append(draw_complete_world(self.n_range, params.densities, rng))
+            screened = self._screen(draws)
+            first = next((i for i, row in enumerate(screened) if self._passes(draws[i][0], *row)), None)
+            if first is None:
+                left -= len(draws)
+                continue
+            left -= first + 1
+            rng.setstate(states[first])
+            complete = sample_complete_world(self.n_range, params.densities, rng)
+            pre_opt, _, pre_gold = screened[first]
+            if params.scenario == "full":
+                yield _AcceptedWorld(complete, {}, pre_opt, pre_gold, pre_opt, pre_gold)
+                continue
+            masked, hidden = mask_world(
+                complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario]
+            )
+            valid, scen_gold = self.scen_cache.world_eval(masked, self.gold)
+            if valid:
+                scen_opt = opt_cost(self.regime, self.theory, masked, cap=params.enumeration_cap)
+                yield _AcceptedWorld(masked, hidden, scen_opt, scen_gold, pre_opt, pre_gold)
 
 
 def _hidden_to_json(hidden: dict) -> dict:
@@ -772,14 +824,10 @@ def _attempt_instance(params, index, attempt, rng, sampler):
     cache = acceptor.scen_cache
     log: list[dict] = []
 
-    accepted: list[_AcceptedWorld] = []
-    for _ in range(params.world_attempts):
-        aw = acceptor.try_candidate(rng)
-        if aw is not None:
-            accepted.append(aw)
-            break
-    if not accepted:
+    first = next(acceptor.candidates(rng, params.world_attempts), None)
+    if first is None:
         return ("no_initial_world", template)
+    accepted = [first]
 
     while True:
         worlds = [aw.world for aw in accepted]
@@ -791,10 +839,7 @@ def _attempt_instance(params, index, attempt, rng, sampler):
         if len(worlds) >= params.world_budget:
             return ("budget_exhausted_with_survivors", template)
         added = False
-        for _ in range(params.world_attempts):
-            aw = acceptor.try_candidate(rng)
-            if aw is None:
-                continue
+        for aw in acceptor.candidates(rng, params.world_attempts):
             new_survivors = _survivors(
                 pool, worlds + [aw.world], gold_total + aw.gold_cost, params.margin, cache
             )
@@ -957,10 +1002,7 @@ def generate_holdouts(
         seed = holdout_seed(dataset_path, instance.id, idx, global_seed)
         rng = Random(seed)
         found = False
-        for _ in range(HOLDOUT_ATTEMPTS_PER_WORLD):
-            aw = acceptor.try_candidate(rng)
-            if aw is None:
-                continue
+        for aw in acceptor.candidates(rng, HOLDOUT_ATTEMPTS_PER_WORLD):
             if any(
                 worlds_equivalent(aw.world, w)
                 for w in tuple(instance.train_worlds) + tuple(a.world for a in accepted)

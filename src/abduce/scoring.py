@@ -20,7 +20,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .engine import Regime, cost, validity
+from .engine import DEFAULT_ENUMERATION_CAP, Regime, world_costs
+# validity and cost stay importable from here: the benchmark's tracer
+# patches them by name in this module.
+from .engine import cost, validity  # noqa: F401
 from .formula import (
     FormulaSyntaxError,
     Hypothesis,
@@ -115,7 +118,7 @@ def parse_prediction_line(line: str, instance_id: str = "", model_id: str = "") 
 def score_prediction(
     pred: Prediction,
     inst: InstanceRecord,
-    cap: int = 24,
+    cap: int = DEFAULT_ENUMERATION_CAP,
     inflation_threshold: float = INFLATION_THRESHOLD,
     catastrophic_threshold: float = CATASTROPHIC_THRESHOLD,
 ) -> ScoreRecord:
@@ -169,10 +172,11 @@ def score_prediction(
             inflation_threshold, catastrophic_threshold,
         )
 
-    verdict = validity(regime, theory, inst.train_worlds, alpha, cap=cap)
-    rec = dict(base, parse_ok=True, train_world_valid=verdict.per_world_valid, train_valid=verdict.valid)
-    if verdict.valid:
-        train_cost = cost(regime, theory, inst.train_worlds, alpha, cap=cap).total
+    train_costs = world_costs(regime, theory, inst.train_worlds, alpha, cap=cap)
+    train_valid = tuple(c is not None for c in train_costs)
+    rec = dict(base, parse_ok=True, train_world_valid=train_valid, train_valid=all(train_valid))
+    if all(train_valid):
+        train_cost = sum(train_costs)
         train_opt = sum(inst.train_opt_costs)
         rec.update(
             train_cost=train_cost,
@@ -183,16 +187,16 @@ def score_prediction(
             beats_gold=train_cost < gold_train_total,
         )
         if inst.holdout_available:
-            hv = validity(regime, theory, inst.holdout_worlds, alpha, cap=cap)
+            hold_costs = world_costs(regime, theory, inst.holdout_worlds, alpha, cap=cap)
+            hold_valid = tuple(c is not None for c in hold_costs)
             k = len(inst.holdout_worlds)
-            frac = sum(hv.per_world_valid) / k
             rec.update(
-                holdout_world_valid=hv.per_world_valid,
-                holdout_valid=hv.valid,
-                holdout_valid_fraction=frac,
+                holdout_world_valid=hold_valid,
+                holdout_valid=all(hold_valid),
+                holdout_valid_fraction=sum(hold_valid) / k,
             )
-            if hv.valid:
-                hold_cost = cost(regime, theory, inst.holdout_worlds, alpha, cap=cap).total
+            if all(hold_valid):
+                hold_cost = sum(hold_costs)
                 hold_opt = sum(inst.holdout_opt_costs)
                 hold_gap = (hold_cost - hold_opt) / k
                 rec.update(
@@ -234,7 +238,7 @@ def _classify(rec: ScoreRecord, inflation_threshold, catastrophic_threshold) -> 
 def score_batch(
     predictions: Sequence[Prediction],
     instances: Mapping[str, InstanceRecord],
-    cap: int = 24,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[ScoreRecord]:
     records = []
     for pred in predictions:

@@ -4,6 +4,12 @@ A world has a domain a0..a(n-1) and, per predicate, a set of atoms known
 true and a set of atoms whose truth value is unobserved.  Everything not
 listed in either set is known false.  Worlds and completions are immutable;
 evaluation is pure.  Sampling requires exclusive access to its rng.
+
+Sampling is done by index draws: a complete world is drawn as its domain
+size plus, per predicate, the row-major indices of its true atoms
+(draw_complete_world), and a World is built from those indices only when
+one is needed.  Candidate screening in the generator reads the indices
+directly, so a rejected candidate never becomes a World.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ from .formula import (
 )
 
 OBSERVABLE_PREDICATES = ("P", "Q", "R", "S")
+
+
+# Unknown atoms beyond which exhaustive completion enumeration is refused.
+DEFAULT_ENUMERATION_CAP = 24
 
 
 class EnumerationCapError(RuntimeError):
@@ -273,7 +283,7 @@ def _lookup(env: Mapping[str, int], name: str) -> int:
 # Completion enumeration
 
 
-def enumerate_completions(world: World, cap: int = 24) -> Iterator[Completion]:
+def enumerate_completions(world: World, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Completion]:
     """Yield all 2^|unknowns| completions in deterministic bit-pattern order.
 
     Completion index i assigns atom j the value of bit j of i over
@@ -292,22 +302,34 @@ def enumerate_completions(world: World, cap: int = 24) -> Iterator[Completion]:
 # Sampling
 
 
-def sample_complete_world(n_range, densities: DensityRanges, rng: Random) -> World:
-    """Sample a fully observed world: n uniform over n_range; per predicate,
-    rho uniform on its interval and max(1, floor(n^arity * rho)) atoms marked
-    true without replacement."""
+def draw_complete_world(n_range, densities: DensityRanges, rng: Random) -> tuple[int, dict[str, list[int]]]:
+    """The random draws of one fully observed world: n uniform over n_range;
+    per predicate, rho uniform on its interval and max(1, floor(n^arity *
+    rho)) row-major indices of true atoms drawn without replacement."""
     sizes = list(n_range)
     if not sizes:
         raise ValueError("empty n_range")
     n = rng.choice(sizes)
-    true: dict[str, frozenset] = {}
+    indices: dict[str, list[int]] = {}
     for p in OBSERVABLE_PREDICATES:
         lo, hi = densities.ranges[p]
         rho = rng.uniform(lo, hi)
         arity = PREDICATES[p].arity
         total = n**arity
         count = min(total, max(1, int(total * rho)))
-        true[p] = frozenset(rng.sample(_atom_table(n, arity).population, count))
+        # range(total) and the atom table's population have the same length,
+        # so random.sample draws the same indices from either
+        indices[p] = rng.sample(range(total), count)
+    return n, indices
+
+
+def sample_complete_world(n_range, densities: DensityRanges, rng: Random) -> World:
+    """Sample a fully observed world from draw_complete_world's draws."""
+    n, indices = draw_complete_world(n_range, densities, rng)
+    true = {
+        p: frozenset(map(_atom_table(n, PREDICATES[p].arity).population.__getitem__, idx))
+        for p, idx in indices.items()
+    }
     return World(n, true, {})
 
 

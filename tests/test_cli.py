@@ -158,3 +158,16 @@ class TestPromptRendering:
             assert f"### World W{i}" in text
         assert '["P", "R"]' in text  # T2 allowed set
         assert '["Ab", "Q", "S"]' in text  # T2 forbidden set, Ab first
+
+
+def test_dataset_error_is_one_line_and_nonzero(dataset_path, tmp_path, capsys):
+    preds = tmp_path / "p.jsonl"
+    manifest = tmp_path / "m.jsonl"
+    preds.write_text('{"formula":"(P x)","description":"d"}\n')
+    manifest.write_text('{"model_id":"m"\n')
+    rc = main(["score", "--dataset", dataset_path, "--predictions", str(preds),
+               "--manifest", str(manifest), "--out", str(tmp_path / "s.jsonl")])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("abduce score: error:") and "m.jsonl:1" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

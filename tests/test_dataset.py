@@ -159,3 +159,17 @@ class TestPredictionsAndScores:
         save_score_records(scores, str(path))
         loaded = load_score_records(str(path))
         assert loaded == scores
+
+
+@pytest.mark.parametrize(
+    "manifest_line",
+    ['[1]', '{"model_id":"m"', '"m"', '{"model_id":"m"}', '{"model_id":"m","instance_id":7}'],
+    ids=["list", "truncated", "string", "missing-key", "int-id"],
+)
+def test_malformed_manifest_line(tmp_path, manifest_line):
+    preds = tmp_path / "p.jsonl"
+    manifest = tmp_path / "m.jsonl"
+    preds.write_text('{"formula":"(P x)","description":"d"}\n{}\n')
+    manifest.write_text('{"model_id":"m","instance_id":"i"}\n' + manifest_line + "\n")
+    with pytest.raises(DatasetError, match=r"m\.jsonl:2: bad manifest line"):
+        load_predictions(str(preds), str(manifest))
