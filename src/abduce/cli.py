@@ -164,7 +164,7 @@ def cmd_optcost(args) -> int:
 def cmd_score(args) -> int:
     records = load_dataset(args.dataset, check=False)
     instances = {r.id: r for r in records}
-    predictions = load_predictions(args.predictions, args.manifest)
+    predictions = load_predictions(args.predictions, args.manifest, known_ids=instances)
     scores = score_batch(predictions, instances)
     save_score_records(scores, args.out)
     n_parse = sum(1 for s in scores if not s.parse_ok)

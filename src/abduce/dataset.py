@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .formula import formula_metrics, parse_formula, render_formula, validate_hypothesis
 from .generator import GenParams, InstanceRecord, audit_instance
@@ -190,14 +190,24 @@ def save_generation_log(records: Sequence[InstanceRecord], path: str) -> None:
 # line numbers to (model_id, instance_id).
 
 
-def load_predictions(predictions_path: str, manifest_path: str) -> list[Prediction]:
+def load_predictions(
+    predictions_path: str, manifest_path: str, known_ids: Optional[Container[str]] = None
+) -> list[Prediction]:
+    """Predictions paired with their manifest entries; with known_ids, a
+    manifest line naming any other instance id is a DatasetError."""
     from .scoring import parse_prediction_line
 
     with open(predictions_path) as fh:
         lines = fh.read().splitlines()
     with open(manifest_path) as fh:
-        manifest = [_manifest_entry(manifest_path, i, line)
-                    for i, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
+        manifest = []
+        for i, line in enumerate(fh.read().splitlines(), start=1):
+            if not line.strip():
+                continue
+            entry = _manifest_entry(manifest_path, i, line)
+            if known_ids is not None and entry[0] not in known_ids:
+                raise DatasetError(f"{manifest_path}:{i}: instance id {entry[0]!r} is not in the dataset")
+            manifest.append(entry)
     if len(manifest) != len(lines):
         raise DatasetError(
             f"manifest has {len(manifest)} entries but predictions file has {len(lines)} lines"
@@ -234,11 +244,15 @@ def load_score_records(path: str):
 
     out = []
     with open(path) as fh:
-        for line in fh.read().splitlines():
+        for i, line in enumerate(fh.read().splitlines(), start=1):
             if not line.strip():
                 continue
-            data = json.loads(line)
-            for key in ("train_world_valid", "holdout_world_valid"):
-                data[key] = tuple(bool(v) for v in data.get(key, ()))
-            out.append(ScoreRecord(**data))
+            try:
+                data = json.loads(line)
+                for key in ("train_world_valid", "holdout_world_valid"):
+                    data[key] = tuple(bool(v) for v in data.get(key, ()))
+                out.append(ScoreRecord(**data))
+            except (ValueError, TypeError, AttributeError) as exc:
+                # not JSON, not an object, or fields ScoreRecord does not take
+                raise DatasetError(f"{path}:{i}: bad score line: {exc}") from exc
     return out

@@ -17,6 +17,11 @@ worlds, which is what scoring consumes.
 
 Instances generate independently; all randomness is derived from
 per-instance seeds, never shared.
+
+The static part of the competitor pool (tier-1 and tier-2 formulas) and
+the cheater pool depend only on the theory, so each is built once per
+theory per process and shared by every instance attempt and audit.  They
+hold formulas, not worlds, and engine.clear_caches does not empty them.
 """
 
 from __future__ import annotations
@@ -337,14 +342,6 @@ def _scope_split(theory: TheorySpec):
     return unary, binary
 
 
-@functools.lru_cache(maxsize=64)
-def _pool_renders(theory: TheorySpec) -> frozenset[str]:
-    """Renderings of the theory's static tier-1 and tier-2 pool formulas."""
-    return frozenset(
-        render_formula(h.formula) for h in tier1_formulas(theory) + tier2_formulas(theory)
-    )
-
-
 def _try_instantiate(name: str, theory: TheorySpec, rng: Random) -> Optional[Hypothesis]:
     """One instantiation of a gold template, or None when it is out of
     scope, outside GOLD_AST_RANGE, or identical to a static pool formula:
@@ -356,7 +353,7 @@ def _try_instantiate(name: str, theory: TheorySpec, rng: Random) -> Optional[Hyp
         return None
     if not GOLD_AST_RANGE[0] <= formula_metrics(f).ast_size <= GOLD_AST_RANGE[1]:
         return None
-    if render_formula(f) in _pool_renders(theory):
+    if render_formula(f) in _static_pool(theory, ()).renders:
         return None
     try:
         return validate_hypothesis(f, theory.allowed, theory.forbidden)
@@ -469,10 +466,11 @@ def _try_scope(text_or_formula, theory: TheorySpec) -> Optional[Hypothesis]:
         return None
 
 
-def _distinct(items: Iterable, hyp: Callable = lambda item: item) -> list:
+def _distinct(items: Iterable, hyp: Callable = lambda item: item, seen: Optional[set[str]] = None) -> list:
     """Items in order, dropping None and any whose hypothesis renders like
-    an earlier item's."""
-    seen: set[str] = set()
+    an earlier item's, or like a key already in `seen` (which gains the
+    kept items' keys)."""
+    seen = set() if seen is None else seen
     out = []
     for item in items:
         if item is None:
@@ -484,9 +482,7 @@ def _distinct(items: Iterable, hyp: Callable = lambda item: item) -> list:
     return out
 
 
-def tier1_formulas(theory: TheorySpec) -> list[Hypothesis]:
-    """Curated shortcuts: constants, literals, self-loops, bare existence,
-    and pairwise unary combinations, restricted to the theory's scope."""
+def _tier1_texts(theory: TheorySpec) -> list[str]:
     unary, binary = _scope_split(theory)
     texts = []
     if unary:
@@ -510,15 +506,47 @@ def tier1_formulas(theory: TheorySpec) -> list[Hypothesis]:
                 for op in ("and", "or"):
                     texts.append(f"({op} ({u1} x) ({u2} x))")
                     texts.append(f"({op} ({u1} x) (not ({u2} x)))")
-    return _distinct(_try_scope(t, theory) for t in texts)
+    return texts
+
+
+@dataclass(frozen=True)
+class _StaticPool:
+    """The gold-independent part of a theory's competitor pool."""
+
+    tier1: tuple[Hypothesis, ...]
+    tier2: tuple[Hypothesis, ...]
+    # tier1 then tier2, tagged, without repeated renderings
+    entries: tuple[tuple[Hypothesis, str], ...]
+    cheaters: tuple[Hypothesis, ...]
+    renders: frozenset[str]
+
+
+@functools.lru_cache(maxsize=64)
+def _static_pool(theory: TheorySpec, extra: tuple[str, ...]) -> _StaticPool:
+    """Parsed, scope-checked and rendered once per theory (by value) and
+    extra tier-2 tuple; every pool build and audit reads the same one."""
+    tier1 = _distinct(_try_scope(t, theory) for t in _tier1_texts(theory))
+    tier2 = _distinct(_try_scope(t, theory) for t in (*TIER2_PATTERNS, *extra))
+    seen: set[str] = set()
+    tiers = (("tier1", tier1), ("tier2", tier2))
+    entries = _distinct(((h, tier) for tier, hyps in tiers for h in hyps), lambda e: e[0], seen)
+    return _StaticPool(
+        tuple(tier1), tuple(tier2), tuple(entries), tuple(h for h, _ in entries), frozenset(seen)
+    )
+
+
+def tier1_formulas(theory: TheorySpec) -> list[Hypothesis]:
+    """Curated shortcuts: constants, literals, self-loops, bare existence,
+    and pairwise unary combinations, restricted to the theory's scope."""
+    return list(_static_pool(theory, ()).tier1)
 
 
 def tier2_formulas(theory: TheorySpec, extra: Sequence[str] = ()) -> list[Hypothesis]:
-    return _distinct(_try_scope(t, theory) for t in (*TIER2_PATTERNS, *extra))
+    return list(_static_pool(theory, tuple(extra)).tier2)
 
 
 def cheater_pool(theory: TheorySpec, extra_tier2: Sequence[str] = ()) -> list[Hypothesis]:
-    return _distinct(tier1_formulas(theory) + tier2_formulas(theory, extra_tier2))
+    return list(_static_pool(theory, tuple(extra_tier2)).cheaters)
 
 
 # Mutations: operator flips, quantifier swaps, polarity flips, subterm
@@ -533,8 +561,8 @@ def _replace_at(f: Formula, path, new: Formula) -> Formula:
     return rebuild(f, kids)
 
 
-def _mutate_once(f: Formula, rng: Random, allowed: frozenset[str]) -> Optional[Formula]:
-    nodes = list(subformulas(f))
+def _mutate_once(f: Formula, nodes: Sequence, rng: Random, allowed: frozenset[str]) -> Optional[Formula]:
+    """One random mutation of f at one of its `nodes` (list(subformulas(f)))."""
     path, node = nodes[rng.randrange(len(nodes))]
     ops = []
     if isinstance(node, (And, Or)):
@@ -573,11 +601,12 @@ def _mutate_once(f: Formula, rng: Random, allowed: frozenset[str]) -> Optional[F
 def gold_mutants(gold: Hypothesis, theory: TheorySpec, rng: Random, count: int = 10) -> list[Hypothesis]:
     """Up to `count` distinct scope-valid single-step mutants of the gold."""
     seen = {render_formula(gold.formula)}
+    nodes = list(subformulas(gold.formula))
     out = []
     for _ in range(12 * count):
         if len(out) >= count:
             break
-        mutated = _mutate_once(gold.formula, rng, theory.allowed)
+        mutated = _mutate_once(gold.formula, nodes, rng, theory.allowed)
         if mutated is None:
             continue
         key = render_formula(mutated)
@@ -600,17 +629,15 @@ def build_competitor_pool(
     """Tier-1 curated, tier-2 mined, then up to 10 gold mutants, truncated
     to pool_cap with tier-1 kept preferentially.
 
-    A gold that coincides with a pool formula yields a competitor that can
-    never be beaten, so such instances reject at the world budget and the
-    attempt loop draws a fresh gold; generate_instance fast-fails the
-    syntactic case."""
-    tiers = (
-        ("tier1", tier1_formulas(theory)),
-        ("tier2", tier2_formulas(theory, extra_tier2)),
-        ("mutant", gold_mutants(gold, theory, rng, count=10)),
-    )
-    entries = _distinct(((h, tier) for tier, formulas in tiers for h in formulas), lambda e: e[0])
-    return CompetitorPool(tuple(entries[:pool_cap]))
+    The tier-1 and tier-2 part is the theory's cached static pool, so a
+    build renders only the gold's mutants.  A gold that coincides with a
+    pool formula would yield a competitor that can never be beaten; the
+    gold sampler never draws one that renders like a static pool formula,
+    and gold_mutants never yields the gold itself."""
+    static = _static_pool(theory, tuple(extra_tier2))
+    mutants = _distinct(gold_mutants(gold, theory, rng, count=10), seen=set(static.renders))
+    entries = static.entries + tuple((h, "mutant") for h in mutants)
+    return CompetitorPool(entries[:pool_cap])
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +704,15 @@ class _WorldAcceptor:
 
     Candidates are drawn _BLOCK at a time as index draws
     (draw_complete_world), and the closed-world stage screens a whole block
-    in one evaluator pass per domain size.  Only the first survivor becomes
-    a World: the rng is rewound to just before its draws, it is redrawn by
-    sample_complete_world and masked, and the rest of the block is dropped
-    and drawn again after it.  So every accepted world comes out at the rng
-    position that drawing one candidate at a time reaches, and the output
-    does not depend on _BLOCK.
+    in one evaluator pass per domain size.  The rng state is snapshotted
+    once per block, before its first draw; survivors are rare, so no
+    candidate pays for a snapshot of its own.  Only the first survivor
+    becomes a World: the rng is rewound to the block's snapshot, the
+    candidates before the survivor are redrawn and discarded, the survivor
+    is redrawn by sample_complete_world and masked, and the rest of the
+    block is dropped and drawn again after it.  So every accepted world
+    comes out at the rng position that drawing one candidate at a time
+    reaches, and the output does not depend on _BLOCK.
     """
 
     def __init__(self, params: GenParams, gold: Hypothesis, shared_n: Optional[int]):
@@ -730,17 +760,20 @@ class _WorldAcceptor:
         params = self.params
         left = attempts
         while left > 0:
-            states, draws = [], []
-            for _ in range(min(_BLOCK, left)):
-                states.append(rng.getstate())
-                draws.append(draw_complete_world(self.n_range, params.densities, rng))
+            state = rng.getstate()
+            draws = [
+                draw_complete_world(self.n_range, params.densities, rng)
+                for _ in range(min(_BLOCK, left))
+            ]
             screened = self._screen(draws)
             first = next((i for i, row in enumerate(screened) if self._passes(draws[i][0], *row)), None)
             if first is None:
                 left -= len(draws)
                 continue
             left -= first + 1
-            rng.setstate(states[first])
+            rng.setstate(state)
+            for _ in range(first):
+                draw_complete_world(self.n_range, params.densities, rng)
             complete = sample_complete_world(self.n_range, params.densities, rng)
             pre_opt, _, pre_gold = screened[first]
             if params.scenario == "full":
@@ -816,9 +849,6 @@ def _attempt_instance(params, index, attempt, rng, sampler):
     gold, template = sampler.draw(theory, rng)
     pool_seed = rng.getrandbits(63)
     pool = build_competitor_pool(theory, gold, Random(pool_seed), params.pool_cap)
-    gold_key = render_formula(gold.formula)
-    if any(render_formula(h.formula) == gold_key for h, _ in pool.entries):
-        return ("gold_coincides_with_pool_formula", template)
     shared_n = rng.choice(DOMAIN_SIZES["skeptical"]) if params.scenario == "skeptical" else None
     acceptor = _WorldAcceptor(params, gold, shared_n)
     cache = acceptor.scen_cache

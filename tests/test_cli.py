@@ -171,3 +171,22 @@ def test_dataset_error_is_one_line_and_nonzero(dataset_path, tmp_path, capsys):
     assert rc != 0
     assert err.startswith("abduce score: error:") and "m.jsonl:1" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_score_unknown_manifest_id_is_one_line_error(dataset_path, tmp_path, capsys):
+    preds = tmp_path / "p.jsonl"
+    manifest = tmp_path / "m.jsonl"
+    known = load_dataset(dataset_path, check=False)[0].id
+    preds.write_text('{"formula":"(P x)","description":"d"}\n' * 2)
+    manifest.write_text(
+        json.dumps({"model_id": "m", "instance_id": known}) + "\n\n"
+        + json.dumps({"model_id": "m", "instance_id": "no_such_instance"}) + "\n"
+    )
+    out = tmp_path / "s.jsonl"
+    rc = main(["score", "--dataset", dataset_path, "--predictions", str(preds),
+               "--manifest", str(manifest), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("abduce score: error:") and "m.jsonl:3" in err and "'no_such_instance'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()  # nothing was scored

@@ -173,3 +173,15 @@ def test_malformed_manifest_line(tmp_path, manifest_line):
     manifest.write_text('{"model_id":"m","instance_id":"i"}\n' + manifest_line + "\n")
     with pytest.raises(DatasetError, match=r"m\.jsonl:2: bad manifest line"):
         load_predictions(str(preds), str(manifest))
+
+
+@pytest.mark.parametrize(
+    "score_line",
+    ['{"instance_id": "a"', "[1]", '{"nope": 1}'],
+    ids=["truncated", "list", "unknown-field"],
+)
+def test_malformed_score_line(tmp_path, score_line):
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n" + score_line + "\n")
+    with pytest.raises(DatasetError, match=r"s\.jsonl:2: bad score line"):
+        load_score_records(str(path))

@@ -269,3 +269,102 @@ class TestCachesByValue:
         sampler = GoldSampler()
         assert sampler.applicable_templates(narrow) == ()  # one unary predicate, no binary
         assert sampler.applicable_templates(wide) != ()
+
+
+def _pool_theories():
+    from abduce.theory import custom_theory
+
+    narrow = custom_theory("(P x)", "(Q x)", allowed={"P"})
+    wide = custom_theory("(P x)", "(Q x)", allowed={"P", "R", "S"})
+    return [builtin_theory(tid) for tid in THEORY_IDS] + [narrow, wide]
+
+
+class TestStaticPool:
+    """The tier-1, tier-2 and cheater lists are built once per theory; these
+    pin them to the uncached definitions they replace."""
+
+    @staticmethod
+    def _fresh(theory, extra=()):
+        from abduce.generator import TIER2_PATTERNS, _distinct, _tier1_texts, _try_scope
+
+        tier1 = _distinct(_try_scope(t, theory) for t in _tier1_texts(theory))
+        tier2 = _distinct(_try_scope(t, theory) for t in (*TIER2_PATTERNS, *extra))
+        return tier1, tier2, _distinct(tier1 + tier2)
+
+    @pytest.mark.parametrize("theory", _pool_theories(), ids=lambda t: f"{t.short_id}-{''.join(sorted(t.allowed))}")
+    def test_cached_lists_equal_a_fresh_build(self, theory):
+        tier1, tier2, cheaters = self._fresh(theory)
+        for _ in range(2):  # the second round reads the cache
+            assert tier1_formulas(theory) == tier1
+            assert tier2_formulas(theory) == tier2
+            assert cheater_pool(theory) == cheaters
+
+    def test_custom_theories_sharing_an_id_get_their_own_pools(self):
+        narrow, wide = _pool_theories()[-2:]
+        assert narrow.short_id == wide.short_id == "custom"
+        assert cheater_pool(wide) == self._fresh(wide)[2]
+        assert cheater_pool(narrow) == self._fresh(narrow)[2]
+        assert cheater_pool(narrow) != cheater_pool(wide)
+
+    def test_returned_lists_are_fresh(self):
+        for get in (tier1_formulas, tier2_formulas, cheater_pool):
+            first = get(T1)
+            expected = list(first)
+            first.clear()
+            assert get(T1) == expected and expected
+
+    def test_extra_tier2_is_cached_apart(self):
+        extra = ("(and (P x) (R x x))",)
+        plain = tier2_formulas(T1)
+        with_extra = tier2_formulas(T1, extra=extra)
+        assert with_extra == self._fresh(T1, extra)[1]
+        assert len(with_extra) == len(plain) + 1
+        assert tier2_formulas(T1) == plain
+        assert cheater_pool(T1, extra) == self._fresh(T1, extra)[2]
+        assert cheater_pool(T1) == self._fresh(T1)[2]
+
+    @pytest.mark.parametrize("tid", THEORY_IDS)
+    def test_pool_equals_reference_build(self, tid):
+        from abduce.generator import _distinct
+
+        theory = builtin_theory(tid)
+        for seed in range(20):
+            gold = sample_gold(theory, random.Random(seed))
+            pool_cap = 30 if seed % 2 else 12
+            tiers = (
+                ("tier1", tier1_formulas(theory)),
+                ("tier2", tier2_formulas(theory)),
+                ("mutant", gold_mutants(gold, theory, random.Random(1000 + seed), count=10)),
+            )
+            expected = _distinct(((h, t) for t, hs in tiers for h in hs), lambda e: e[0])[:pool_cap]
+            pool = build_competitor_pool(theory, gold, random.Random(1000 + seed), pool_cap)
+            assert list(pool.entries) == expected
+
+    @pytest.mark.parametrize("tid", THEORY_IDS)
+    def test_gold_mutants_match_per_try_node_lists(self, tid):
+        from abduce.formula import subformulas
+        from abduce.generator import _mutate_once, _try_scope
+
+        def reference(gold, theory, rng, count=10):
+            seen = {render_formula(gold.formula)}
+            out = []
+            for _ in range(12 * count):
+                if len(out) >= count:
+                    break
+                nodes = list(subformulas(gold.formula))
+                mutated = _mutate_once(gold.formula, nodes, rng, theory.allowed)
+                key = render_formula(mutated)
+                if key in seen:
+                    continue
+                seen.add(key)
+                h = _try_scope(mutated, theory)
+                if h is not None:
+                    out.append(h)
+            return out
+
+        theory = builtin_theory(tid)
+        for seed in range(10):
+            gold = sample_gold(theory, random.Random(seed))
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert gold_mutants(gold, theory, ours) == reference(gold, theory, theirs)
+            assert ours.getstate() == theirs.getstate()
