@@ -22,10 +22,20 @@ from .dataset import (
 )
 from .engine import Regime, cost, opt_cost, validity
 from .formula import parse_formula, validate_hypothesis
-from .generator import GenParams, audit_instance, generate_batch
+from .generator import GenerationError, GenParams, audit_instance, generate_batch
 from .prompts import render_prompt
 from .scoring import aggregate_report, render_report, render_table, score_batch
 from .theory import THEORY_IDS
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -39,7 +49,7 @@ def _parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--world-budget", type=int, default=12)
     gen.add_argument("--margin", type=int, default=2)
-    gen.add_argument("--holdouts", type=int, default=5)
+    gen.add_argument("--holdouts", type=_non_negative, default=5)
     gen.add_argument("--world-attempts", type=int, default=200)
     gen.add_argument("--refine", action="store_true", help="enable gold refinement")
     gen.add_argument("--out", required=True)
@@ -235,7 +245,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except DatasetError as exc:
+    except (DatasetError, GenerationError) as exc:
         print(f"abduce {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

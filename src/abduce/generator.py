@@ -110,6 +110,8 @@ class GenParams:
             raise ValueError("world_budget must be >= 1")
         if self.margin < 1 or self.pool_cap < 1:
             raise ValueError("margin and pool_cap must be >= 1")
+        if self.holdout_count < 0:
+            raise ValueError("holdout_count must be >= 0")
         if self.densities is None:
             object.__setattr__(self, "densities", DENSITY_RANGES[self.scenario])
         if self.unknown_rates is None:
@@ -1012,13 +1014,24 @@ def generate_holdouts(
     equivalent to any training (or already accepted holdout) world, and
     their per-world gold cost and gap must fall inside the min-max range
     seen in training.  No competitor elimination, cheater screen, or
-    refinement here.  Failure leaves the instance flagged without holdouts.
-    HOLDOUT_ATTEMPTS_PER_WORLD bounds the search, so the outcome depends
-    only on the seeds.
+    refinement here.  Failure, or a holdout_count of 0, leaves the instance
+    flagged without holdouts.  HOLDOUT_ATTEMPTS_PER_WORLD bounds the search,
+    so the outcome depends only on the seeds.
     """
     params = params or GenParams(
         scenario=instance.scenario, theory_id=instance.theory_id, global_seed=global_seed
     )
+    prov = {k: v for k, v in instance.provenance.items() if k != "holdout_masked_truth"}
+    without = replace(
+        instance,
+        holdout_worlds=(),
+        holdout_available=False,
+        holdout_opt_costs=(),
+        holdout_gold_costs=(),
+        provenance=prov,
+    )
+    if not params.holdout_count:
+        return without
     shared_n = instance.provenance.get("shared_domain_size")
     acceptor = _WorldAcceptor(params, instance.gold, shared_n)
 
@@ -1044,16 +1057,14 @@ def generate_holdouts(
             found = True
             break
         if not found:
-            return replace(instance, holdout_worlds=(), holdout_available=False)
-    prov = dict(instance.provenance)
-    prov["holdout_masked_truth"] = [_hidden_to_json(aw.hidden) for aw in accepted]
+            return without
     return replace(
         instance,
         holdout_worlds=tuple(aw.world for aw in accepted),
         holdout_available=True,
         holdout_opt_costs=tuple(aw.opt for aw in accepted),
         holdout_gold_costs=tuple(aw.gold_cost for aw in accepted),
-        provenance=prov,
+        provenance={**prov, "holdout_masked_truth": [_hidden_to_json(aw.hidden) for aw in accepted]},
     )
 
 
@@ -1072,8 +1083,9 @@ def audit_instance(
     pre-mask worlds reconstructed from the recorded masked truth; gold
     validity, cached baselines, competitor elimination, and the cheater
     margin are audited on the masked worlds under the scenario semantics.
-    With pools off, the competitor and cheater re-verification is skipped
-    (the cheap load-time check).
+    The cached train and holdout baselines must hold one value per world,
+    each equal to the recomputed one.  With pools off, the competitor and
+    cheater re-verification is skipped (the cheap load-time check).
     """
     params = params or GenParams(
         scenario=instance.scenario,
@@ -1088,6 +1100,16 @@ def audit_instance(
         validate_hypothesis(instance.gold.formula, theory.allowed, theory.forbidden)
     except HypothesisError as exc:
         out.append(f"gold_scope: {exc}")
+
+    for split, worlds, opts, golds in (
+        ("train", instance.train_worlds, instance.train_opt_costs, instance.train_gold_costs),
+        ("holdout", instance.holdout_worlds, instance.holdout_opt_costs, instance.holdout_gold_costs),
+    ):
+        for name, cached in (("opt", opts), ("gold", golds)):
+            if len(cached) != len(worlds):
+                out.append(f"{split}: {len(cached)} cached {name} cost(s) for {len(worlds)} world(s)")
+    if instance.holdout_available and not instance.holdout_worlds:
+        out.append("holdouts: flagged available but there are no holdout worlds")
 
     masked_truth = instance.provenance.get("masked_truth", [{} for _ in instance.train_worlds])
     gold_total = 0
@@ -1137,9 +1159,13 @@ def audit_instance(
                 out.append(f"holdout{j}: gold invalid")
                 continue
             opt = opt_cost(regime, theory, hw, cap=params.enumeration_cap)
-            if not (min(costs) <= gcost <= max(costs)):
+            if j < len(instance.holdout_opt_costs) and instance.holdout_opt_costs[j] != opt:
+                out.append(f"holdout{j}: cached opt {instance.holdout_opt_costs[j]} != {opt}")
+            if j < len(instance.holdout_gold_costs) and instance.holdout_gold_costs[j] != gcost:
+                out.append(f"holdout{j}: cached gold cost {instance.holdout_gold_costs[j]} != {gcost}")
+            if costs and not (min(costs) <= gcost <= max(costs)):
                 out.append(f"holdout{j}: gold cost {gcost} outside train range")
-            if not (min(gaps_train) <= gcost - opt <= max(gaps_train)):
+            if gaps_train and not (min(gaps_train) <= gcost - opt <= max(gaps_train)):
                 out.append(f"holdout{j}: gap {gcost - opt} outside train range")
     return out
 

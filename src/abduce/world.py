@@ -9,7 +9,10 @@ Sampling is done by index draws: a complete world is drawn as its domain
 size plus, per predicate, the row-major indices of its true atoms
 (draw_complete_world), and a World is built from those indices only when
 one is needed.  Candidate screening in the generator reads the indices
-directly, so a rejected candidate never becomes a World.
+directly, so a rejected candidate never becomes a World.  Every draw
+without replacement, of true atoms and of masked atoms alike, goes through
+one range sampler, _sample_range, which returns what
+random.sample(range(n), k) returns and consumes the rng the same way.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
+from math import ceil, log
 from random import Random
 from typing import AbstractSet, Iterator, Mapping, Optional
 
@@ -192,8 +196,16 @@ class DensityRanges:
     ranges: Mapping[str, tuple[float, float]]
 
     def __post_init__(self):
+        given = dict(self.ranges)
+        if sorted(given) != sorted(OBSERVABLE_PREDICATES):
+            missing = sorted(set(OBSERVABLE_PREDICATES) - set(given))
+            unknown = sorted(set(given) - set(OBSERVABLE_PREDICATES), key=str)
+            raise ValueError(
+                f"density ranges must name exactly {', '.join(OBSERVABLE_PREDICATES)}: "
+                f"missing {missing}, unknown {unknown}"
+            )
         rngs = {}
-        for p, (lo, hi) in dict(self.ranges).items():
+        for p, (lo, hi) in given.items():
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ValueError(f"{p}: density interval [{lo}, {hi}] invalid")
             rngs[p] = (float(lo), float(hi))
@@ -302,6 +314,51 @@ def enumerate_completions(world: World, cap: int = DEFAULT_ENUMERATION_CAP) -> I
 # Sampling
 
 
+def _sample_range(rng: Random, n: int, k: int) -> list[int]:
+    """k distinct indices from range(n): exactly rng.sample(range(n), k),
+    leaving rng in exactly the state that call leaves it in.
+
+    Candidate sampling draws about 160 worlds per accepted one, four
+    samples each, and Random.sample spends most of a small sample on
+    per-draw overhead: a _randbelow call per index and an abstract-base-class
+    check of the population per call.  This is CPython's algorithm (the same
+    in 3.10 to 3.13) with getrandbits inlined: a shrinking pool of indices
+    when an n-length list is smaller than a k-length set, else redraws
+    against a set of selections, each index drawn as getrandbits(m's bit
+    length) and redrawn while it is not below the bound m.  The generated
+    data depend on every draw; tests/test_world.py pins this function to
+    Random.sample, result and rng state, over both branches.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result = [0] * k
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            m = n - i
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[m - 1]
+        return result
+    bits = n.bit_length()
+    selected = set()
+    add = selected.add
+    for i in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        add(j)
+        result[i] = j
+    return result
+
+
 def draw_complete_world(n_range, densities: DensityRanges, rng: Random) -> tuple[int, dict[str, list[int]]]:
     """The random draws of one fully observed world: n uniform over n_range;
     per predicate, rho uniform on its interval and max(1, floor(n^arity *
@@ -317,9 +374,7 @@ def draw_complete_world(n_range, densities: DensityRanges, rng: Random) -> tuple
         arity = PREDICATES[p].arity
         total = n**arity
         count = min(total, max(1, int(total * rho)))
-        # range(total) and the atom table's population have the same length,
-        # so random.sample draws the same indices from either
-        indices[p] = rng.sample(range(total), count)
+        indices[p] = _sample_range(rng, total, count)
     return n, indices
 
 
@@ -361,7 +416,8 @@ def mask_world(
         base = n * n if mask_basis == "grid" else len(true[p])
         count = min(n * n, round(rate * base))
         if count:
-            masked = frozenset(rng.sample(_atom_table(n, 2).population, count))
+            population = _atom_table(n, 2).population
+            masked = frozenset(population[j] for j in _sample_range(rng, n * n, count))
             hidden[p] = true[p] & masked
             unknown[p] = unknown[p] | masked
             true[p] = true[p] - masked

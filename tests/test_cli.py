@@ -190,3 +190,58 @@ def test_score_unknown_manifest_id_is_one_line_error(dataset_path, tmp_path, cap
     assert err.startswith("abduce score: error:") and "m.jsonl:3" in err and "'no_such_instance'" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()  # nothing was scored
+
+
+def _generate(out, *flags):
+    return main(["generate", "--scenario", "full", "--theory", "T1", "--count", "1",
+                 "--seed", "1774141687", "--out", str(out), *flags])
+
+
+def test_generate_zero_holdouts_scores(tmp_path, capsys):
+    path = tmp_path / "ds.jsonl"
+    assert _generate(path, "--holdouts", "0") == 0
+    records = load_dataset(str(path))
+    assert records and not any(r.holdout_available or r.holdout_worlds for r in records)
+    assert main(["verify", "--dataset", str(path)]) == 0
+    preds, manifest = tmp_path / "p.jsonl", tmp_path / "m.jsonl"
+    preds.write_text("".join(
+        json.dumps({"formula": render_formula(r.gold.formula), "description": "g"}) + "\n" for r in records))
+    manifest.write_text("".join(json.dumps({"model_id": "gold", "instance_id": r.id}) + "\n" for r in records))
+    assert main(["score", "--dataset", str(path), "--predictions", str(preds),
+                 "--manifest", str(manifest), "--out", str(tmp_path / "s.jsonl")]) == 0
+
+
+def test_generate_negative_holdouts_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _generate(tmp_path / "ds.jsonl", "--holdouts", "-1")
+    assert exc.value.code == 2
+    assert "argument --holdouts: must be >= 0" in capsys.readouterr().err
+
+
+def test_generation_error_is_one_line(tmp_path, capsys):
+    out = tmp_path / "ds.jsonl"
+    assert _generate(out, "--world-attempts", "0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("abduce generate: error:") and "instances after" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_flags_cached_holdout_baselines(tmp_path, monkeypatch, capsys):
+    # holdout seeds hash the output path; under this name all five slots fill
+    monkeypatch.chdir(tmp_path)
+    path = "bench.jsonl"
+    assert _generate(path) == 0
+    header, line = (tmp_path / path).read_text().splitlines()
+    data = json.loads(line)
+    assert data["holdout_available"] and len(data["holdout_worlds"]) == 5
+    data["baselines"]["holdout"]["gold_costs"][1] += 5
+    data["baselines"]["holdout"]["opt_costs"] = data["baselines"]["holdout"]["opt_costs"][:1]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(header + "\n" + json.dumps(data) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "holdout: 1 cached opt cost(s) for 5 world(s)" in out
+    assert "holdout1: cached gold cost" in out
+    assert "0 violation(s)" not in out

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from abduce.generator import (
     audit_instance,
     build_competitor_pool,
     cheater_pool,
+    generate_batch,
     generate_holdouts,
     generate_instance,
     gold_mutants,
@@ -242,6 +244,60 @@ class TestHoldouts:
             assert lo <= gc <= hi
             assert min(gaps) <= gc - opt <= max(gaps)
         assert audit_instance(held, params) == []
+
+
+@pytest.fixture(scope="module")
+def held_instance():
+    """A full T1 instance whose five holdout slots all succeed."""
+    params = GenParams(scenario="full", theory_id="T1", global_seed=1774141687)
+    rec = generate_batch(params, 1, dataset_path="bench.jsonl")[0]
+    assert rec.holdout_available and len(rec.holdout_worlds) == 5
+    return params, rec
+
+
+class TestHoldoutBookkeeping:
+    def test_zero_slots_means_no_holdouts(self, held_instance):
+        params, rec = held_instance
+        zero = replace(params, holdout_count=0)
+        none = generate_holdouts(rec, "bench.jsonl", params.global_seed, params=zero)
+        assert not none.holdout_available and none.holdout_worlds == ()
+        assert audit_instance(none, params, pools=False) == []
+
+    def test_negative_holdout_count_rejected(self):
+        with pytest.raises(ValueError, match="holdout_count"):
+            GenParams(scenario="full", theory_id="T1", holdout_count=-1)
+
+    def test_clean_instance_audits_clean(self, held_instance):
+        params, rec = held_instance
+        assert audit_instance(rec, params, pools=False) == []
+
+    def test_audit_flags_wrong_cached_holdout_costs(self, held_instance):
+        params, rec = held_instance
+        golds = list(rec.holdout_gold_costs)
+        golds[2] += 5
+        opts = list(rec.holdout_opt_costs)
+        opts[0] += 1
+        bad = replace(rec, holdout_gold_costs=tuple(golds), holdout_opt_costs=tuple(opts))
+        out = audit_instance(bad, params, pools=False)
+        assert f"holdout2: cached gold cost {golds[2]} != {golds[2] - 5}" in out
+        assert f"holdout0: cached opt {opts[0]} != {opts[0] - 1}" in out
+
+    def test_audit_flags_cached_cost_lengths(self, held_instance):
+        params, rec = held_instance
+        bad = replace(
+            rec, holdout_opt_costs=rec.holdout_opt_costs[:1], train_gold_costs=rec.train_gold_costs[:-1]
+        )
+        out = audit_instance(bad, params, pools=False)
+        assert "holdout: 1 cached opt cost(s) for 5 world(s)" in out
+        n = len(rec.train_worlds)
+        assert f"train: {n - 1} cached gold cost(s) for {n} world(s)" in out
+
+    def test_audit_flags_available_without_worlds(self, held_instance):
+        params, rec = held_instance
+        bad = replace(rec, holdout_worlds=(), holdout_opt_costs=(), holdout_gold_costs=())
+        assert bad.holdout_available
+        out = audit_instance(bad, params, pools=False)
+        assert out == ["holdouts: flagged available but there are no holdout worlds"]
 
 
 class TestCachesByValue:

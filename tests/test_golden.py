@@ -26,6 +26,10 @@ GOLDEN_MIX = (("full", "T1", 2), ("partial", "T2", 2), ("skeptical", "T6", 1))
 GOLDEN_SEED = 7
 DATASET_SHA256 = "df5fc1df786d0058817d26bcabde47ba0b4ab9c67b6c20e716479a0f8d4fbf23"
 PROMPTS_SHA256 = "65db8cc0b87aa536b4fd30e32d18ca95fd13b23119286225c31102143b7fc325"
+# One full and one partial instance whose every holdout slot succeeds, so
+# the holdout search and the masking of holdout worlds are pinned too.
+HOLDOUT_MIX = (("full", "T1", 1774141687), ("partial", "T2", 1368756048))
+HOLDOUT_SHA256 = "c2385dfa60172452c9261aaf68caed6dc83cdfb10fc65e582b4e8d5ba7b7c420"
 ENGINE_SEED = 20261018
 ENGINE_CASES = 300
 ENGINE_SHA256 = "5e9f2b2f63e3935ceb0a69a5a5d8e938cc2c1e1b6bc1d1fa7ce98eeb65dbc2eb"
@@ -53,6 +57,17 @@ def test_golden_dataset_and_prompts(tmp_path):
         bundle = render_prompt(rec)
         prompts.update(bundle.system_prompt.encode() + b"\0" + bundle.user_prompt.encode() + b"\0")
     assert prompts.hexdigest() == PROMPTS_SHA256
+
+
+def test_golden_holdout_dataset(tmp_path):
+    params_list = [GenParams(scenario=s, theory_id=t, global_seed=seed) for s, t, seed in HOLDOUT_MIX]
+    records = []
+    for params in params_list:
+        records.extend(generate_batch(params, 1, dataset_path="bench.jsonl"))
+    assert all(rec.holdout_available and rec.holdout_worlds for rec in records)
+    path = tmp_path / "holdouts.jsonl"
+    save_dataset(records, str(path), params_list, global_seed=0)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == HOLDOUT_SHA256
 
 
 def _engine_sweep():

@@ -17,6 +17,7 @@ from abduce.world import (
     World,
     enumerate_completions,
     eval_formula,
+    _sample_range,
     sample_world,
     worlds_equivalent,
 )
@@ -194,6 +195,42 @@ class TestSample:
     def test_empty_range(self):
         with pytest.raises(ValueError, match="empty"):
             sample_world((), DENSITY_RANGES["full"], {}, random.Random(0))
+
+    @pytest.mark.parametrize(
+        "ranges, problem",
+        [
+            ({"P": (0.2, 0.4), "X": (0.1, 0.2)}, "missing ['Q', 'R', 'S'], unknown ['X']"),
+            ({"P": (0.2, 0.4), "Q": (0.2, 0.4), "R": (0.1, 0.2)}, "missing ['S'], unknown []"),
+            (
+                {"P": (0.2, 0.4), "Q": (0.2, 0.4), "R": (0.1, 0.2), "S": (0.1, 0.2), "Ab": (0.1, 0.2)},
+                "missing [], unknown ['Ab']",
+            ),
+        ],
+    )
+    def test_density_ranges_need_exactly_the_observables(self, ranges, problem):
+        from abduce.world import DensityRanges
+
+        with pytest.raises(ValueError, match="must name exactly P, Q, R, S") as exc:
+            DensityRanges(ranges)
+        assert problem in str(exc.value)
+
+    # Domain sizes and their grids, plus both sides of each n == setsize
+    # boundary between the pool and the set branch (21, 85, 277), so an
+    # off-by-one in either branch's choice changes some sample.
+    @pytest.mark.parametrize(
+        "n", [1, 2, 5, 9, 10, 11, 12, 20, 21, 22, 81, 84, 85, 86, 100, 121, 144, 277, 278, 400]
+    )
+    def test_sample_range_is_random_sample(self, n):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for k in range(n + 1):
+                assert _sample_range(rng, n, k) == ref.sample(range(n), k), (seed, k)
+                assert rng.getstate() == ref.getstate(), (seed, k)
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (5, 6), (5, -1)])
+    def test_sample_range_rejects_bad_k(self, n, k):
+        with pytest.raises(ValueError, match="Sample larger"):
+            _sample_range(random.Random(0), n, k)
 
 
 class TestEquivalence:
