@@ -22,20 +22,29 @@ from .dataset import (
 )
 from .engine import Regime, cost, opt_cost, validity
 from .formula import parse_formula, validate_hypothesis
-from .generator import GenerationError, GenParams, audit_instance, generate_batch
+from .generator import GenerationError, GenParams, audit_instance, baseline_shape_problems, generate_batch
 from .prompts import render_prompt
 from .scoring import aggregate_report, render_report, render_table, score_batch
 from .theory import THEORY_IDS
 
 
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_non_negative = _int_at_least(0)
+_positive = _int_at_least(1)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -45,10 +54,10 @@ def _parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a dataset with holdouts and a log sidecar")
     gen.add_argument("--scenario", required=True, choices=("full", "partial", "skeptical"))
     gen.add_argument("--theory", required=True, choices=THEORY_IDS)
-    gen.add_argument("--count", type=int, default=10)
+    gen.add_argument("--count", type=_non_negative, default=10)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--world-budget", type=int, default=12)
-    gen.add_argument("--margin", type=int, default=2)
+    gen.add_argument("--world-budget", type=_positive, default=12)
+    gen.add_argument("--margin", type=_positive, default=2)
     gen.add_argument("--holdouts", type=_non_negative, default=5)
     gen.add_argument("--world-attempts", type=int, default=200)
     gen.add_argument("--refine", action="store_true", help="enable gold refinement")
@@ -173,6 +182,10 @@ def cmd_optcost(args) -> int:
 
 def cmd_score(args) -> int:
     records = load_dataset(args.dataset, check=False)
+    for rec in records:
+        problems = baseline_shape_problems(rec)
+        if problems:
+            raise DatasetError(f"{args.dataset}: instance {rec.id}: " + "; ".join(problems))
     instances = {r.id: r for r in records}
     predictions = load_predictions(args.predictions, args.manifest, known_ids=instances)
     scores = score_batch(predictions, instances)
@@ -204,6 +217,8 @@ def cmd_score(args) -> int:
 
 def cmd_report(args) -> int:
     records = load_score_records(args.scores)
+    if not records:
+        raise DatasetError(f"{args.scores}: no score records")
     report = aggregate_report(records)
     print(render_report(report), end="")
     if args.out:

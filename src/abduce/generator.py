@@ -1072,6 +1072,23 @@ def generate_holdouts(
 # Audit and batch
 
 
+def baseline_shape_problems(instance: InstanceRecord) -> list[str]:
+    """The audit checks that need no engine call: one cached opt and gold
+    cost per train and holdout world, and holdout worlds wherever holdouts
+    are flagged available.  Scoring relies on exactly these."""
+    out = []
+    for split, worlds, opts, golds in (
+        ("train", instance.train_worlds, instance.train_opt_costs, instance.train_gold_costs),
+        ("holdout", instance.holdout_worlds, instance.holdout_opt_costs, instance.holdout_gold_costs),
+    ):
+        for name, cached in (("opt", opts), ("gold", golds)):
+            if len(cached) != len(worlds):
+                out.append(f"{split}: {len(cached)} cached {name} cost(s) for {len(worlds)} world(s)")
+    if instance.holdout_available and not instance.holdout_worlds:
+        out.append("holdouts: flagged available but there are no holdout worlds")
+    return out
+
+
 def audit_instance(
     instance: InstanceRecord,
     params: Optional[GenParams] = None,
@@ -1100,16 +1117,7 @@ def audit_instance(
         validate_hypothesis(instance.gold.formula, theory.allowed, theory.forbidden)
     except HypothesisError as exc:
         out.append(f"gold_scope: {exc}")
-
-    for split, worlds, opts, golds in (
-        ("train", instance.train_worlds, instance.train_opt_costs, instance.train_gold_costs),
-        ("holdout", instance.holdout_worlds, instance.holdout_opt_costs, instance.holdout_gold_costs),
-    ):
-        for name, cached in (("opt", opts), ("gold", golds)):
-            if len(cached) != len(worlds):
-                out.append(f"{split}: {len(cached)} cached {name} cost(s) for {len(worlds)} world(s)")
-    if instance.holdout_available and not instance.holdout_worlds:
-        out.append("holdouts: flagged available but there are no holdout worlds")
+    out.extend(baseline_shape_problems(instance))
 
     masked_truth = instance.provenance.get("masked_truth", [{} for _ in instance.train_worlds])
     gold_total = 0

@@ -1,8 +1,12 @@
 """Render benchmark instances into model-ready prompt text.
 
-One fixed system prompt plus a scenario template (full / partial /
-skeptical) filled with the instance's predicate scope, axioms, and
-training worlds, ending in the one-line JSON output contract.
+One fixed system prompt plus one user-prompt skeleton.  The skeleton holds
+the text every scenario shares; a table keyed by scenario (full / partial /
+skeptical) supplies each scenario's sections: title, world description,
+goal, scoring, extra examples, evaluation, task and its "Important" lines.
+Partial and skeptical share their observation text.  The skeleton is filled
+with the instance's predicate scope, axioms and training worlds, and ends in
+the one-line JSON output contract.
 """
 
 from __future__ import annotations
@@ -139,207 +143,119 @@ def _worlds_block(inst: InstanceRecord, partial: bool) -> str:
     return "## Training Worlds\n\n" + "\n\n".join(blocks)
 
 
-def _full_prompt(inst: InstanceRecord) -> str:
-    return f"""# First-Order Logic Abduction (Full Observation)
+@dataclass(frozen=True)
+class _Sections:
+    """The text one scenario puts into the shared prompt skeleton."""
 
-## Task Overview
+    title: str
+    overview: str  # the world bullets of the task overview
+    world: str  # what each world lists, and how to read it
+    goal: str
+    scoring: str
+    evaluation: str
+    task: str
+    steps: str  # solve-method steps after the first
+    insight: str
+    important: str  # the scenario's own "Important" lines
+    example: str = ""  # appended to the abnormality semantics
+    examples: str = ""  # extra formula examples
 
-You are given a **default reasoning theory** and several finite "worlds" with **full observation**:
-- A set of theory axioms involving an abnormality predicate Ab(x)
-- Multiple worlds, each with a finite domain and complete predicate interpretations
-- Your task: find a formula alpha(x) that defines which objects are "abnormal"
 
-Each world contains:
-- A finite domain of objects (named a0, a1, a2, ...)
-- Complete interpretations of predicates P(x), Q(x), R(x,y), S(x,y)
+# Partial and skeptical observation read the same worlds; they differ in
+# how the completions of the unknown atoms are quantified.
+_PARTIAL_OVERVIEW = """- Multiple worlds, each with a finite domain and partially observed predicate interpretations
+- Some predicate facts are **unknown** (not observed)"""
 
-**Closed World Assumption**: Only the facts explicitly listed as TRUE are true. Any predicate application not listed should be assumed FALSE.
+_PARTIAL_WORLD = """- Known facts: predicates whose truth values have been observed
+- Unknown atoms: predicates whose truth values are hidden
 
-## Abnormality Semantics
+**Observation Rules**:
+- Atoms listed under "Known Facts" with TRUE values are TRUE
+- Atoms listed under "Unknown Atoms" have unknown truth values
+- Any atom NOT listed as TRUE or Unknown is FALSE"""
 
-The abnormality predicate Ab(x) is defined by your formula:
-- **Ab(x) <-> alpha(x)**: An object a is abnormal if and only if alpha(a) evaluates to TRUE
 
-The theory axioms use Ab(x) to express default rules with exceptions. For example:
-- "P(x) AND NOT Ab(x) -> Q(x)" means: normally, P-objects have Q, unless they are abnormal
+def _completion_scoring(per_world: str, validity: str, primary: str, case: str, favor: str) -> str:
+    return f"""\
+## Scoring / tie-breaks (important)
 
-**Your goal**: Find a formula alpha(x) such that:
+- alpha(x) is a SINGLE global formula shared across all worlds.
+- **Completions are per-world**: each world {per_world}.
+- Primary objective: **{validity}** (for every training world, {primary}).
+- Secondary objective: **Parsimony** -- for each world, we consider the {case}-case completion ({favor}) and count abnormal objects under that completion.
+  Total cost is the sum of these per-world {case}-case abnormal counts."""
+
+
+_SECTIONS = {
+    "full": _Sections(
+        title="Full Observation",
+        overview="- Multiple worlds, each with a finite domain and complete predicate interpretations",
+        world="""- Complete interpretations of predicates P(x), Q(x), R(x,y), S(x,y)
+
+**Closed World Assumption**: Only the facts explicitly listed as TRUE are true. Any predicate application not listed should be assumed FALSE.""",
+        example=""" For example:
+- "P(x) AND NOT Ab(x) -> Q(x)" means: normally, P-objects have Q, unless they are abnormal""",
+        goal="""**Your goal**: Find a formula alpha(x) such that:
 1. **Validity**: When Ab(x) is defined as alpha(x), all theory axioms are satisfied in every training world
-2. **Parsimony**: Among valid formulas, prefer those that minimize the number of abnormal objects
-
-## Scoring / Tie-breaks (important)
+2. **Parsimony**: Among valid formulas, prefer those that minimize the number of abnormal objects""",
+        scoring="""## Scoring / Tie-breaks (important)
 
 - alpha(x) is a SINGLE global formula shared across all worlds.
 - Primary objective: **Validity** (must satisfy all axioms in every training world).
 - Secondary objective: **Parsimony** -- minimize the total number of abnormal objects across training worlds:
-  cost = SUM_world |{{ a in Domain_world : alpha(a) is TRUE }}|
-- Tertiary objective: **Simplicity** -- if multiple formulas have the same validity + cost, prefer smaller formulas (lower AST / fewer operators / fewer quantifiers).
-
-## Output Format
-
-{_GRAMMAR_BLOCK}
-{_CONSTRAINTS_BLOCK}
-{_EXAMPLES_BLOCK}
-## Evaluation
-
-Your formula will be evaluated on:
-1. **Validity**: Does defining Ab(x) <-> alpha(x) satisfy all theory axioms in every world?
+  cost = SUM_world |{ a in Domain_world : alpha(a) is TRUE }|""",
+        evaluation="""1. **Validity**: Does defining Ab(x) <-> alpha(x) satisfy all theory axioms in every world?
 2. **Parsimony**: How many objects are marked as abnormal? (fewer is better)
 3. **Generalization**: Does the formula also work on held-out test worlds?
 
-**Note**: A trivially true formula like `(or (P x) (not (P x)))` makes everything abnormal (valid but not parsimonious). A trivially false formula makes nothing abnormal (may violate axioms).
-
----
-
-{_instance_block(inst, with_description=False)}
-
-{_worlds_block(inst, partial=False)}
-
----
-
-## Your Task
-
-Analyze the theory axioms and training worlds carefully. Find a formula alpha(x) that defines abnormality such that all axioms are satisfied.
-
-**Solve method (reason internally; do NOT output your reasoning):**
-1. Understand the theory axioms: What do they require? When might they be violated?
-2. For each world, identify which objects would violate an axiom if they were NOT abnormal
+**Note**: A trivially true formula like `(or (P x) (not (P x)))` makes everything abnormal (valid but not parsimonious). A trivially false formula makes nothing abnormal (may violate axioms).""",
+        task="Analyze the theory axioms and training worlds carefully. Find a formula alpha(x) that defines abnormality such that all axioms are satisfied.",
+        steps="""2. For each world, identify which objects would violate an axiom if they were NOT abnormal
 3. Look for a pattern: What property characterizes objects that MUST be abnormal?
 4. Check for parsimony: Is there a simpler formula that still satisfies all axioms?
 5. Formulate your hypothesis as an S-expression formula
-6. **Verify**: For each world, check that defining Ab(x) <-> alpha(x) makes all axioms true
-
-**Reminder**: Validity comes first. Only after you have a valid alpha(x), optimize parsimony (fewer abnormal objects), then simplify the formula.
-
-**Important**:
-- Your formula must make the axioms true in ALL training worlds
-- Minimize the number of abnormal objects when possible
-- Do NOT mention Ab in your formula
-- Use ONLY predicates from AllowedAlphaPredicates; using ForbiddenAlphaPredicates is invalid
-- Do NOT use object names like a0, a1, ... inside alpha(x); use variables only
-
-{_OUTPUT_BLOCK}"""
-
-
-def _partial_prompt(inst: InstanceRecord) -> str:
-    return f"""# First-Order Logic Abduction (Partial Observation)
-
-## Task Overview
-
-You are given a **default reasoning theory** and several finite "worlds" with **partial observation**:
-- A set of theory axioms involving an abnormality predicate Ab(x)
-- Multiple worlds, each with a finite domain and partially observed predicate interpretations
-- Some predicate facts are **unknown** (not observed)
-- Your task: find a formula alpha(x) that defines which objects are "abnormal"
-
-Each world contains:
-- A finite domain of objects (named a0, a1, a2, ...)
-- Known facts: predicates whose truth values have been observed
-- Unknown atoms: predicates whose truth values are hidden
-
-**Observation Rules**:
-- Atoms listed under "Known Facts" with TRUE values are TRUE
-- Atoms listed under "Unknown Atoms" have unknown truth values
-- Any atom NOT listed as TRUE or Unknown is FALSE
-
-## Abnormality Semantics
-
-The abnormality predicate Ab(x) is defined by your formula:
-- **Ab(x) <-> alpha(x)**: An object a is abnormal if and only if alpha(a) evaluates to TRUE
-
-The theory axioms use Ab(x) to express default rules with exceptions.
-
-**Your goal**: Find a formula alpha(x) such that:
+6. **Verify**: For each world, check that defining Ab(x) <-> alpha(x) makes all axioms true""",
+        insight="**Reminder**: Validity comes first. Only after you have a valid alpha(x), optimize parsimony (fewer abnormal objects), then simplify the formula.",
+        important="""- Your formula must make the axioms true in ALL training worlds
+- Minimize the number of abnormal objects when possible""",
+    ),
+    "partial": _Sections(
+        title="Partial Observation",
+        overview=_PARTIAL_OVERVIEW,
+        world=_PARTIAL_WORLD,
+        goal="""**Your goal**: Find a formula alpha(x) such that:
 1. **Validity**: For each world, there EXISTS a completion of unknown atoms such that all theory axioms are satisfied when Ab(x) <-> alpha(x)
-2. **Parsimony**: Among valid formulas, prefer those that minimize the number of abnormal objects in the best-case completion
-
-## Scoring / tie-breaks (important)
-
-- alpha(x) is a SINGLE global formula shared across all worlds.
-- **Completions are per-world**: each world may use a different completion of its unknown atoms.
-- Primary objective: **Validity** (for every training world, there exists at least one completion that makes all axioms true).
-- Secondary objective: **Parsimony** -- for each world, we consider the best-case completion (most favorable) and count abnormal objects under that completion.
-  Total cost is the sum of these per-world best-case abnormal counts.
-- Tertiary objective: **Simplicity** -- if multiple formulas have the same validity + cost, prefer smaller formulas (lower AST / fewer operators / fewer quantifiers).
-
-## Output Format
-
-{_GRAMMAR_BLOCK}
-{_CONSTRAINTS_BLOCK}
-{_EXAMPLES_BLOCK}
-## Evaluation
-
-Your formula will be evaluated on:
-1. **Validity**: For each world, does there exist a completion of unknowns such that Ab(x) <-> alpha(x) satisfies all axioms?
+2. **Parsimony**: Among valid formulas, prefer those that minimize the number of abnormal objects in the best-case completion""",
+        scoring=_completion_scoring(
+            "may use a different completion of its unknown atoms",
+            "Validity",
+            "there exists at least one completion that makes all axioms true",
+            "best",
+            "most favorable",
+        ),
+        evaluation="""1. **Validity**: For each world, does there exist a completion of unknowns such that Ab(x) <-> alpha(x) satisfies all axioms?
 2. **Parsimony**: In the best-case completion, how many objects are abnormal? (fewer is better)
 3. **Generalization**: Does the formula work on held-out test worlds?
 
-**Key insight**: Unknown atoms can be assigned TRUE or FALSE to help satisfy the axioms. Your formula should work with the known facts while allowing unknowns to be completed favorably.
-
----
-
-{_instance_block(inst, with_description=False)}
-
-{_worlds_block(inst, partial=True)}
-
----
-
-## Your Task
-
-Analyze the theory axioms and training worlds carefully, keeping in mind that some facts are unknown.
-
-**Solve method (reason internally; do NOT output your reasoning):**
-1. Understand the theory axioms: What do they require? When might they be violated?
-2. For each world, note which predicate facts are known vs. unknown
+**Key insight**: Unknown atoms can be assigned TRUE or FALSE to help satisfy the axioms. Your formula should work with the known facts while allowing unknowns to be completed favorably.""",
+        task="Analyze the theory axioms and training worlds carefully, keeping in mind that some facts are unknown.",
+        steps="""2. For each world, note which predicate facts are known vs. unknown
 3. Identify which objects would violate an axiom based on KNOWN facts alone
 4. Consider how unknown atoms might be completed to satisfy axioms
 5. Look for a pattern: Which objects are **forced** to be abnormal by the KNOWN facts (i.e., no completion can make them normal while keeping axioms true)?
 6. Formulate your hypothesis as an S-expression formula
-7. **Verify**: For each world, check that there exists some completion of unknowns such that Ab(x) <-> alpha(x) satisfies all axioms
-
-**Key insight**: Focus on patterns in the KNOWN facts: those listed to be true, or
+7. **Verify**: For each world, check that there exists some completion of unknowns such that Ab(x) <-> alpha(x) satisfies all axioms""",
+        insight="""**Key insight**: Focus on patterns in the KNOWN facts: those listed to be true, or
 those not listed to be true or unknown, and therefore known to be false.
-Unknown atoms provide flexibility and can be completed to help satisfy axioms and reduce unnecessary abnormality -- but they cannot override known TRUE/FALSE facts.
-
-**Important**:
-- Your formula must allow axioms to be satisfied in ALL training worlds (for some completion)
-- Minimize the number of abnormal objects when possible
-- Do NOT mention Ab in your formula
-- Use ONLY predicates from AllowedAlphaPredicates; using ForbiddenAlphaPredicates is invalid
-- Do NOT use object names like a0, a1, ... inside alpha(x); use variables only
-
-{_OUTPUT_BLOCK}"""
-
-
-def _skeptical_prompt(inst: InstanceRecord) -> str:
-    return f"""# First-Order Logic Abduction (Skeptical/Universal Completion)
-
-## Task Overview
-
-You are given a **default reasoning theory** and several finite "worlds" with **partial observation**:
-- A set of theory axioms involving an abnormality predicate Ab(x)
-- Multiple worlds, each with a finite domain and partially observed predicate interpretations
-- Some predicate facts are **unknown** (not observed)
-- Your task: find a formula alpha(x) that defines which objects are "abnormal"
-
-Each world contains:
-- A finite domain of objects (named a0, a1, a2, ...)
-- Known facts: predicates whose truth values have been observed
-- Unknown atoms: predicates whose truth values are hidden
-
-**Observation Rules**:
-- Atoms listed under "Known Facts" with TRUE values are TRUE
-- Atoms listed under "Unknown Atoms" have unknown truth values
-- Any atom NOT listed as TRUE or Unknown is FALSE
-
-## Abnormality Semantics
-
-The abnormality predicate Ab(x) is defined by your formula:
-- **Ab(x) <-> alpha(x)**: An object a is abnormal if and only if alpha(a) evaluates to TRUE
-
-The theory axioms use Ab(x) to express default rules with exceptions.
-
-## SKEPTICAL Validity (IMPORTANT DIFFERENCE)
+Unknown atoms provide flexibility and can be completed to help satisfy axioms and reduce unnecessary abnormality -- but they cannot override known TRUE/FALSE facts.""",
+        important="""- Your formula must allow axioms to be satisfied in ALL training worlds (for some completion)
+- Minimize the number of abnormal objects when possible""",
+    ),
+    "skeptical": _Sections(
+        title="Skeptical/Universal Completion",
+        overview=_PARTIAL_OVERVIEW,
+        world=_PARTIAL_WORLD,
+        goal="""## SKEPTICAL Validity (IMPORTANT DIFFERENCE)
 
 Unlike partial observation with existential completion, this task uses **skeptical (universal) completion**:
 
@@ -347,61 +263,94 @@ Unlike partial observation with existential completion, this task uses **skeptic
 1. **Skeptical Validity**: For each world, **FOR ALL completions** of unknown atoms, the theory axioms are satisfied when Ab(x) <-> alpha(x)
 2. **Parsimony**: Among valid formulas, prefer those that minimize the **WORST-CASE** number of abnormal objects
 
-Your formula must be **robust** -- it must ensure the axioms hold regardless of how the unknown atoms are resolved.
+Your formula must be **robust** -- it must ensure the axioms hold regardless of how the unknown atoms are resolved.""",
+        scoring=_completion_scoring(
+            "considers ALL possible completions of its unknown atoms",
+            "Skeptical Validity",
+            "ALL completions must satisfy all axioms",
+            "worst",
+            "least favorable",
+        ),
+        examples='- `(exists y (exists z (and (R x y) (R x z) (not (= y z)))))` -- "x has at least two distinct R-successors"\n',
+        evaluation="""1. **Skeptical Validity**: For each world, do ALL completions of unknowns lead to Ab(x) <-> alpha(x) satisfying all axioms?
+2. **Parsimony**: In the worst-case completion, how many objects are abnormal? (fewer is better)
+3. **Generalization**: Does the formula work on held-out test worlds?
 
-## Scoring / tie-breaks (important)
+**Key insight**: Your formula must be robust enough that no matter how the unknown atoms are resolved, the axioms still hold. This is more demanding than existential completion -- you cannot rely on a "helpful" assignment of unknowns.""",
+        task="Analyze the theory axioms and training worlds carefully. Remember: your formula must work for ALL possible completions of unknown atoms, not just some favorable completion.",
+        steps="""2. For each world, note which predicate facts are known vs. unknown
+3. Identify which objects would violate an axiom in ANY completion
+4. Consider the WORST-CASE completion: which objects might be forced abnormal when unknowns are resolved unfavorably?
+5. Look for a pattern: Which objects must be abnormal to ensure axioms hold NO MATTER HOW unknowns are completed?
+6. Formulate your hypothesis as an S-expression formula
+7. **Verify**: For each world, check that for ALL completions of unknowns, Ab(x) <-> alpha(x) satisfies all axioms""",
+        insight="""**Key insight**: Focus on what might go WRONG if unknowns are completed adversarially:
+- An object with unknown predicates in the antecedent/consequent of a default might be forced abnormal to handle the worst case.
+- You cannot assume a "helpful" completion of unknowns -- you must be prepared for the least favorable assignment.""",
+        important="""- Your formula must make axioms satisfied in ALL training worlds for ALL completions
+- Minimize the worst-case number of abnormal objects when possible""",
+    ),
+}
 
-- alpha(x) is a SINGLE global formula shared across all worlds.
-- **Completions are per-world**: each world considers ALL possible completions of its unknown atoms.
-- Primary objective: **Skeptical Validity** (for every training world, ALL completions must satisfy all axioms).
-- Secondary objective: **Parsimony** -- for each world, we consider the worst-case completion (least favorable) and count abnormal objects under that completion.
-  Total cost is the sum of these per-world worst-case abnormal counts.
+
+def _user_prompt(inst: InstanceRecord) -> str:
+    s = _SECTIONS[inst.scenario]
+    partial = inst.scenario != "full"
+    return f"""# First-Order Logic Abduction ({s.title})
+
+## Task Overview
+
+You are given a **default reasoning theory** and several finite "worlds" with **{"partial" if partial else "full"} observation**:
+- A set of theory axioms involving an abnormality predicate Ab(x)
+{s.overview}
+- Your task: find a formula alpha(x) that defines which objects are "abnormal"
+
+Each world contains:
+- A finite domain of objects (named a0, a1, a2, ...)
+{s.world}
+
+## Abnormality Semantics
+
+The abnormality predicate Ab(x) is defined by your formula:
+- **Ab(x) <-> alpha(x)**: An object a is abnormal if and only if alpha(a) evaluates to TRUE
+
+The theory axioms use Ab(x) to express default rules with exceptions.{s.example}
+
+{s.goal}
+
+{s.scoring}
 - Tertiary objective: **Simplicity** -- if multiple formulas have the same validity + cost, prefer smaller formulas (lower AST / fewer operators / fewer quantifiers).
 
 ## Output Format
 
 {_GRAMMAR_BLOCK}
 {_CONSTRAINTS_BLOCK}
-{_EXAMPLES_BLOCK}\
-- `(exists y (exists z (and (R x y) (R x z) (not (= y z)))))` -- "x has at least two distinct R-successors"
-
+{_EXAMPLES_BLOCK}{s.examples}
 ## Evaluation
 
 Your formula will be evaluated on:
-1. **Skeptical Validity**: For each world, do ALL completions of unknowns lead to Ab(x) <-> alpha(x) satisfying all axioms?
-2. **Parsimony**: In the worst-case completion, how many objects are abnormal? (fewer is better)
-3. **Generalization**: Does the formula work on held-out test worlds?
-
-**Key insight**: Your formula must be robust enough that no matter how the unknown atoms are resolved, the axioms still hold. This is more demanding than existential completion -- you cannot rely on a "helpful" assignment of unknowns.
+{s.evaluation}
 
 ---
 
-{_instance_block(inst, with_description=True)}
+{_instance_block(inst, with_description=inst.scenario == "skeptical")}
 
-{_worlds_block(inst, partial=True)}
+{_worlds_block(inst, partial)}
 
 ---
 
 ## Your Task
 
-Analyze the theory axioms and training worlds carefully. Remember: your formula must work for ALL possible completions of unknown atoms, not just some favorable completion.
+{s.task}
 
 **Solve method (reason internally; do NOT output your reasoning):**
 1. Understand the theory axioms: What do they require? When might they be violated?
-2. For each world, note which predicate facts are known vs. unknown
-3. Identify which objects would violate an axiom in ANY completion
-4. Consider the WORST-CASE completion: which objects might be forced abnormal when unknowns are resolved unfavorably?
-5. Look for a pattern: Which objects must be abnormal to ensure axioms hold NO MATTER HOW unknowns are completed?
-6. Formulate your hypothesis as an S-expression formula
-7. **Verify**: For each world, check that for ALL completions of unknowns, Ab(x) <-> alpha(x) satisfies all axioms
+{s.steps}
 
-**Key insight**: Focus on what might go WRONG if unknowns are completed adversarially:
-- An object with unknown predicates in the antecedent/consequent of a default might be forced abnormal to handle the worst case.
-- You cannot assume a "helpful" completion of unknowns -- you must be prepared for the least favorable assignment.
+{s.insight}
 
 **Important**:
-- Your formula must make axioms satisfied in ALL training worlds for ALL completions
-- Minimize the worst-case number of abnormal objects when possible
+{s.important}
 - Do NOT mention Ab in your formula
 - Use ONLY predicates from AllowedAlphaPredicates; using ForbiddenAlphaPredicates is invalid
 - Do NOT use object names like a0, a1, ... inside alpha(x); use variables only
@@ -410,11 +359,5 @@ Analyze the theory axioms and training worlds carefully. Remember: your formula 
 
 
 def render_prompt(inst: InstanceRecord) -> PromptBundle:
-    """The scenario-appropriate template filled with this instance."""
-    if inst.scenario == "full":
-        user = _full_prompt(inst)
-    elif inst.scenario == "partial":
-        user = _partial_prompt(inst)
-    else:
-        user = _skeptical_prompt(inst)
-    return PromptBundle(SYSTEM_PROMPT, user)
+    """The prompt skeleton filled with the instance's scenario sections."""
+    return PromptBundle(SYSTEM_PROMPT, _user_prompt(inst))

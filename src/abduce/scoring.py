@@ -8,14 +8,15 @@ free variable other than x) score as invalid on every training world.
 Costs are reported only where validity holds; averages divide by the
 respective valid counts.
 
-Scoring of distinct predictions is independent; aggregation is a single
-fold over completed records.
+Scoring of distinct predictions is independent.  Aggregation builds each
+report table from one grouping pass over the completed records.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -251,6 +252,25 @@ def score_batch(
 
 # ---------------------------------------------------------------------------
 # Aggregation
+#
+# Each table groups the records in one pass with _groups: keys in sorted
+# order, and a group exists only where some record falls into it.  The
+# rows keep that key order, and each row's keys are its columns, in order.
+
+
+def _groups(records, *fields) -> list[tuple]:
+    """(key, records) pairs for the records grouped by the values of
+    `fields`, in sorted key order; records keep their order in a group.
+    The key is the field's value, or the tuple of values for several."""
+    key = attrgetter(*fields)
+    groups: dict = {}
+    for r in records:
+        groups.setdefault(key(r), []).append(r)
+    return sorted(groups.items())
+
+
+def _pct(part, whole) -> Optional[float]:
+    return 100.0 * len(part) / len(whole) if whole else None
 
 
 def _mean(values) -> Optional[float]:
@@ -261,48 +281,34 @@ def _mean(values) -> Optional[float]:
 def _fmt(value, digits=2):
     if value is None:
         return "---"
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.{digits}f}"
     return str(value)
 
 
-def _models(records):
-    return sorted({r.model_id for r in records})
+def _train_cell(sub):
+    valid = [r for r in sub if r.train_valid]
+    return {
+        "n": len(sub),
+        "validity_pct": _pct(valid, sub),
+        "gap": _mean([r.train_gap for r in valid]),
+        "gap_gold": _mean([r.gap_gold for r in valid]),
+    }
 
 
 def _train_summary_rows(records):
-    rows = []
     scenarios = sorted({r.scenario for r in records})
-    for model in _models(records):
-        mine = [r for r in records if r.model_id == model]
+    cells = dict(_groups(records, "model_id", "scenario"))
+    rows = []
+    for model, mine in _groups(records, "model_id"):
         row = {"model": model}
-        overall_parts = []
         for scen in scenarios:
-            sub = [r for r in mine if r.scenario == scen]
-            valid = [r for r in sub if r.train_valid]
-            cell = {
-                "n": len(sub),
-                "validity_pct": 100.0 * len(valid) / len(sub) if sub else None,
-                "gap": _mean([r.train_gap for r in valid]),
-                "gap_gold": _mean([r.gap_gold for r in valid]),
-            }
-            row[scen] = cell
-            if sub:
-                overall_parts.append(cell)
-        valid_all = [r for r in mine if r.train_valid]
-        row["overall_micro"] = {
-            "n": len(mine),
-            "validity_pct": 100.0 * len(valid_all) / len(mine) if mine else None,
-            "gap": _mean([r.train_gap for r in valid_all]),
-            "gap_gold": _mean([r.gap_gold for r in valid_all]),
-        }
+            row[scen] = _train_cell(cells.get((model, scen), []))
+        parts = [row[scen] for scen in scenarios if (model, scen) in cells]
+        row["overall_micro"] = _train_cell(mine)
         row["overall_macro"] = {
             "n": len(mine),
-            "validity_pct": _mean([c["validity_pct"] for c in overall_parts]),
-            "gap": _mean([c["gap"] for c in overall_parts]),
-            "gap_gold": _mean([c["gap_gold"] for c in overall_parts]),
+            **{k: _mean([c[k] for c in parts]) for k in ("validity_pct", "gap", "gap_gold")},
         }
         rows.append(row)
     return rows
@@ -310,45 +316,35 @@ def _train_summary_rows(records):
 
 def _theory_rows(records):
     rows = []
-    for theory in sorted({r.theory_id for r in records}):
-        for model in _models(records):
-            sub = [r for r in records if r.theory_id == theory and r.model_id == model]
-            if not sub:
-                continue
-            valid = [r for r in sub if r.train_valid]
-            rows.append(
-                {
-                    "theory": theory,
-                    "model": model,
-                    "n": len(sub),
-                    "validity_pct": 100.0 * len(valid) / len(sub),
-                    "gap_gold": _mean([r.gap_gold for r in valid]),
-                }
-            )
+    for (theory, model), sub in _groups(records, "theory_id", "model_id"):
+        valid = [r for r in sub if r.train_valid]
+        rows.append(
+            {
+                "theory": theory,
+                "model": model,
+                "n": len(sub),
+                "validity_pct": _pct(valid, sub),
+                "gap_gold": _mean([r.gap_gold for r in valid]),
+            }
+        )
     return rows
 
 
-def _holdout_summary_rows(records, scenario=None):
+def _holdout_summary_rows(records):
     rows = []
-    for model in _models(records):
-        sub = [r for r in records if r.model_id == model]
-        if scenario is not None:
-            sub = [r for r in sub if r.scenario == scenario]
-        if not sub:
-            continue
+    for model, sub in _groups(records, "model_id"):
         with_h = [r for r in sub if r.holdout_available]
         train_valid = [r for r in sub if r.train_valid]
         holdout_valid = [r for r in with_h if r.train_valid and r.holdout_valid]
-        survivors = [r for r in sub if r.survivor]
         rows.append(
             {
                 "model": model,
                 "n": len(sub),
-                "train_valid_pct": 100.0 * len(train_valid) / len(sub),
-                "holdout_valid_pct": 100.0 * len(holdout_valid) / len(with_h) if with_h else None,
+                "train_valid_pct": _pct(train_valid, sub),
+                "holdout_valid_pct": _pct(holdout_valid, with_h),
                 "train_gap": _mean([r.train_gap for r in train_valid]),
                 "holdout_gap": _mean([r.holdout_gap for r in holdout_valid]),
-                "delta_gap": _mean([r.delta_gap for r in survivors]),
+                "delta_gap": _mean([r.delta_gap for r in sub if r.survivor]),
                 "ast": _mean([float(r.ast_size) for r in sub if r.ast_size is not None]),
             }
         )
@@ -357,8 +353,7 @@ def _holdout_summary_rows(records, scenario=None):
 
 def _holdout_conditional_rows(records):
     rows = []
-    for model in _models(records):
-        sub = [r for r in records if r.model_id == model]
+    for model, sub in _groups(records, "model_id"):
         t_val = [r for r in sub if r.train_valid]
         t_and_h = [r for r in t_val if r.holdout_available]
         h_given_t = [r for r in t_and_h if r.holdout_valid]
@@ -368,7 +363,7 @@ def _holdout_conditional_rows(records):
                 "train_valid": len(t_val),
                 "train_valid_with_holdout": len(t_and_h),
                 "holdout_valid_given_train": len(h_given_t),
-                "holdout_pct_given_train": 100.0 * len(h_given_t) / len(t_and_h) if t_and_h else None,
+                "holdout_pct_given_train": _pct(h_given_t, t_and_h),
             }
         )
     return rows
@@ -376,35 +371,22 @@ def _holdout_conditional_rows(records):
 
 def _complexity_rows(records):
     rows = []
-    for scen in sorted({r.scenario for r in records}):
-        for model in _models(records):
-            for lo, hi in AST_BINS:
-                label = f"[{lo},{hi if hi is not None else 'inf'})"
-                sub = [
-                    r
-                    for r in records
-                    if r.scenario == scen
-                    and r.model_id == model
-                    and r.train_valid
-                    and r.holdout_available
-                    and r.ast_size is not None
-                    and r.ast_size >= lo
-                    and (hi is None or r.ast_size < hi)
-                ]
-                if not sub:
-                    continue
-                valid = [r for r in sub if r.holdout_valid]
-                survivors = [r for r in sub if r.survivor]
-                rows.append(
-                    {
-                        "scenario": scen,
-                        "model": model,
-                        "bin": label,
-                        "n": len(sub),
-                        "holdout_valid_pct": 100.0 * len(valid) / len(sub),
-                        "delta_gap": _mean([r.delta_gap for r in survivors]),
-                    }
-                )
+    eligible = [r for r in records if r.train_valid and r.holdout_available and r.ast_size is not None]
+    for (scen, model), group in _groups(eligible, "scenario", "model_id"):
+        for lo, hi in AST_BINS:
+            sub = [r for r in group if r.ast_size >= lo and (hi is None or r.ast_size < hi)]
+            if not sub:
+                continue
+            rows.append(
+                {
+                    "scenario": scen,
+                    "model": model,
+                    "bin": f"[{lo},{hi if hi is not None else 'inf'})",
+                    "n": len(sub),
+                    "holdout_valid_pct": _pct([r for r in sub if r.holdout_valid], sub),
+                    "delta_gap": _mean([r.delta_gap for r in sub if r.survivor]),
+                }
+            )
     return rows
 
 
@@ -413,33 +395,26 @@ def _shorter_longer_rows(records):
     occur; predictions whose AST equals the gold's are excluded, metrics
     are macro-averaged across problems."""
     rows = []
-    scenarios = sorted({r.scenario for r in records})
-    for scen in scenarios + ["overall"]:
-        pool = records if scen == "overall" else [r for r in records if r.scenario == scen]
+    eligible = [
+        r for r in records
+        if r.train_valid and r.holdout_available and r.ast_size is not None
+        and r.gold_ast is not None and r.ast_size != r.gold_ast
+    ]
+    for scen, pool in _groups(eligible, "scenario") + [("overall", eligible)]:
+        # problems in first-seen order, so the macro means add up in record order
         by_problem: dict[str, dict[str, list[ScoreRecord]]] = {}
         for r in pool:
-            if not (r.train_valid and r.holdout_available and r.ast_size is not None):
-                continue
-            if r.gold_ast is None or r.ast_size == r.gold_ast:
-                continue
             bucket = "shorter" if r.ast_size < r.gold_ast else "longer"
             by_problem.setdefault(r.instance_id, {"shorter": [], "longer": []})[bucket].append(r)
-        paired = {k: v for k, v in by_problem.items() if v["shorter"] and v["longer"]}
+        paired = [v for v in by_problem.values() if v["shorter"] and v["longer"]]
         if not paired:
             continue
         row = {"scenario": scen, "n_problems": len(paired)}
         for bucket in ("shorter", "longer"):
-            vals = []
-            dgaps = []
-            for groups in paired.values():
-                grp = groups[bucket]
-                vals.append(100.0 * sum(1 for r in grp if r.holdout_valid) / len(grp))
-                ds = [r.delta_gap for r in grp if r.survivor and r.delta_gap is not None]
-                if ds:
-                    dgaps.append(float(np.mean(ds)))
+            groups = [problem[bucket] for problem in paired]
             row[bucket] = {
-                "holdout_valid_pct": _mean(vals),
-                "delta_gap": _mean(dgaps),
+                "holdout_valid_pct": _mean([_pct([r for r in g if r.holdout_valid], g) for g in groups]),
+                "delta_gap": _mean([_mean([r.delta_gap for r in g if r.survivor]) for g in groups]),
             }
         rows.append(row)
     return rows
@@ -447,17 +422,14 @@ def _shorter_longer_rows(records):
 
 def _beats_gold_rows(records):
     rows = []
-    for model in _models(records):
-        sub = [r for r in records if r.model_id == model and r.train_valid]
-        beaters = [r for r in sub if r.beats_gold]
-        improvements = []
-        for r in beaters:
-            worlds = len(r.train_world_valid)
-            improvements.append((r.gold_cost - r.train_cost) / worlds)
+    for model, sub in _groups(records, "model_id"):
+        valid = [r for r in sub if r.train_valid]
+        beaters = [r for r in valid if r.beats_gold]
+        improvements = [(r.gold_cost - r.train_cost) / len(r.train_world_valid) for r in beaters]
         rows.append(
             {
                 "model": model,
-                "beats_gold_pct": 100.0 * len(beaters) / len(sub) if sub else None,
+                "beats_gold_pct": _pct(beaters, valid),
                 "avg_improvement": _mean(improvements),
                 "avg_ast": _mean([float(r.ast_size) for r in beaters]),
                 "n": len(beaters),
@@ -468,42 +440,31 @@ def _beats_gold_rows(records):
 
 def _gap_distribution_rows(records):
     rows = []
-    for scen in sorted({r.scenario for r in records}):
-        for model in _models(records):
-            gaps = [
-                r.train_gap
-                for r in records
-                if r.scenario == scen and r.model_id == model and r.train_valid
-            ]
-            if not gaps:
-                continue
-            arr = np.array(gaps, dtype=float)
-            rows.append(
-                {
-                    "scenario": scen,
-                    "model": model,
-                    "n": len(gaps),
-                    "mean": float(arr.mean()),
-                    "median": float(np.median(arr)),
-                    "p90": float(np.percentile(arr, 90)),
-                    "max": float(arr.max()),
-                    "pct_gt3": 100.0 * float((arr > 3).mean()),
-                    "pct_gt5": 100.0 * float((arr > 5).mean()),
-                }
-            )
+    for (scen, model), sub in _groups([r for r in records if r.train_valid], "scenario", "model_id"):
+        arr = np.array([r.train_gap for r in sub], dtype=float)
+        rows.append(
+            {
+                "scenario": scen,
+                "model": model,
+                "n": len(sub),
+                "mean": float(arr.mean()),
+                "median": float(np.median(arr)),
+                "p90": float(np.percentile(arr, 90)),
+                "max": float(arr.max()),
+                "pct_gt3": 100.0 * float((arr > 3).mean()),
+                "pct_gt5": 100.0 * float((arr > 5).mean()),
+            }
+        )
     return rows
 
 
 def _failure_mode_rows(records):
     rows = []
-    for scen in sorted({r.scenario for r in records}):
-        sub = [r for r in records if r.scenario == scen]
+    for scen, sub in _groups(records, "scenario"):
         counts = {cls: 0 for cls in FAILURE_CLASSES}
-        catastrophic = 0
         for r in sub:
             counts[r.failure_class] += 1
-            if r.catastrophic:
-                catastrophic += 1
+        catastrophic = sum(1 for r in sub if r.catastrophic)
         rows.append({"scenario": scen, **counts, "BrittleCatastrophic": catastrophic, "total": len(sub)})
     return rows
 
@@ -512,14 +473,14 @@ def aggregate_report(records: Sequence[ScoreRecord]) -> dict:
     """Every report family, as named tables of plain rows."""
     if not records:
         raise ValueError("no score records to aggregate")
-    report = {
+    return {
         "train_summary": _train_summary_rows(records),
         "theory_breakdown": _theory_rows(records),
         "holdout_summary": _holdout_summary_rows(records),
         "holdout_by_scenario": [
             dict(row, scenario=scen)
-            for scen in sorted({r.scenario for r in records})
-            for row in _holdout_summary_rows(records, scenario=scen)
+            for scen, sub in _groups(records, "scenario")
+            for row in _holdout_summary_rows(sub)
         ],
         "holdout_conditional": _holdout_conditional_rows(records),
         "complexity_bins": _complexity_rows(records),
@@ -528,7 +489,6 @@ def aggregate_report(records: Sequence[ScoreRecord]) -> dict:
         "gap_distribution": _gap_distribution_rows(records),
         "failure_modes": _failure_mode_rows(records),
     }
-    return report
 
 
 def render_table(name: str, rows: Sequence[dict]) -> str:
@@ -540,27 +500,14 @@ def render_table(name: str, rows: Sequence[dict]) -> str:
         flat = {}
         for k, v in row.items():
             if isinstance(v, dict):
-                for k2, v2 in v.items():
-                    flat[f"{k}.{k2}"] = v2
+                flat.update((f"{k}.{k2}", v2) for k2, v2 in v.items())
             else:
                 flat[k] = v
         flat_rows.append(flat)
-    cols = []
-    for fr in flat_rows:
-        for k in fr:
-            if k not in cols:
-                cols.append(k)
-    widths = {c: len(c) for c in cols}
-    rendered = []
-    for fr in flat_rows:
-        cells = {c: _fmt(fr.get(c)) for c in cols}
-        for c in cols:
-            widths[c] = max(widths[c], len(cells[c]))
-        rendered.append(cells)
-    lines = [f"== {name} =="]
-    lines.append("  ".join(c.ljust(widths[c]) for c in cols))
-    for cells in rendered:
-        lines.append("  ".join(cells[c].ljust(widths[c]) for c in cols))
+    cols = list(dict.fromkeys(k for flat in flat_rows for k in flat))
+    table = [cols] + [[_fmt(flat.get(c)) for c in cols] for flat in flat_rows]
+    widths = [max(len(line[i]) for line in table) for i in range(len(cols))]
+    lines = [f"== {name} =="] + ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)) for line in table]
     return "\n".join(lines) + "\n"
 
 

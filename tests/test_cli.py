@@ -245,3 +245,61 @@ def test_verify_flags_cached_holdout_baselines(tmp_path, monkeypatch, capsys):
     assert "holdout: 1 cached opt cost(s) for 5 world(s)" in out
     assert "holdout1: cached gold cost" in out
     assert "0 violation(s)" not in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, minimum", [("--margin", "0", 1), ("--world-budget", "0", 1), ("--count", "-3", 0)]
+)
+def test_generate_rejects_out_of_range_integers(tmp_path, capsys, flag, value, minimum):
+    out = tmp_path / "ds.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        _generate(out, flag, value)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= {minimum}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_report_without_score_records_is_one_line_error(tmp_path, capsys, text):
+    scores = tmp_path / "s.jsonl"
+    scores.write_text(text)
+    assert main(["report", "--scores", str(scores)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("abduce report: error:") and f"{scores}: no score records" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt, problem", [
+    ("holdout_flag", "holdouts: flagged available but there are no holdout worlds"),
+    ("train_opt", "train: 0 cached opt cost(s) for"),
+])
+def test_score_rejects_bad_baseline_shapes(tmp_path, monkeypatch, capsys, corrupt, problem):
+    # the gold as prediction: at the flagged line, scoring divided by the
+    # holdout world count; with no train opt costs, the gap came out wrong.
+    # Holdout seeds hash the output path; under this name no slot fills.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "ds.jsonl"
+    assert _generate("ds.jsonl") == 0
+    header, line = path.read_text().splitlines()
+    data = json.loads(line)
+    assert not data["holdout_available"] and not data["holdout_worlds"]
+    if corrupt == "holdout_flag":
+        data["holdout_available"] = True
+    else:
+        data["baselines"]["train"]["opt_costs"] = []
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(header + "\n" + json.dumps(data) + "\n")
+    rec = load_dataset(str(path))[0]
+    preds, manifest = tmp_path / "p.jsonl", tmp_path / "m.jsonl"
+    preds.write_text(json.dumps({"formula": render_formula(rec.gold.formula), "description": "g"}) + "\n")
+    manifest.write_text(json.dumps({"model_id": "gold", "instance_id": rec.id}) + "\n")
+    out = tmp_path / "s.jsonl"
+    capsys.readouterr()
+    assert main(["score", "--dataset", str(bad), "--predictions", str(preds),
+                 "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("abduce score: error:") and rec.id in err and problem in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    assert main(["verify", "--dataset", str(bad)]) == 1
+    assert f"{rec.id}: {problem}" in capsys.readouterr().out

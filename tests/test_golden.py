@@ -1,26 +1,30 @@
-"""Golden-file tests: a pinned generated dataset, its rendered prompts, and
-the engine's outputs over a fixed-seed sweep.
+"""Golden-file tests: a pinned generated dataset, its rendered prompts, the
+engine's outputs over a fixed-seed sweep, and the aggregated report.
 
 The hashes pin generation (gold sampling, mutation order, world sampling,
 holdout search) and rendering (formulas, worlds, prompt templates) byte for
 byte.  A change that alters either must do so on purpose: bump
 FORMAT_VERSION, regenerate, and update the hashes here.  The engine hash
 pins what the oracle tests do not compare: which completion each verdict
-names as its witness.
+names as its witness.  The report hash pins every table's rows, column
+order and values, and their rendering.
 """
 
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 from abduce.dataset import FORMAT_VERSION, save_dataset
 from abduce.engine import cost, opt_cost, validity
 from abduce.formula import validate_hypothesis
 from abduce.generator import GenParams, generate_batch
 from abduce.prompts import render_prompt
+from abduce.scoring import ScoreRecord, aggregate_report, classify_failure, render_report
 from abduce.theory import THEORY_IDS, builtin_theory
 
 from conftest import random_hypothesis_formula, random_world
+from test_scoring import fixture_records
 
 GOLDEN_MIX = (("full", "T1", 2), ("partial", "T2", 2), ("skeptical", "T6", 1))
 GOLDEN_SEED = 7
@@ -33,6 +37,8 @@ HOLDOUT_SHA256 = "c2385dfa60172452c9261aaf68caed6dc83cdfb10fc65e582b4e8d5ba7b7c4
 ENGINE_SEED = 20261018
 ENGINE_CASES = 300
 ENGINE_SHA256 = "5e9f2b2f63e3935ceb0a69a5a5d8e938cc2c1e1b6bc1d1fa7ce98eeb65dbc2eb"
+REPORT_SEEDS = (3, 11, 29)
+REPORT_SHA256 = "9483f86f928452f75c7f8b46990b25a46667264c084b4c658a3fbe0580729286"
 
 
 def _golden(tmp_path):
@@ -104,3 +110,67 @@ def test_golden_engine_outputs():
     assert sum(row["witness"] is not None for row in rows) > 100
     data = json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(data).hexdigest() == ENGINE_SHA256
+
+
+def _synthetic_scores(seed, count=150):
+    """Seeded score records over 3 scenarios, 4 theories and 5 models (m4
+    never scores a skeptical instance, m2 never T6, m5 only fails to
+    parse): parse errors, scope errors, partly and wholly train-invalid
+    records, records without holdouts, brittle records and survivors, with
+    AST sizes across every bin."""
+    rng = random.Random(seed)
+    gold_ast = {}
+    out = []
+    for _ in range(count):
+        scen = rng.choice(("full", "partial", "skeptical"))
+        model = rng.choice(("m1", "m2", "m3") if scen == "skeptical" else ("m1", "m2", "m3", "m4"))
+        model = "m5" if rng.random() < 0.04 else model
+        theory = rng.choice(("T1", "T2", "T4") if model == "m2" else ("T1", "T2", "T4", "T6"))
+        iid = f"{scen}_{theory}_{rng.randrange(4)}"
+        n_train = 1 + sum(map(ord, iid)) % 4
+        gold_ast.setdefault(iid, rng.randint(6, 20))
+        gold_cost = rng.randint(n_train, 3 * n_train)
+        rec = dict(instance_id=iid, model_id=model, scenario=scen, theory_id=theory,
+                   gold_cost=gold_cost, gold_ast=gold_ast[iid], holdout_available=rng.random() < 0.7)
+        kind = 0.0 if model == "m5" else rng.random()
+        if kind < 0.1:
+            rec.update(parse_ok=False, parse_error="not a single JSON object")
+        else:
+            ast = rng.choice((rng.randint(1, 14), rng.randint(15, 29), rng.randint(30, 45), gold_ast[iid]))
+            rec.update(parse_ok=True, formula_text="(P x)", ast_size=ast, quantifier_depth=rng.randint(0, 3))
+            if kind < 0.15:
+                rec.update(scope_error="forbidden predicate", train_world_valid=(False,) * n_train)
+            else:
+                per_world = tuple(rng.random() < 0.85 for _ in range(n_train))
+                rec.update(train_world_valid=per_world, train_valid=all(per_world))
+        if rec.get("train_valid"):
+            train_cost = max(0, gold_cost + rng.randint(-2, 8))
+            train_opt = max(0, gold_cost - rng.randint(0, 2))
+            rec.update(train_cost=train_cost, train_opt=train_opt,
+                       train_gap=(train_cost - train_opt) / n_train,
+                       gap_gold=(train_cost - gold_cost) / n_train,
+                       gold_margin=train_cost - gold_cost, beats_gold=train_cost < gold_cost)
+            if rec["holdout_available"]:
+                k = rng.randint(1, 5)
+                hold = tuple(rng.random() < 0.8 for _ in range(k))
+                rec.update(holdout_world_valid=hold, holdout_valid=all(hold),
+                           holdout_valid_fraction=sum(hold) / k)
+                if all(hold):
+                    hold_opt = rng.randint(k, 3 * k)
+                    hold_cost = hold_opt + rng.randint(0, 4 * k)
+                    rec.update(holdout_cost=hold_cost, holdout_opt=hold_opt,
+                               holdout_gap=(hold_cost - hold_opt) / k, survivor=True,
+                               delta_gap=(hold_cost - hold_opt) / k - rec["train_gap"])
+        record = ScoreRecord(**rec)
+        cls, catastrophic = classify_failure(record)
+        out.append(replace(record, failure_class=cls, catastrophic=catastrophic))
+    return out
+
+
+def test_golden_report():
+    digest = hashlib.sha256()
+    for records in [fixture_records()] + [_synthetic_scores(seed) for seed in REPORT_SEEDS]:
+        report = aggregate_report(records)
+        # no sort_keys: the hash pins each table's column order too
+        digest.update(json.dumps(report).encode() + b"\0" + render_report(report).encode() + b"\0")
+    assert digest.hexdigest() == REPORT_SHA256
