@@ -77,6 +77,9 @@ def instance_to_json(rec: InstanceRecord) -> dict:
 
 
 def instance_from_json(data: dict) -> InstanceRecord:
+    provenance = data.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise DatasetError("provenance is not a JSON object")
     theory = builtin_theory(data["theory"])
     gold = validate_hypothesis(
         parse_formula(data["gold"]["formula"]), theory.allowed, theory.forbidden
@@ -94,7 +97,7 @@ def instance_from_json(data: dict) -> InstanceRecord:
         holdout_available=bool(data["holdout_available"]),
         holdout_opt_costs=tuple(data["baselines"]["holdout"]["opt_costs"]),
         holdout_gold_costs=tuple(data["baselines"]["holdout"]["gold_costs"]),
-        provenance=data.get("provenance", {}),
+        provenance=provenance,
     )
 
 

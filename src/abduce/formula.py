@@ -72,7 +72,6 @@ PREDICATES = {
     "Ab": PredicateSymbol("Ab", 1),
 }
 
-UNARY_PREDICATES = ("P", "Q", "Ab")
 BINARY_PREDICATES = ("R", "S")
 
 

@@ -8,11 +8,15 @@ optional gold refinement, and a from-scratch audit; holdout worlds are
 sampled afterwards from the same distribution with deterministic hashing
 and none of the adversarial machinery.
 
-World acceptance runs in two stages.  The nontriviality floor, exception
-cap, and gold-gap filters apply to the complete world before any masking
-(closed-world semantics); masking then hides binary atoms and the gold
-must additionally stay valid under the scenario's completion semantics.
-Cached per-world baselines are the scenario-semantics values on the masked
+World acceptance runs in two stages.  The closed-world stage
+(closed_stage_problems: nontriviality floor, exception cap, gold validity
+and gold gap) applies to the complete world before any masking; masking
+then hides binary atoms and the gold must additionally stay valid under
+the scenario's completion semantics.  Holdouts pass both stages and then
+the holdout rule (holdout_problems).  Acceptance, holdout search, gold
+refinement and the audit all call these same functions, and the audit
+runs one per-world routine on train and holdout worlds alike.  Cached
+per-world baselines are the scenario-semantics values on the masked
 worlds, which is what scoring consumes.
 
 Instances generate independently; all randomness is derived from
@@ -156,9 +160,6 @@ class InstanceRecord:
 @dataclass(frozen=True)
 class CompetitorPool:
     entries: tuple[tuple[Hypothesis, str], ...]
-
-    def formulas(self) -> list[Hypothesis]:
-        return [h for h, _ in self.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +500,10 @@ def _tier1_texts(theory: TheorySpec) -> list[str]:
         texts.append(f"(not ({b} x x))")
         texts.append(f"(exists y ({b} x y))")
         texts.append(f"(not (exists y ({b} x y)))")
-    if len(unary) >= 2:
-        for i in range(len(unary)):
-            for j in range(len(unary)):
-                if i == j:
-                    continue
-                u1, u2 = unary[i], unary[j]
-                for op in ("and", "or"):
-                    texts.append(f"({op} ({u1} x) ({u2} x))")
-                    texts.append(f"({op} ({u1} x) (not ({u2} x)))")
+    for u1, u2 in itertools.permutations(unary, 2):
+        for op in ("and", "or"):
+            texts.append(f"({op} ({u1} x) ({u2} x))")
+            texts.append(f"({op} ({u1} x) (not ({u2} x)))")
     return texts
 
 
@@ -701,6 +697,63 @@ class _AcceptedWorld:
     pre_gold_cost: int
 
 
+def closed_stage_problems(
+    params: GenParams, n: int, opt: int, valid: bool, gold_cost: Optional[int]
+) -> list[str]:
+    """The closed-world stage on a complete world of domain size n with
+    opt_cost(FULL) `opt`: one message per failed filter among the
+    nontriviality floor, the exception cap, gold validity and the gold gap
+    (gold_cost is read only when the gold is valid)."""
+    out = []
+    if opt < 1:
+        out.append(f"opt_cost {opt} < 1")
+    if opt / n > params.exception_cap:
+        out.append(f"exception rate {opt}/{n} > {params.exception_cap}")
+    if not valid:
+        out.append("gold invalid on the pre-mask world")
+    elif gold_cost > opt + params.gold_gap_slack:
+        out.append(f"gold gap {gold_cost - opt} > {params.gold_gap_slack}")
+    return out
+
+
+def holdout_problems(
+    instance: InstanceRecord, world: World, opt: int, gold_cost: int, earlier: Sequence[World]
+) -> list[str]:
+    """The holdout rule for a world that passed both acceptance stages: one
+    message per failure among equivalence to a training world or to an
+    earlier holdout, and a gold cost or gap outside the min-max range of the
+    cached training baselines."""
+    out = []
+    for name, worlds in (("a training world", instance.train_worlds), ("an earlier holdout", earlier)):
+        if any(worlds_equivalent(world, w) for w in worlds):
+            out.append(f"equivalent to {name}")
+    costs = instance.train_gold_costs
+    gaps = [g - o for g, o in zip(costs, instance.train_opt_costs)]
+    for name, value, seen in (("gold cost", gold_cost, costs), ("gap", gold_cost - opt, gaps)):
+        if seen and not min(seen) <= value <= max(seen):
+            out.append(f"{name} {value} outside train range")
+    return out
+
+
+def _pre_mask_world(world: World, truth) -> World:
+    """The complete world that masking turned into `world`, rebuilt from its
+    recorded masked truth (the JSON object mapping each predicate to its
+    hidden true atoms); a world without unknowns is its own.  ValueError
+    when the truth is missing, malformed or names an atom that is not
+    unknown."""
+    if not world.num_unknowns():
+        return world
+    if truth is None:
+        raise ValueError("no masked truth")
+    try:
+        claimed = World(world.n, truth)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad masked truth: {exc}") from None
+    if any(not atoms <= world.unknown_atoms[p] for p, atoms in claimed.true_atoms.items()):
+        raise ValueError("bad masked truth: an atom that is not unknown")
+    return unmask_world(world, claimed.true_atoms)
+
+
 class _WorldAcceptor:
     """Two-stage world acceptance shared by training and holdout sampling.
 
@@ -747,14 +800,6 @@ class _WorldAcceptor:
                 out[i] = (o, v, c)
         return out
 
-    def _passes(self, n: int, opt: int, valid: bool, gold_cost: int) -> bool:
-        """The closed-world stage: nontriviality floor, exception cap, gold
-        validity and gold gap."""
-        params = self.params
-        if opt < 1 or opt / n > params.exception_cap:
-            return False
-        return valid and gold_cost <= opt + params.gold_gap_slack
-
     def candidates(self, rng: Random, attempts: int) -> Iterator[_AcceptedWorld]:
         """Accepted worlds among `attempts` candidates drawn from rng, each
         yielded with rng just past its own draws and masking; a caller that
@@ -768,7 +813,9 @@ class _WorldAcceptor:
                 for _ in range(min(_BLOCK, left))
             ]
             screened = self._screen(draws)
-            first = next((i for i, row in enumerate(screened) if self._passes(draws[i][0], *row)), None)
+            first = next((
+                i for i, row in enumerate(screened) if not closed_stage_problems(params, draws[i][0], *row)
+            ), None)
             if first is None:
                 left -= len(draws)
                 continue
@@ -791,15 +838,8 @@ class _WorldAcceptor:
 
 
 def _hidden_to_json(hidden: dict) -> dict:
-    out = {}
-    for p, atoms in hidden.items():
-        if atoms:
-            out[p] = sorted([a] if isinstance(a, int) else list(a) for a in atoms)
-    return out
-
-
-def _hidden_from_json(data: dict) -> dict:
-    return {p: frozenset(tuple(a) for a in atoms) for p, atoms in (data or {}).items()}
+    """Masking hides binary atoms only, so every hidden atom is a pair."""
+    return {p: sorted(map(list, atoms)) for p, atoms in hidden.items() if atoms}
 
 
 def _survivors(
@@ -810,12 +850,8 @@ def _survivors(
     cache: _EvalCache,
 ) -> set[int]:
     """Pool indices still valid on all worlds and within the cost margin."""
-    out = set()
-    for i, (hyp, _) in enumerate(pool.entries):
-        total = cache.total_cost(worlds, hyp)
-        if total is not None and total < gold_total + margin:
-            out.add(i)
-    return out
+    totals = enumerate(cache.total_cost(worlds, hyp) for hyp, _ in pool.entries)
+    return {i for i, total in totals if total is not None and total < gold_total + margin}
 
 
 def generate_instance(
@@ -870,17 +906,14 @@ def _attempt_instance(params, index, attempt, rng, sampler):
             break
         if len(worlds) >= params.world_budget:
             return ("budget_exhausted_with_survivors", template)
-        added = False
-        for aw in acceptor.candidates(rng, params.world_attempts):
-            new_survivors = _survivors(
-                pool, worlds + [aw.world], gold_total + aw.gold_cost, params.margin, cache
-            )
-            if new_survivors < survivors:
-                accepted.append(aw)
-                added = True
-                break
-        if not added:
+        added = next((
+            aw for aw in acceptor.candidates(rng, params.world_attempts)
+            if _survivors(pool, worlds + [aw.world], gold_total + aw.gold_cost, params.margin, cache)
+            < survivors
+        ), None)
+        if added is None:
             return ("no_adversarial_world", template)
+        accepted.append(added)
 
     worlds = [aw.world for aw in accepted]
     gold_total = sum(aw.gold_cost for aw in accepted)
@@ -933,12 +966,8 @@ def _attempt_instance(params, index, attempt, rng, sampler):
 def _best_cheater_margin(cheaters, worlds, gold_total, cache) -> Optional[int]:
     """best valid cheater total minus gold total; None when no cheater is
     valid on all worlds (an unbounded margin)."""
-    best = None
-    for ch in cheaters:
-        total = cache.total_cost(worlds, ch)
-        if total is not None and (best is None or total < best):
-            best = total
-    return None if best is None else best - gold_total
+    totals = [t for t in (cache.total_cost(worlds, ch) for ch in cheaters) if t is not None]
+    return min(totals) - gold_total if totals else None
 
 
 def refine_gold(
@@ -952,48 +981,38 @@ def refine_gold(
 ) -> Hypothesis:
     """Pick the best gold among ~20 alternatives (templates + mutants).
 
-    Candidates must be valid on all (masked) worlds under the scenario
-    semantics and on the pre-mask worlds under closed-world semantics with
-    the gap slack intact; ties break by total cost, then largest cheater
-    margin, then smallest AST.  Falls back to the seed gold.
+    Candidates must pass the closed-world stage on the pre-mask worlds and
+    be valid on all (masked) worlds under the scenario semantics; ties
+    break by total cost, then largest cheater margin, then smallest AST.
+    Falls back to the seed gold.
     """
     cache = cache or _EvalCache(params.regime, theory, params.enumeration_cap)
-    full_cache = _EvalCache(Regime.FULL, theory, params.enumeration_cap)
-    pre_worlds = [unmask_world(aw.world, aw.hidden) for aw in accepted]
+    # under the full regime a pre-mask world is the world itself
+    full_cache = cache
+    if params.regime is not Regime.FULL:
+        full_cache = _EvalCache(Regime.FULL, theory, params.enumeration_cap)
+    pre_worlds = [_pre_mask_world(aw.world, aw.hidden) for aw in accepted]
     local_sampler = GoldSampler(1.0)
-    candidates = [seed_gold]
-    for _ in range(10):
-        candidates.append(local_sampler.draw(theory, rng)[0])
+    candidates = [seed_gold, *(local_sampler.draw(theory, rng)[0] for _ in range(10))]
     candidates.extend(gold_mutants(seed_gold, theory, rng, count=10))
 
     worlds = [aw.world for aw in accepted]
-    best = None
-    best_key = None
-    seen = set()
-    for cand in candidates:
-        key_text = render_formula(cand.formula)
-        if key_text in seen:
-            continue
-        seen.add(key_text)
-        ok = True
+    best = best_key = None
+    for cand in _distinct(candidates):
         total = 0
         for aw, pre in zip(accepted, pre_worlds):
-            pvalid, pcost = full_cache.world_eval(pre, cand)
-            if not pvalid or pcost > aw.pre_opt + params.gold_gap_slack:
-                ok = False
+            if closed_stage_problems(params, pre.n, aw.pre_opt, *full_cache.world_eval(pre, cand)):
                 break
             svalid, scost = cache.world_eval(aw.world, cand)
             if not svalid:
-                ok = False
                 break
             total += scost
-        if not ok:
-            continue
-        margin = _best_cheater_margin(cheaters, worlds, total, cache)
-        margin_rank = -(10**9) if margin is None else -margin
-        key = (total, margin_rank, formula_metrics(cand.formula).ast_size)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
+        else:
+            margin = _best_cheater_margin(cheaters, worlds, total, cache)
+            margin_rank = -(10**9) if margin is None else -margin
+            key = (total, margin_rank, formula_metrics(cand.formula).ast_size)
+            if best_key is None or key < best_key:
+                best, best_key = cand, key
     return best if best is not None else seed_gold
 
 
@@ -1009,62 +1028,45 @@ def generate_holdouts(
 ) -> InstanceRecord:
     """Attach k holdout worlds sampled from the instance's distribution.
 
-    Each world slot gets its own deterministic hash seed; candidates pass
-    the same two-stage world acceptance as training, must not be
-    equivalent to any training (or already accepted holdout) world, and
-    their per-world gold cost and gap must fall inside the min-max range
-    seen in training.  No competitor elimination, cheater screen, or
-    refinement here.  Failure, or a holdout_count of 0, leaves the instance
-    flagged without holdouts.  HOLDOUT_ATTEMPTS_PER_WORLD bounds the search,
-    so the outcome depends only on the seeds.
+    Each world slot gets its own deterministic hash seed; its first
+    candidate that passes the same two-stage world acceptance as training
+    and then the holdout rule (holdout_problems) fills it.  No competitor
+    elimination, cheater screen, or refinement here.  Failure, or a
+    holdout_count of 0, leaves the instance flagged without holdouts.
+    HOLDOUT_ATTEMPTS_PER_WORLD bounds the search, so the outcome depends
+    only on the seeds.
     """
     params = params or GenParams(
         scenario=instance.scenario, theory_id=instance.theory_id, global_seed=global_seed
     )
-    prov = {k: v for k, v in instance.provenance.items() if k != "holdout_masked_truth"}
-    without = replace(
-        instance,
-        holdout_worlds=(),
-        holdout_available=False,
-        holdout_opt_costs=(),
-        holdout_gold_costs=(),
-        provenance=prov,
-    )
-    if not params.holdout_count:
-        return without
-    shared_n = instance.provenance.get("shared_domain_size")
-    acceptor = _WorldAcceptor(params, instance.gold, shared_n)
-
-    costs = instance.train_gold_costs
-    gap_values = [g - o for g, o in zip(costs, instance.train_opt_costs)]
-    cost_lo, cost_hi = min(costs), max(costs)
-    gap_lo, gap_hi = min(gap_values), max(gap_values)
-
+    acceptor = _WorldAcceptor(params, instance.gold, instance.provenance.get("shared_domain_size"))
     accepted: list[_AcceptedWorld] = []
     for idx in range(params.holdout_count):
-        seed = holdout_seed(dataset_path, instance.id, idx, global_seed)
-        rng = Random(seed)
-        found = False
-        for aw in acceptor.candidates(rng, HOLDOUT_ATTEMPTS_PER_WORLD):
-            if any(
-                worlds_equivalent(aw.world, w)
-                for w in tuple(instance.train_worlds) + tuple(a.world for a in accepted)
-            ):
-                continue
-            if not (cost_lo <= aw.gold_cost <= cost_hi and gap_lo <= aw.gold_cost - aw.opt <= gap_hi):
-                continue
-            accepted.append(aw)
-            found = True
-            break
-        if not found:
-            return without
+        rng = Random(holdout_seed(dataset_path, instance.id, idx, global_seed))
+        earlier = [a.world for a in accepted]
+        found = next((
+            aw for aw in acceptor.candidates(rng, HOLDOUT_ATTEMPTS_PER_WORLD)
+            if not holdout_problems(instance, aw.world, aw.opt, aw.gold_cost, earlier)
+        ), None)
+        if found is None:
+            return _with_holdouts(instance, [])
+        accepted.append(found)
+    return _with_holdouts(instance, accepted)
+
+
+def _with_holdouts(instance: InstanceRecord, accepted: Sequence[_AcceptedWorld]) -> InstanceRecord:
+    """The instance with exactly these holdout worlds; with none, flagged
+    without holdouts."""
+    prov = {k: v for k, v in instance.provenance.items() if k != "holdout_masked_truth"}
+    if accepted:
+        prov["holdout_masked_truth"] = [_hidden_to_json(aw.hidden) for aw in accepted]
     return replace(
         instance,
         holdout_worlds=tuple(aw.world for aw in accepted),
-        holdout_available=True,
+        holdout_available=bool(accepted),
         holdout_opt_costs=tuple(aw.opt for aw in accepted),
         holdout_gold_costs=tuple(aw.gold_cost for aw in accepted),
-        provenance={**prov, "holdout_masked_truth": [_hidden_to_json(aw.hidden) for aw in accepted]},
+        provenance=prov,
     )
 
 
@@ -1096,22 +1098,26 @@ def audit_instance(
 ) -> list[str]:
     """Re-verify every generation filter from scratch; returns violations.
 
-    The nontriviality floor, exception cap, and gold gap are audited on the
-    pre-mask worlds reconstructed from the recorded masked truth; gold
-    validity, cached baselines, competitor elimination, and the cheater
-    margin are audited on the masked worlds under the scenario semantics.
-    The cached train and holdout baselines must hold one value per world,
-    each equal to the recomputed one.  With pools off, the competitor and
-    cheater re-verification is skipped (the cheap load-time check).
+    One per-world routine serves train and holdout worlds alike: it rebuilds
+    the pre-mask world from the recorded masked truth (masked_truth or
+    holdout_masked_truth; a missing or malformed entry for a masked world is
+    a violation), runs the closed-world stage on it (closed_stage_problems),
+    checks gold validity on the masked world under the scenario semantics,
+    and compares the cached baselines, which must hold one value per world
+    equal to the recomputed one.  Holdouts must also pass the holdout rule
+    (holdout_problems), duplicates among them included.  Competitor
+    elimination and the cheater margin are audited on the training worlds;
+    with pools off they are skipped (the cheap load-time check).
     """
     params = params or GenParams(
         scenario=instance.scenario,
         theory_id=instance.theory_id,
         global_seed=instance.provenance.get("global_seed", 0),
     )
-    regime, theory = instance.regime, instance.theory
+    regime, theory, prov = instance.regime, instance.theory, instance.provenance
     cache = _EvalCache(regime, theory, params.enumeration_cap)
-    full_cache = _EvalCache(Regime.FULL, theory, params.enumeration_cap)
+    # as in refine_gold, the full regime's worlds are their own pre-mask worlds
+    full_cache = cache if regime is Regime.FULL else _EvalCache(Regime.FULL, theory, params.enumeration_cap)
     out = []
     try:
         validate_hypothesis(instance.gold.formula, theory.allowed, theory.forbidden)
@@ -1119,32 +1125,35 @@ def audit_instance(
         out.append(f"gold_scope: {exc}")
     out.extend(baseline_shape_problems(instance))
 
-    masked_truth = instance.provenance.get("masked_truth", [{} for _ in instance.train_worlds])
-    gold_total = 0
-    for i, w in enumerate(instance.train_worlds):
-        pre = unmask_world(w, _hidden_from_json(masked_truth[i])) if w.num_unknowns() else w
-        pre_opt = opt_cost(Regime.FULL, theory, pre)
-        pvalid, pcost = full_cache.world_eval(pre, instance.gold)
-        if pre_opt < 1:
-            out.append(f"world{i}: opt_cost {pre_opt} < 1")
-        if pre_opt / w.n > params.exception_cap:
-            out.append(f"world{i}: exception rate {pre_opt}/{w.n} > {params.exception_cap}")
-        if not pvalid:
-            out.append(f"world{i}: gold invalid on the pre-mask world")
-        elif pcost > pre_opt + params.gold_gap_slack:
-            out.append(f"world{i}: gold gap {pcost - pre_opt} > {params.gold_gap_slack}")
-        valid, gcost = cache.world_eval(w, instance.gold)
+    def audit_world(label: str, i: int, world: World, truths, baselines) -> Optional[tuple[int, int]]:
+        """Both acceptance stages and the cached-baseline comparison for world
+        i of a split; its scenario (opt, gold cost), or None when the gold is
+        invalid under the scenario semantics."""
+        tag = f"{label}{i}: "
+        try:
+            pre = _pre_mask_world(world, truths[i] if isinstance(truths, list) and i < len(truths) else None)
+        except ValueError as exc:
+            out.append(tag + str(exc))
+        else:
+            pre_opt = opt_cost(Regime.FULL, theory, pre)
+            closed = closed_stage_problems(params, pre.n, pre_opt, *full_cache.world_eval(pre, instance.gold))
+            out.extend(tag + m for m in closed)
+        valid, gcost = cache.world_eval(world, instance.gold)
         if not valid:
-            out.append(f"world{i}: gold invalid under {instance.scenario} semantics")
-            continue
-        gold_total += gcost
-        opt = opt_cost(regime, theory, w, cap=params.enumeration_cap)
-        if i < len(instance.train_opt_costs) and instance.train_opt_costs[i] != opt:
-            out.append(f"world{i}: cached opt {instance.train_opt_costs[i]} != {opt}")
-        if i < len(instance.train_gold_costs) and instance.train_gold_costs[i] != gcost:
-            out.append(f"world{i}: cached gold cost {instance.train_gold_costs[i]} != {gcost}")
+            out.append(f"{tag}gold invalid under {instance.scenario} semantics")
+            return None
+        opt = opt_cost(regime, theory, world, cap=params.enumeration_cap)
+        for name, cached, value in zip(("opt", "gold cost"), baselines, (opt, gcost)):
+            if i < len(cached) and cached[i] != value:
+                out.append(f"{tag}cached {name} {cached[i]} != {value}")
+        return opt, gcost
 
-    pool_seed = instance.provenance.get("pool_seed")
+    baselines = (instance.train_opt_costs, instance.train_gold_costs)
+    truths = prov.get("masked_truth")
+    found = [audit_world("world", i, w, truths, baselines) for i, w in enumerate(instance.train_worlds)]
+    gold_total = sum(f[1] for f in found if f)
+
+    pool_seed = prov.get("pool_seed")
     if pools and pool_seed is not None and not out:
         pool = build_competitor_pool(theory, instance.gold, Random(pool_seed), params.pool_cap)
         surv = _survivors(pool, instance.train_worlds, gold_total, params.margin, cache)
@@ -1156,25 +1165,12 @@ def audit_instance(
         if margin is not None and margin < 0:
             out.append(f"cheater margin {margin} < 0")
 
-    if instance.holdout_available:
-        costs = instance.train_gold_costs
-        gaps_train = [g - o for g, o in zip(costs, instance.train_opt_costs)]
-        for j, hw in enumerate(instance.holdout_worlds):
-            if any(worlds_equivalent(hw, tw) for tw in instance.train_worlds):
-                out.append(f"holdout{j}: equivalent to a training world")
-            valid, gcost = cache.world_eval(hw, instance.gold)
-            if not valid:
-                out.append(f"holdout{j}: gold invalid")
-                continue
-            opt = opt_cost(regime, theory, hw, cap=params.enumeration_cap)
-            if j < len(instance.holdout_opt_costs) and instance.holdout_opt_costs[j] != opt:
-                out.append(f"holdout{j}: cached opt {instance.holdout_opt_costs[j]} != {opt}")
-            if j < len(instance.holdout_gold_costs) and instance.holdout_gold_costs[j] != gcost:
-                out.append(f"holdout{j}: cached gold cost {instance.holdout_gold_costs[j]} != {gcost}")
-            if costs and not (min(costs) <= gcost <= max(costs)):
-                out.append(f"holdout{j}: gold cost {gcost} outside train range")
-            if gaps_train and not (min(gaps_train) <= gcost - opt <= max(gaps_train)):
-                out.append(f"holdout{j}: gap {gcost - opt} outside train range")
+    held = instance.holdout_worlds if instance.holdout_available else ()
+    baselines = (instance.holdout_opt_costs, instance.holdout_gold_costs)
+    for j, hw in enumerate(held):
+        found = audit_world("holdout", j, hw, prov.get("holdout_masked_truth"), baselines)
+        if found:
+            out.extend(f"holdout{j}: {m}" for m in holdout_problems(instance, hw, *found, held[:j]))
     return out
 
 

@@ -12,7 +12,6 @@ ORACLE_MAX_UNKNOWNS unknown atoms raise EnumerationCapError.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 from .formula import Formula, Hypothesis
 from .theory import TheorySpec
@@ -36,10 +35,6 @@ def world_valid(regime, theory: TheorySpec, world: World, alpha: Hypothesis) -> 
     return any(results) if regime == "partial" else all(results)
 
 
-def validity(regime, theory: TheorySpec, worlds: Sequence[World], alpha: Hypothesis) -> bool:
-    return all(world_valid(regime, theory, w, alpha) for w in worlds)
-
-
 def _abnormal_count(alpha: Formula, world: World, completion: Completion) -> int:
     return sum(eval_formula(world, completion, {"x": a}, alpha) for a in world.elements())
 
@@ -55,10 +50,6 @@ def world_cost(regime, theory: TheorySpec, world: World, alpha: Hypothesis) -> i
     if not counts:
         raise ValueError("cost undefined: no completion satisfies the repaired theory")
     return max(counts) if regime == "skeptical" else min(counts)
-
-
-def cost(regime, theory: TheorySpec, worlds: Sequence[World], alpha: Hypothesis) -> int:
-    return sum(world_cost(regime, theory, w, alpha) for w in worlds)
 
 
 def _min_ab_size(theory: TheorySpec, world: World, completions: list[Completion], mode: str) -> int:
@@ -80,7 +71,3 @@ def world_opt_cost(regime, theory: TheorySpec, world: World, variant: str = "poi
     if variant == "uniform":
         return _min_ab_size(theory, world, completions, "all")
     return max(_min_ab_size(theory, world, [c], "any") for c in completions)
-
-
-def opt_cost(regime, theory: TheorySpec, worlds: Sequence[World], variant: str = "pointwise") -> int:
-    return sum(world_opt_cost(regime, theory, w, variant=variant) for w in worlds)

@@ -248,6 +248,35 @@ def test_verify_flags_cached_holdout_baselines(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, edit, expected",
+    [
+        ("provenance", lambda prov: [], "bad instance line: provenance is not a JSON object"),
+        ("masked_truth", lambda truths: truths[:1], "world1: no masked truth"),
+        ("masked_truth", lambda truths: "none", "world0: no masked truth"),
+    ],
+    ids=["provenance-list", "masked-truth-short", "masked-truth-string"],
+)
+def test_verify_malformed_provenance_without_traceback(dataset_path, tmp_path, capsys, key, edit, expected):
+    header, line, *rest = open(dataset_path).read().splitlines()
+    data = json.loads(line)
+    if key == "provenance":
+        data["provenance"] = edit(data["provenance"])
+    else:
+        assert all(w["unknown"]["R"] or w["unknown"]["S"] for w in data["train_worlds"])
+        data["provenance"][key] = edit(data["provenance"][key])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([header, json.dumps(data), *rest]) + "\n")
+    capsys.readouterr()
+    rc = main(["verify", "--dataset", str(bad)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if key == "provenance":
+        assert rc == 2 and f"bad.jsonl:2: {expected}" in captured.err and captured.err.count("\n") == 1
+    else:
+        assert rc == 1 and f"{data['id']}: {expected}" in captured.out
+
+
+@pytest.mark.parametrize(
     "flag, value, minimum", [("--margin", "0", 1), ("--world-budget", "0", 1), ("--count", "-3", 0)]
 )
 def test_generate_rejects_out_of_range_integers(tmp_path, capsys, flag, value, minimum):

@@ -94,6 +94,18 @@ class TestDatasetFile:
         with pytest.raises(DatasetError, match=r"bad\.jsonl:2: bad instance line"):
             load_dataset(str(bad))
 
+    @pytest.mark.parametrize("provenance", [[], None, "seed 6", 5], ids=["list", "null", "string", "int"])
+    def test_provenance_must_be_an_object(self, batch, tmp_path, provenance):
+        _, _, path = batch
+        lines = open(path).read().splitlines()
+        data = json.loads(lines[1])
+        data["provenance"] = provenance
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(data)]) + "\n")
+        for check in (True, False):
+            with pytest.raises(DatasetError, match=r"bad\.jsonl:2: bad instance line: provenance is not a JSON object"):
+                load_dataset(str(bad), check=check)
+
     @pytest.mark.parametrize("header", ["[1]", '{"format":"abduce-data', ""], ids=["list", "truncated", "empty"])
     def test_malformed_header_line(self, batch, tmp_path, header):
         _, _, path = batch

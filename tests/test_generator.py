@@ -300,6 +300,80 @@ class TestHoldoutBookkeeping:
         assert out == ["holdouts: flagged available but there are no holdout worlds"]
 
 
+@pytest.fixture(scope="module")
+def partial_held():
+    """A partial T2 instance whose two train worlds and five holdouts are all masked."""
+    params = GenParams(scenario="partial", theory_id="T2", global_seed=1368756048)
+    rec = generate_batch(params, 1, dataset_path="bench.jsonl")[0]
+    assert rec.holdout_available and len(rec.holdout_worlds) == 5
+    assert all(w.num_unknowns() for w in rec.train_worlds + rec.holdout_worlds)
+    return params, rec
+
+
+def _with_truth(rec, key, edit):
+    truths = [dict(t) for t in rec.provenance[key]]
+    return replace(rec, provenance={**rec.provenance, key: edit(truths)})
+
+
+def _set(truths, k, value):
+    truths[k] = value
+    return truths
+
+
+class TestAuditSharedRules:
+    def test_clean_partial_instance_audits_clean(self, partial_held):
+        params, rec = partial_held
+        assert audit_instance(rec, params) == []
+
+    def test_tampered_holdout_masked_truth_is_flagged(self, partial_held):
+        # claim every unknown atom of holdout 3 true: the rebuilt pre-mask
+        # world no longer passes the closed-world stage
+        params, rec = partial_held
+        hw = rec.holdout_worlds[3]
+        claim = {p: sorted(map(list, hw.unknown_atoms[p])) for p in ("R", "S") if hw.unknown_atoms[p]}
+        bad = _with_truth(rec, "holdout_masked_truth", lambda t: _set(t, 3, claim))
+        assert audit_instance(bad, params, pools=False) == ["holdout3: gold invalid on the pre-mask world"]
+
+    def test_equal_holdout_worlds_are_flagged(self, held_instance):
+        params, rec = held_instance
+        dup = lambda seq: (seq[0], seq[0], *seq[2:])  # noqa: E731
+        bad = replace(
+            rec,
+            holdout_worlds=dup(rec.holdout_worlds),
+            holdout_opt_costs=dup(rec.holdout_opt_costs),
+            holdout_gold_costs=dup(rec.holdout_gold_costs),
+        )
+        assert audit_instance(bad, params, pools=False) == ["holdout1: equivalent to an earlier holdout"]
+
+    @pytest.mark.parametrize("key, label, k", [("masked_truth", "world", 1), ("holdout_masked_truth", "holdout", 4)])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t, k: t[:k], "no masked truth"),
+            (lambda t, k: _set(t, k, {"R": 7}), "bad masked truth: 'int' object is not iterable"),
+            (lambda t, k: _set(t, k, [["R", [0, 1]]]), "bad masked truth: 'list' object has no attribute"),
+            (lambda t, k: _set(t, k, {"R": [[0, 99]]}), "bad masked truth: R: atom (0, 99) is malformed or outside"),
+        ],
+        ids=["short", "atoms-not-list", "entry-not-object", "out-of-domain"],
+    )
+    def test_malformed_masked_truth_is_one_violation(self, partial_held, key, label, k, edit, message):
+        params, rec = partial_held
+        out = audit_instance(_with_truth(rec, key, lambda t: edit(t, k)), params, pools=False)
+        assert len(out) == 1 and out[0].startswith(f"{label}{k}: {message}")
+
+    @pytest.mark.parametrize("known", [True, False], ids=["known-true", "known-false"])
+    def test_masked_truth_of_a_known_atom_is_flagged(self, partial_held, known):
+        params, rec = partial_held
+        w = rec.train_worlds[0]
+        atom = next(
+            (i, j) for i in range(w.n) for j in range(w.n)
+            if (i, j) not in w.unknown_atoms["R"] and ((i, j) in w.true_atoms["R"]) == known
+        )
+        claim = {"R": [list(atom)]}
+        out = audit_instance(_with_truth(rec, "masked_truth", lambda t: _set(t, 0, claim)), params, pools=False)
+        assert out == ["world0: bad masked truth: an atom that is not unknown"]
+
+
 class TestCachesByValue:
     def test_eval_cache_entry_dies_with_its_world(self):
         import gc
