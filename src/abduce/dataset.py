@@ -16,11 +16,17 @@ from typing import Container, Iterable, Optional, Sequence
 from .formula import formula_metrics, parse_formula, render_formula, validate_hypothesis
 from .generator import GenParams, InstanceRecord, audit_instance
 from .scoring import Prediction
-from .theory import builtin_theory
+from .theory import SCENARIOS, builtin_theory
 from .world import World, OBSERVABLE_PREDICATES
 
 FORMAT_NAME = "abduce-dataset"
 FORMAT_VERSION = 1
+
+# The largest domain size a dataset file may declare.  The evaluator holds
+# up to n^4 cells per formula node for one world, so an unchecked n from a
+# file could ask for terabytes; it batches worlds only while a batch fits
+# engine._CELL_BUDGET, one world at this size.  The generator uses n <= 12.
+MAX_DOMAIN_SIZE = 32
 
 
 class DatasetError(ValueError):
@@ -44,7 +50,10 @@ def world_to_json(world: World) -> dict:
 
 
 def world_from_json(data: dict) -> World:
-    return World(int(data["n"]), data.get("true", {}), data.get("unknown", {}))
+    n = int(data["n"])
+    if n > MAX_DOMAIN_SIZE:
+        raise DatasetError(f"domain size {n} exceeds MAX_DOMAIN_SIZE {MAX_DOMAIN_SIZE}")
+    return World(n, data.get("true", {}), data.get("unknown", {}))
 
 
 def instance_to_json(rec: InstanceRecord) -> dict:
@@ -80,6 +89,8 @@ def instance_from_json(data: dict) -> InstanceRecord:
     provenance = data.get("provenance", {})
     if not isinstance(provenance, dict):
         raise DatasetError("provenance is not a JSON object")
+    if data["scenario"] not in SCENARIOS:
+        raise DatasetError(f"unknown scenario {data['scenario']!r}")
     theory = builtin_theory(data["theory"])
     gold = validate_hypothesis(
         parse_formula(data["gold"]["formula"]), theory.allowed, theory.forbidden

@@ -28,6 +28,12 @@ with no pre-pass.  Kleene evaluation is incomplete: (or (R x y) (not (R x
 y))) with R(x, y) unknown stays undecided, is grounded, and the exact table
 sweep decides it.
 
+_plan compiles each formula once into a tree of closures: each atom's and
+equality's axis layout and each quantifier's reduction is fixed when the
+plan is built, so evaluating it runs only numpy operations.  One plan
+serves every domain size, since equality reads the identity relation that
+comes with the world arrays.
+
 Neither the evaluator's nor the grounding's cost is exponential in
 quantifier depth, because the grammar has four variable names.  The
 evaluator gives each name a fixed array axis (x, y, z, w -> 1-4), so no
@@ -36,18 +42,23 @@ quantifier node on the values of its free variables (at most three), so it
 grounds at most n^4 bodies per node.
 
 Axis 0 of every evaluator array is a batch of worlds of one domain size.
-Queries on one World use a batch of 1.  closed_block evaluates a block of B
-fully observed worlds at once, so the generator screens candidate worlds
-(nontriviality floor, exception cap, gold validity and gap) with one pass
-per block instead of one per world; the numbers are those of opt_cost,
-validity and cost on each world.
+validity and world_costs group a query's worlds by domain size, cut each
+group into chunks of at most _CELL_BUDGET // n^4 worlds (at least one), and
+run alpha's plan once per chunk on its stacked world arrays; grounding,
+sweeps and witnesses then work per world on its (must, may) row.
+closed_block evaluates a block of B fully observed worlds at once, so the
+generator screens candidate worlds (nontriviality floor, exception cap, gold
+validity and gap) with one pass per block; the numbers are those of
+opt_cost, validity and cost on each world.  Every cache here is bounded,
+and clear_caches empties them all: the per-world results, the plans (_plan)
+and the stacked world arrays (_stacked_arrays).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -265,18 +276,12 @@ class _WorldGrounding:
     violation: tuple[_GExpr, ...]
 
 
-# The fixed-axis evaluator: an Ab-free formula evaluates to a (must, may)
-# pair of boolean arrays.  Axis 0 is the batch of worlds (size 1 for one
-# World, or where the value is the same for every world of the batch), and
-# each variable name has a fixed axis (x, y, z, w -> 1-4; size 1 where the
-# value does not depend on it); a quantifier reduces its own axis.  No
-# intermediate array exceeds B x n^4 cells.  must holds where the formula is
-# true under every completion, may where it is true under some: Kleene's
-# strong three-valued logic over the unknown atoms.  Where no unknown atom
-# matters one array serves as both halves, so on a fully observed world each
-# node costs one numpy operation.
-
 _AXIS = {"x": 1, "y": 2, "z": 3, "w": 4}
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _atom_array(atoms, shape) -> np.ndarray:
@@ -284,14 +289,16 @@ def _atom_array(atoms, shape) -> np.ndarray:
     arr = np.zeros(shape, dtype=bool)
     for a in atoms:
         arr[a] = True
-    return arr[None]
+    return _frozen(arr)[None]
 
 
 @lru_cache(maxsize=4096)
 def _world_arrays(world: World) -> dict:
     """Per predicate, (must, may): its known-true atoms, and those plus its
-    unknown ones (one shared array when it has no unknown atoms)."""
-    out = {}
+    unknown ones (one shared array when it has no unknown atoms); and the
+    identity relation under "=", which equality reads."""
+    eye = _frozen(np.eye(world.n, dtype=bool)[None])
+    out = {"=": (eye, eye)}
     for p in ("P", "Q", "R", "S"):
         shape = (world.n,) * PREDICATES[p].arity
         true, unknown = world.true_atoms[p], world.unknown_atoms[p]
@@ -300,67 +307,85 @@ def _world_arrays(world: World) -> dict:
     return out
 
 
-def _on_axes(values: np.ndarray, variables) -> np.ndarray:
-    """A batch of relations over the given variables (batch on axis 0),
-    laid out on their fixed axes."""
+@lru_cache(maxsize=256)
+def _stacked_arrays(worlds: tuple[World, ...]) -> dict:
+    """_world_arrays of worlds of one domain size, stacked on axis 0."""
+    out = {"=": _world_arrays(worlds[0])["="]}
+    for p in ("P", "Q", "R", "S"):
+        lo, hi = zip(*(_world_arrays(w)[p] for w in worlds))
+        must = _frozen(np.concatenate(lo))
+        out[p] = (must, must if all(a is b for a, b in zip(lo, hi)) else _frozen(np.concatenate(hi)))
+    return out
+
+
+def _layout(variables):
+    """The function laying a batch of relations over the given variables
+    (batch on axis 0) out on their fixed axes, as a view."""
     axes = [_AXIS[v.name] for v in variables]
-    if len(axes) == 2:
-        i, j = axes
-        if i == j:
-            values, axes = values.diagonal(axis1=1, axis2=2), [i]
-        elif i > j:
-            values, axes = values.transpose(0, 2, 1), [j, i]
-    shape = [values.shape[0], 1, 1, 1, 1]
-    for a in axes:
-        shape[a] = values.shape[1]
-    return values.reshape(shape)
+    index = (slice(None),) + tuple(slice(None) if a in axes else None for a in range(1, 5))
+    if len(axes) == 1 or axes[0] < axes[1]:
+        return lambda values: values[index]
+    if axes[0] > axes[1]:
+        return lambda values: values.transpose(0, 2, 1)[index]
+    return lambda values: values.diagonal(axis1=1, axis2=2)[index]
 
 
-def _eval(f: Formula, n: int, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(must, may) arrays of an Ab-free formula; may is must where no
-    unknown atom below f matters."""
-    if isinstance(f, Atom):
-        must, may = arrays[f.pred]
-        out = _on_axes(must, f.args)
-        return out, (out if may is must else _on_axes(may, f.args))
-    if isinstance(f, Equal):
-        out = _on_axes(np.eye(n, dtype=bool)[None], (f.left, f.right))
-        return out, out
+def _both(fn, must: np.ndarray, may: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    out = fn(must)
+    return out, (out if may is must else fn(may))
+
+
+@lru_cache(maxsize=4096)
+def _plan(f: Formula):
+    """An Ab-free formula compiled once, for every domain size, into a function
+    from _world_arrays (or a stack of them) to its (must, may) arrays (may is
+    must where no unknown atom below f matters); each atom's and equality's
+    layout and each quantifier's reduction is fixed here."""
+    if isinstance(f, (Atom, Equal)):
+        pred, lay = (f.pred, _layout(f.args)) if isinstance(f, Atom) else ("=", _layout((f.left, f.right)))
+        return lambda arrays: _both(lay, *arrays[pred])
     if isinstance(f, Not):
-        must, may = _eval(f.child, n, arrays)
-        out = ~may
-        return out, (out if may is must else ~must)
+        child = _plan(f.child)
+        return lambda arrays: _both(np.logical_not, *child(arrays)[::-1])
+    if isinstance(f, Implies):
+        return _plan(Or((Not(f.lhs), f.rhs)))
     if isinstance(f, (And, Or)):
         op = np.logical_and if isinstance(f, And) else np.logical_or
-        pairs = [_eval(c, n, arrays) for c in f.children]
-        out = reduce(op, [must for must, _ in pairs])
-        if all(must is may for must, may in pairs):
-            return out, out
-        return out, reduce(op, [may for _, may in pairs])
-    if isinstance(f, Implies):
-        lhs_must, lhs_may = _eval(f.lhs, n, arrays)
-        rhs_must, rhs_may = _eval(f.rhs, n, arrays)
-        out = ~lhs_may | rhs_must
-        return out, (out if lhs_may is lhs_must and rhs_may is rhs_must else ~lhs_must | rhs_may)
+        children = [_plan(c) for c in f.children]
+
+        def junction(arrays):
+            pairs = [c(arrays) for c in children]
+            out = reduce(op, [must for must, _ in pairs])
+            return out, (out if all(must is may for must, may in pairs) else reduce(op, [may for _, may in pairs]))
+
+        return junction
     if isinstance(f, (Forall, Exists)):
-        reduce_axis = np.all if isinstance(f, Forall) else np.any
-        axis = _AXIS[f.var.name]
-        must, may = _eval(f.body, n, arrays)
-        out = reduce_axis(must, axis=axis, keepdims=True)
-        return out, (out if may is must else reduce_axis(may, axis=axis, keepdims=True))
+        fold = partial((np.logical_and if isinstance(f, Forall) else np.logical_or).reduce,
+                       axis=_AXIS[f.var.name], keepdims=True)
+        body = _plan(f.body)
+        return lambda arrays: _both(fold, *body(arrays))
     raise TypeError(f"not an Ab-free Formula: {f!r}")
 
 
 def _per_element(values: np.ndarray, batch: int, n: int) -> np.ndarray:
     """An evaluated formula in x as a (batch, n) array."""
-    return np.broadcast_to(values.reshape(values.shape[:2]), (batch, n))
+    out = values.reshape(values.shape[:2])
+    return out if out.shape == (batch, n) else np.broadcast_to(out, (batch, n))
+
+
+def _extensions(worlds: Sequence[World], formula: Formula) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per world (all of one domain size), (must, may) boolean vectors over
+    the domain for a formula in x, from one plan pass over the whole batch."""
+    n, batch = worlds[0].n, len(worlds)
+    arrays = _world_arrays(worlds[0]) if batch == 1 else _stacked_arrays(tuple(worlds))
+    must, may = _plan(formula)(arrays)
+    lo = _per_element(must, batch, n)
+    return [(row, row) for row in lo] if may is must else list(zip(lo, _per_element(may, batch, n)))
 
 
 def _extension(world: World, formula: Formula) -> tuple[np.ndarray, np.ndarray]:
     """(must, may) boolean vectors over the domain for a formula in x."""
-    must, may = _eval(formula, world.n, _world_arrays(world))
-    out = _per_element(must, 1, world.n)[0]
-    return out, (out if may is must else _per_element(may, 1, world.n)[0])
+    return _extensions((world,), formula)[0]
 
 
 @lru_cache(maxsize=16384)
@@ -368,18 +393,14 @@ def closed_world_extension(world: World, formula: Formula) -> np.ndarray:
     """Boolean vector over the domain: which elements satisfy the Ab-free
     formula (free variable x) under every completion; on a fully observed
     world, under closed-world semantics."""
-    arr = _extension(world, formula)[0].copy()
-    arr.setflags(write=False)
-    return arr
+    return _frozen(_extension(world, formula)[0].copy())
 
 
 @lru_cache(maxsize=4096)
 def _closed_violations(world: World, theory: TheorySpec) -> np.ndarray:
     ante = closed_world_extension(world, theory.antecedent)
     cons = closed_world_extension(world, theory.consequent)
-    arr = ante & ~cons
-    arr.setflags(write=False)
-    return arr
+    return _frozen(ante & ~cons)
 
 
 def closed_block(
@@ -389,11 +410,12 @@ def closed_block(
     size n, each predicate given as a (B, n) or (B, n, n) bool array of its
     true atoms: per world, opt_cost, whether alpha (an Ab-free formula in x)
     is valid, and alpha's cost.  One evaluator pass serves the whole block."""
-    arrays = {p: (a, a) for p, a in relations.items()}
+    eye = np.eye(n, dtype=bool)[None]
+    arrays = {"=": (eye, eye), **{p: (a, a) for p, a in relations.items()}}
     batch = len(relations["P"])
 
     def extension(f):
-        return _per_element(_eval(f, n, arrays)[0], batch, n)
+        return _per_element(_plan(f)(arrays)[0], batch, n)
 
     violations = extension(theory.antecedent) & ~extension(theory.consequent)
     marked = extension(alpha)
@@ -405,11 +427,11 @@ def _unknown_index(world: World) -> dict:
     return {atom: i for i, atom in enumerate(world.unknown_order())}
 
 
-def _groundings(world: World, formula: Formula) -> tuple[_GExpr, ...]:
-    """The grounded formula per element.  The evaluator decides every
-    element whose known atoms fix its value, which is exactly where _ground
-    would fold to that constant; only the rest are grounded."""
-    must, may = _extension(world, formula)
+def _groundings(world: World, formula: Formula, must: np.ndarray, may: np.ndarray) -> tuple[_GExpr, ...]:
+    """The grounded formula per element, given its extension (must, may).
+    The evaluator decides every element whose known atoms fix its value,
+    which is exactly where _ground would fold to that constant; only the
+    rest are grounded."""
     if may is must:
         return tuple(_GTRUE if v else _GFALSE for v in must.tolist())
     index, memo = _unknown_index(world), {}
@@ -421,17 +443,37 @@ def _groundings(world: World, formula: Formula) -> tuple[_GExpr, ...]:
 
 @lru_cache(maxsize=2048)
 def _world_grounding(world: World, theory: TheorySpec) -> _WorldGrounding:
-    ante = _groundings(world, theory.antecedent)
-    cons = _groundings(world, theory.consequent)
+    ante = _groundings(world, theory.antecedent, *_extension(world, theory.antecedent))
+    cons = _groundings(world, theory.consequent, *_extension(world, theory.consequent))
     return _WorldGrounding(ante, cons, tuple(_g_junction([ga, _g_not(gc)], False) for ga, gc in zip(ante, cons)))
 
 
 @lru_cache(maxsize=16384)
 def _alpha_grounding(world: World, alpha_formula: Formula) -> tuple[_GExpr, ...]:
-    return _groundings(world, alpha_formula)
+    """Alpha's grounding on one world, as _per_world gives it in a query."""
+    return _groundings(world, alpha_formula, *_extension(world, alpha_formula))
+
+
+_CELL_BUDGET = 32**4  # cells per node of one plan pass: one world of domain size 32, four axes
+
+
+def _per_world(worlds: Sequence[World], formula: Formula, from_rows) -> list:
+    """Per world, from_rows(world, formula, must, may) on the formula's
+    extension, with one plan pass per domain size and _CELL_BUDGET chunk."""
+    by_size, out = {}, [None] * len(worlds)
+    for i, world in enumerate(worlds):
+        by_size.setdefault(world.n, []).append(i)
+    for n, idx in by_size.items():
+        step = max(1, _CELL_BUDGET // n**4)
+        for chunk in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
+            for i, (must, may) in zip(chunk, _extensions([worlds[i] for i in chunk], formula)):
+                out[i] = from_rows(worlds[i], formula, must, may)
+    return out
 
 
 def clear_caches() -> None:
+    _plan.cache_clear()
+    _stacked_arrays.cache_clear()
     _world_grounding.cache_clear()
     _alpha_grounding.cache_clear()
     _bit_column.cache_clear()
@@ -550,15 +592,15 @@ def _completion(world: World, assignment: dict[int, bool]) -> Completion:
     return Completion({atom: assignment.get(i, False) for i, atom in enumerate(world.unknown_order())})
 
 
-def _check_cap(world: World, cap: int) -> None:
-    k = world.num_unknowns()
-    if k > cap:
-        raise EnumerationCapError(f"{k} unknown atoms exceed the enumeration cap {cap}")
+def _check_cap(worlds: Sequence[World], cap: int) -> None:
+    for k in (world.num_unknowns() for world in worlds):
+        if k > cap:
+            raise EnumerationCapError(f"{k} unknown atoms exceed the enumeration cap {cap}")
 
 
-def _axiom_exprs(world: World, theory: TheorySpec, alpha: Hypothesis) -> list[_GExpr]:
+def _axiom_exprs(world: World, theory: TheorySpec, al: Sequence[_GExpr]) -> list[_GExpr]:
+    """The grounded axioms, given alpha's grounding al."""
     g = _world_grounding(world, theory)
-    al = _alpha_grounding(world, alpha.formula)
     return [_g_junction([_g_not(g.antecedent[a]), al[a], g.consequent[a]], True) for a in world.elements()]
 
 
@@ -573,14 +615,13 @@ def check_scope(theory: TheorySpec, alpha: Hypothesis) -> None:
 # Validity and costs
 
 
-def _full_cost(world: World, theory: TheorySpec, alpha: Hypothesis) -> Optional[int]:
-    """Direct count of a valid hypothesis on a fully observed world; None
-    where some violated default is not marked abnormal."""
-    if world.num_unknowns():
+def _full_costs(theory: TheorySpec, worlds: Sequence[World], alpha: Hypothesis) -> list[Optional[int]]:
+    """Per fully observed world, the direct count of alpha's abnormal
+    elements, or None where some violated default is not marked abnormal."""
+    if any(world.num_unknowns() for world in worlds):
         raise ValueError("full regime requires a fully observed world")
-    violations = _closed_violations(world, theory)
-    marked = closed_world_extension(world, alpha.formula)
-    return int(marked.sum()) if (~violations | marked).all() else None
+    marks = _per_world(worlds, alpha.formula, lambda world, f, must, may: must)
+    return [int(m.sum()) if (~_closed_violations(w, theory) | m).all() else None for w, m in zip(worlds, marks)]
 
 
 def _counterexample(axioms: Sequence[_GExpr]) -> Optional[dict[int, bool]]:
@@ -611,22 +652,23 @@ def validity(
     """
     regime = Regime.parse(regime)
     check_scope(theory, alpha)
+    if regime is Regime.FULL:
+        per_world = tuple(c is not None for c in _full_costs(theory, worlds, alpha))
+        return EngineVerdict(all(per_world), per_world)
     per_world = []
     witness = None
     witness_world = None
     first_partial_witness = None
-    for wi, world in enumerate(worlds):
-        if regime is Regime.FULL:
-            valid_w = _full_cost(world, theory, alpha) is not None
-        elif regime is Regime.PARTIAL:
-            _check_cap(world, cap)
-            best = _sweep(_axiom_exprs(world, theory, alpha), [], np.argmin)
+    _check_cap(worlds, cap)
+    for wi, (world, al) in enumerate(zip(worlds, _per_world(worlds, alpha.formula, _groundings))):
+        axioms = _axiom_exprs(world, theory, al)
+        if regime is Regime.PARTIAL:
+            best = _sweep(axioms, [], np.argmin)
             valid_w = best is not None
             if valid_w and wi == 0:
                 first_partial_witness = _completion(world, best[1])
         else:
-            _check_cap(world, cap)
-            miss = _counterexample(_axiom_exprs(world, theory, alpha))
+            miss = _counterexample(axioms)
             valid_w = miss is None
             if not valid_w and witness is None:
                 witness, witness_world = _completion(world, miss), wi
@@ -654,14 +696,12 @@ def world_costs(
     """
     regime = Regime.parse(regime)
     check_scope(theory, alpha)
+    if regime is Regime.FULL:
+        return tuple(_full_costs(theory, worlds, alpha))
     out = []
-    for world in worlds:
-        if regime is Regime.FULL:
-            out.append(_full_cost(world, theory, alpha))
-            continue
-        _check_cap(world, cap)
-        axioms = _axiom_exprs(world, theory, alpha)
-        alpha_exprs = _alpha_grounding(world, alpha.formula)
+    _check_cap(worlds, cap)
+    for world, alpha_exprs in zip(worlds, _per_world(worlds, alpha.formula, _groundings)):
+        axioms = _axiom_exprs(world, theory, alpha_exprs)
         if regime is Regime.PARTIAL:
             best = _sweep(axioms, alpha_exprs, np.argmin)
             out.append(None if best is None else best[0])
@@ -711,7 +751,7 @@ def opt_cost(
         if world.num_unknowns():
             raise ValueError("full regime requires a fully observed world")
         return int(_closed_violations(world, theory).sum())
-    _check_cap(world, cap)
+    _check_cap([world], cap)
     g = _world_grounding(world, theory)
     if regime is Regime.SKEPTICAL and variant == "uniform":
         # Elements with some violating completion must be abnormal under a

@@ -156,6 +156,11 @@ class InstanceRecord:
     def regime(self) -> Regime:
         return Regime.parse(self.scenario)
 
+    @functools.cached_property
+    def gold_ast(self) -> int:
+        """The gold's AST size, computed once per instance."""
+        return formula_metrics(self.gold.formula).ast_size
+
 
 @dataclass(frozen=True)
 class CompetitorPool:

@@ -132,7 +132,6 @@ def score_prediction(
     regime = inst.regime
     n_train = len(inst.train_worlds)
     gold_train_total = sum(inst.train_gold_costs)
-    gold_ast = formula_metrics(inst.gold.formula).ast_size
 
     base = dict(
         instance_id=inst.id,
@@ -140,7 +139,7 @@ def score_prediction(
         scenario=inst.scenario,
         theory_id=inst.theory_id,
         gold_cost=gold_train_total,
-        gold_ast=gold_ast,
+        gold_ast=inst.gold_ast,
         holdout_available=inst.holdout_available,
     )
 

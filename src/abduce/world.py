@@ -125,7 +125,7 @@ class World:
     index in range(n).  Any value equal to one is accepted (numpy integers,
     True, 1.0, list pairs) and stored as the canonical Python object, which
     every world of the same domain size shares; anything else raises
-    ValueError.
+    ValueError, and so does a predicate key other than P, Q, R and S.
     """
 
     n: int
@@ -138,6 +138,9 @@ class World:
             raise ValueError("domain size must be >= 1")
         true = {p: _as_atom_set(p, n, self.true_atoms.get(p, ())) for p in OBSERVABLE_PREDICATES}
         unk = {p: _as_atom_set(p, n, self.unknown_atoms.get(p, ())) for p in OBSERVABLE_PREDICATES}
+        stray = {*self.true_atoms, *self.unknown_atoms}.difference(OBSERVABLE_PREDICATES)
+        if stray:
+            raise ValueError(f"unknown predicate key(s): {', '.join(sorted(map(repr, stray)))}")
         for p in OBSERVABLE_PREDICATES:
             if not true[p].isdisjoint(unk[p]):
                 raise ValueError(f"{p}: true and unknown atom sets overlap")

@@ -197,6 +197,29 @@ def _generate(out, *flags):
                  "--seed", "1774141687", "--out", str(out), *flags])
 
 
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda data: data["train_worlds"][0].update(n=1000000), "domain size 1000000 exceeds MAX_DOMAIN_SIZE 32"),
+        (lambda data: data.update(scenario="bogus"), "unknown scenario 'bogus'"),
+    ],
+    ids=["huge-domain", "unknown-scenario"],
+)
+def test_verify_rejects_bad_instance_at_load(tmp_path, capsys, edit, expected):
+    # each once ended in a traceback: a 931 GiB array, or a GenParams error
+    path = tmp_path / "ds.jsonl"
+    assert _generate(path) == 0
+    header, line = path.read_text().splitlines()
+    data = json.loads(line)
+    edit(data)
+    path.write_text(header + "\n" + json.dumps(data) + "\n")
+    capsys.readouterr()
+    rc = main(["verify", "--dataset", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"ds.jsonl:2: bad instance line: {expected}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_generate_zero_holdouts_scores(tmp_path, capsys):
     path = tmp_path / "ds.jsonl"
     assert _generate(path, "--holdouts", "0") == 0

@@ -13,6 +13,7 @@ from abduce.engine import (
     opt_cost,
     opt_costs,
     validity,
+    world_costs,
 )
 from abduce.formula import parse_hypothesis, validate_hypothesis
 from abduce.theory import THEORY_IDS, builtin_theory, custom_theory
@@ -90,6 +91,18 @@ class TestContracts:
         w = World(6, {}, {"R": {(i, j) for i in range(5) for j in range(5)}})
         with pytest.raises(EnumerationCapError):
             validity(Regime.PARTIAL, PQ, [w], ALPHA_P, cap=24)
+
+    @pytest.mark.parametrize("query", [validity, world_costs])
+    def test_cap_checked_before_alpha_is_evaluated(self, query, monkeypatch):
+        from abduce import engine
+
+        def unexpected(worlds, formula):
+            raise AssertionError("alpha evaluated before the cap check")
+
+        monkeypatch.setattr(engine, "_extensions", unexpected)
+        w = World(6, {}, {"R": {(i, j) for i in range(5) for j in range(5)}})
+        with pytest.raises(EnumerationCapError, match="25 unknown atoms"):
+            query(Regime.PARTIAL, PQ, [World(2, {"P": {0}}), w], ALPHA_P, cap=24)
 
     def test_gaps_regime_mismatch(self):
         c = cost(Regime.FULL, PQ, [FULL_WORLD], ALPHA_PNQ)

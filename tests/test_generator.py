@@ -361,6 +361,14 @@ class TestAuditSharedRules:
         out = audit_instance(_with_truth(rec, key, lambda t: edit(t, k)), params, pools=False)
         assert len(out) == 1 and out[0].startswith(f"{label}{k}: {message}")
 
+    def test_misspelt_masked_truth_key_is_one_violation(self, partial_held):
+        # an atom filed under an unknown predicate key is not dropped
+        params, rec = partial_held
+        w = rec.train_worlds[0]
+        claim = {"Rx": [list(next(iter(w.unknown_atoms["R"] or w.unknown_atoms["S"])))]}
+        out = audit_instance(_with_truth(rec, "masked_truth", lambda t: _set(t, 0, claim)), params, pools=False)
+        assert out == ["world0: bad masked truth: unknown predicate key(s): 'Rx'"]
+
     @pytest.mark.parametrize("known", [True, False], ids=["known-true", "known-false"])
     def test_masked_truth_of_a_known_atom_is_flagged(self, partial_held, known):
         params, rec = partial_held

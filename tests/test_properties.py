@@ -4,7 +4,9 @@ Hypothesis draws small worlds (n <= 4, at most 6 unknown atoms), a theory
 and an in-scope hypothesis, so a disagreement shrinks to a minimal world
 and formula.  The fixed-seed sweep of acceptance Criterion 1 stays as it is;
 this test adds shrinking and a different distribution.  A second test pins
-the engine's three-valued pre-pass to the grounding it stands in for.
+the engine's three-valued pre-pass to the grounding it stands in for, and a
+third holds queries over several worlds, which share one evaluator pass per
+domain size, to the one-world queries and the oracle.
 """
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from abduce import engine, oracle
-from abduce.engine import cost, opt_cost, validity
+from abduce.engine import cost, opt_cost, validity, world_costs
 from abduce.formula import (
     And,
     Atom,
@@ -25,6 +27,7 @@ from abduce.formula import (
     free_variables,
     validate_hypothesis,
 )
+from abduce.dataset import MAX_DOMAIN_SIZE
 from abduce.theory import THEORY_IDS, builtin_theory
 from abduce.world import World, enumerate_completions, eval_formula
 
@@ -122,3 +125,77 @@ def test_prepass_decides_what_grounding_folds(data):
                 assert all(eval_formula(world, c, {"x": a}, f) == must[a] for c in completions)
             else:
                 assert not must[a] and may[a]
+
+
+@pytest.mark.parametrize("regime", ["full", "partial", "skeptical"])
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_batched_queries_match_per_world_queries(regime, data):
+    """world_costs and validity over several worlds, which evaluate alpha in
+    one pass per domain size, equal the one-world calls and the oracle."""
+    spec = builtin_theory(data.draw(st.sampled_from(THEORY_IDS), label="theory"))
+    drawn = data.draw(
+        st.lists(worlds(max_unknowns=0 if regime == "full" else 4), min_size=2, max_size=5), label="worlds"
+    )
+    formula = data.draw(formulas(sorted(spec.allowed)), label="alpha")
+    assume(free_variables(formula) == {"x"})
+    alpha = validate_hypothesis(formula, spec.allowed, spec.forbidden)
+
+    batched = world_costs(regime, spec, drawn, alpha)
+    verdict = validity(regime, spec, drawn, alpha)
+    engine.clear_caches()
+    assert batched == tuple(world_costs(regime, spec, [w], alpha)[0] for w in drawn)
+    assert batched == tuple(
+        oracle.world_cost(regime, spec, w, alpha) if oracle.world_valid(regime, spec, w, alpha) else None
+        for w in drawn
+    )
+    assert verdict.per_world_valid == tuple(validity(regime, spec, [w], alpha).valid for w in drawn)
+    assert verdict.per_world_valid == tuple(c is not None for c in batched)
+    if verdict.witness is not None:
+        assert verdict.witness == validity(regime, spec, [drawn[verdict.witness_world]], alpha).witness
+
+
+def test_clear_caches_empties_plan_and_stacked_worlds():
+    spec = builtin_theory("T1")
+    alpha = validate_hypothesis(Forall(Variable("y"), Or((Atom("R", (Variable("x"), Variable("y"))),
+                                                          Equal(Variable("x"), Variable("y"))))),
+                                spec.allowed, spec.forbidden)
+    pair = [World(3, {"P": {0, 1}, "R": {(0, 1)}}, {"R": {(1, 2)}}), World(3, {"P": {2}}, {"R": {(2, 0)}})]
+    world_costs("partial", spec, pair, alpha)
+    assert engine._plan.cache_info().currsize and engine._stacked_arrays.cache_info().currsize
+    engine.clear_caches()
+    assert engine._plan.cache_info().currsize == engine._stacked_arrays.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("regime", ["full", "partial"])
+def test_batches_stay_within_the_cell_budget(regime, monkeypatch):
+    """A query over many large worlds evaluates them in chunks of at most
+    _CELL_BUDGET cells per node (one world at MAX_DOMAIN_SIZE), not in one
+    batch of every world of a size, and gets the one-world answers."""
+    assert engine._CELL_BUDGET == MAX_DOMAIN_SIZE**4
+    batches = []
+    extensions = engine._extensions
+
+    def spy(worlds, formula):
+        if formula == alpha.formula:
+            batches.append((worlds[0].n, len(worlds)))
+        return extensions(worlds, formula)
+
+    monkeypatch.setattr(engine, "_extensions", spy)
+    spec = builtin_theory("T1")
+    alpha = validate_hypothesis(Exists(Variable("y"), And((Atom("R", (Variable("y"), Variable("x"))),
+                                                           Atom("P", (Variable("y"),))))),
+                                spec.allowed, spec.forbidden)
+    unknown = {} if regime == "full" else {"R": {(1, 2)}}
+    drawn = [World(n, {"P": {i % n, 2}, "Q": {0}, "R": {(0, 2), (i % n, 0)}}, unknown)
+             for n, count in ((MAX_DOMAIN_SIZE, 3), (16, 20), (3, 2)) for i in range(count)]
+    batched = world_costs(regime, spec, drawn, alpha)
+    assert sorted(batches) == [(3, 2), (16, 4), (16, 16), (MAX_DOMAIN_SIZE, 1), (MAX_DOMAIN_SIZE, 1),
+                               (MAX_DOMAIN_SIZE, 1)]
+    assert batched == tuple(world_costs(regime, spec, [w], alpha)[0] for w in drawn)

@@ -35,6 +35,13 @@ class TestWorld:
         with pytest.raises(ValueError, match="outside"):
             World(3, {"P": {3}})
 
+    def test_unknown_predicate_key_rejected(self):
+        # such atoms were once dropped, leaving a world with only P = {1}
+        with pytest.raises(ValueError, match=r"^unknown predicate key\(s\): 'Rx', 'Sq'$"):
+            World(3, {"P": [1], "Rx": [[0, 1]]}, {"Sq": [[1, 1]]})
+        with pytest.raises(ValueError, match="'Ab'"):
+            World(3, {"Ab": [0]})
+
     @pytest.mark.parametrize(
         "atoms",
         [{"R": {5}}, {"P": {(1, 2)}}, {"P": {1.5}}, {"P": {"1"}}, {"P": {-1}},
@@ -270,6 +277,16 @@ class TestGeneratedWorlds:
     def test_generate_batch_leaves_engine_caches_empty(self, saved):
         _, caches = saved
         assert caches == dict.fromkeys(caches, 0)
+
+    def test_misspelt_predicate_in_dataset_is_a_dataset_error(self, saved, tmp_path):
+        path, _ = saved
+        header, line = path.read_text().splitlines()
+        data = json.loads(line)
+        data["train_worlds"][0]["unknown"]["Sq"] = [[1, 1]]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(header + "\n" + json.dumps(data) + "\n")
+        with pytest.raises(DatasetError, match="bad instance line: unknown predicate key\\(s\\): 'Sq'"):
+            load_dataset(str(bad))
 
     def test_bad_atom_in_dataset_is_a_dataset_error(self, saved, tmp_path):
         path, _ = saved
