@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
 from . import oracle
 from .dataset import (
@@ -28,8 +29,9 @@ from .scoring import aggregate_report, render_report, render_table, score_batch
 from .theory import THEORY_IDS
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer no smaller than `minimum`."""
+def _int_in(minimum: int, maximum: Optional[int] = None):
+    """An argparse type: an integer no smaller than `minimum` and, if
+    `maximum` is given, no larger than it."""
 
     def parse(text: str) -> int:
         try:
@@ -38,13 +40,17 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
 
 
-_non_negative = _int_at_least(0)
-_positive = _int_at_least(1)
+_non_negative = _int_in(0)
+_positive = _int_in(1)
+# Worlds the oracle may check: it enumerates at most ORACLE_MAX_UNKNOWNS.
+_oracle_unknowns = _int_in(0, oracle.ORACLE_MAX_UNKNOWNS)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -66,7 +72,7 @@ def _parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="re-run the full filter audit on a dataset")
     ver.add_argument("--dataset", required=True)
     ver.add_argument("--oracle", action="store_true", help="also diff gold metrics against the naive oracle")
-    ver.add_argument("--oracle-max-unknowns", type=int, default=10)
+    ver.add_argument("--oracle-max-unknowns", type=_oracle_unknowns, default=10)
 
     opt = sub.add_parser("optcost", help="print the per-world lower-bound baseline table")
     opt.add_argument("--dataset", required=True)
@@ -78,7 +84,7 @@ def _parser() -> argparse.ArgumentParser:
     sco.add_argument("--manifest", required=True, help="JSONL: {model_id, instance_id} per line")
     sco.add_argument("--out", required=True, help="score records JSONL")
     sco.add_argument("--oracle", action="store_true")
-    sco.add_argument("--oracle-max-unknowns", type=int, default=10)
+    sco.add_argument("--oracle-max-unknowns", type=_oracle_unknowns, default=10)
 
     rep = sub.add_parser("report", help="aggregate score records into the metric tables")
     rep.add_argument("--scores", required=True)

@@ -50,7 +50,9 @@ def world_to_json(world: World) -> dict:
 
 
 def world_from_json(data: dict) -> World:
-    n = int(data["n"])
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DatasetError(f"domain size must be a JSON integer, got {n!r}")
     if n > MAX_DOMAIN_SIZE:
         raise DatasetError(f"domain size {n} exceeds MAX_DOMAIN_SIZE {MAX_DOMAIN_SIZE}")
     return World(n, data.get("true", {}), data.get("unknown", {}))
@@ -86,6 +88,8 @@ def instance_to_json(rec: InstanceRecord) -> dict:
 
 
 def instance_from_json(data: dict) -> InstanceRecord:
+    if not isinstance(data["id"], str):
+        raise DatasetError(f"instance id must be a string, got {data['id']!r}")
     provenance = data.get("provenance", {})
     if not isinstance(provenance, dict):
         raise DatasetError("provenance is not a JSON object")

@@ -1,19 +1,26 @@
 """Exact validity, exception costs, free-Ab lower bounds, and gaps.
 
 The default rule forall x (A(x) and not Ab(x) -> C(x)) grounds, per domain
-element, to (not A_a) or alpha_a or C_a, where only subterms touching
-unknown atoms survive constant folding.  The residual expressions partition
-the unknown atoms into independent components, and every query below is an
-exact sweep over component truth tables:
+element a, to the axiom (or (not V_a) alpha_a), V_a being the violation (and
+A_a (not C_a)), where only subterms touching unknown atoms survive constant
+folding.  In the full regime everything is a constant and is counted
+directly.  With unknowns, every question is one _sweep, the only routine
+that builds truth tables: it splits its expressions into components of
+shared unknown atoms and picks, per component, the first feasible row of
+best count (pick np.argmin or np.argmax).
 
-  full       A, C, alpha are constants; direct counting.
-  partial    some completion satisfies all grounded axioms; best-case cost.
-  skeptical  every completion satisfies them; worst-case cost.
+  question                   _sweep(constraints, costs, pick)
+  partial validity, witness  (axioms, [], argmin): not None
+  partial cost               (axioms, alpha_a, argmin)
+  skeptical counterexample   ([], [not axiom_a], argmax), per axiom: count 1
+  skeptical cost             ([], alpha_a, argmax), with no counterexample
+  pointwise bound            ([], V_a, argmin partial / argmax skeptical)
+  uniform bound              sum over a of ([], [V_a], argmax)
 
-The free-Ab lower bound exploits that Ab(a) occurs in exactly one grounded
-axiom, positively: the cheapest abnormal set under any fixed completion is
-exactly the set of elements whose default is violated.  The naive oracle
-(oracle module) rechecks all of this by literal enumeration.
+The bounds free Ab: Ab(a) occurs in exactly one grounded axiom, positively,
+so the cheapest abnormal set under a fixed completion is exactly the set of
+elements whose default is violated.  The naive oracle (oracle module)
+rechecks all of this by literal enumeration.
 
 One array evaluator serves every regime.  It evaluates A, C and alpha for
 all elements at once as a (must, may) pair in Kleene's strong three-valued
@@ -171,19 +178,14 @@ class _GNot(_GExpr):
         self.support = child.support
 
 
-class _GAnd(_GExpr):
-    __slots__ = ("children",)
+class _GJunction(_GExpr):
+    """And (absorb False) or Or (absorb True) of two or more children."""
 
-    def __init__(self, children: tuple[_GExpr, ...]):
+    __slots__ = ("children", "absorb")
+
+    def __init__(self, children: tuple[_GExpr, ...], absorb: bool):
         self.children = children
-        self.support = frozenset().union(*(c.support for c in children))
-
-
-class _GOr(_GExpr):
-    __slots__ = ("children",)
-
-    def __init__(self, children: tuple[_GExpr, ...]):
-        self.children = children
+        self.absorb = absorb
         self.support = frozenset().union(*(c.support for c in children))
 
 
@@ -205,7 +207,7 @@ def _g_junction(children, absorb: bool) -> _GExpr:
         else:
             kept.append(c)
     if len(kept) > 1:
-        return (_GOr if absorb else _GAnd)(tuple(kept))
+        return _GJunction(tuple(kept), absorb)
     return kept[0] if kept else (_GFALSE if absorb else _GTRUE)
 
 
@@ -267,13 +269,6 @@ def _ground_quantifier(f: Formula, world: World, env: dict, unk_index: dict, mem
         else:
             kept.append(g)
     return _g_junction(kept, absorb)
-
-
-@dataclass(frozen=True, eq=False)
-class _WorldGrounding:
-    antecedent: tuple[_GExpr, ...]
-    consequent: tuple[_GExpr, ...]
-    violation: tuple[_GExpr, ...]
 
 
 _AXIS = {"x": 1, "y": 2, "z": 3, "w": 4}
@@ -442,10 +437,11 @@ def _groundings(world: World, formula: Formula, must: np.ndarray, may: np.ndarra
 
 
 @lru_cache(maxsize=2048)
-def _world_grounding(world: World, theory: TheorySpec) -> _WorldGrounding:
+def _world_grounding(world: World, theory: TheorySpec) -> tuple[_GExpr, ...]:
+    """Per element a, the grounded violation (and A_a (not C_a))."""
     ante = _groundings(world, theory.antecedent, *_extension(world, theory.antecedent))
     cons = _groundings(world, theory.consequent, *_extension(world, theory.consequent))
-    return _WorldGrounding(ante, cons, tuple(_g_junction([ga, _g_not(gc)], False) for ga, gc in zip(ante, cons)))
+    return tuple(_g_junction([ga, _g_not(gc)], False) for ga, gc in zip(ante, cons))
 
 
 @lru_cache(maxsize=16384)
@@ -503,8 +499,8 @@ def _table(expr: _GExpr, var_pos: dict, k: int, memo: dict) -> np.ndarray:
         out = _bit_column(k, var_pos[expr.index])
     elif isinstance(expr, _GNot):
         out = ~_table(expr.child, var_pos, k, memo)
-    elif isinstance(expr, (_GAnd, _GOr)):
-        op = np.logical_and if isinstance(expr, _GAnd) else np.logical_or
+    elif isinstance(expr, _GJunction):
+        op = np.logical_or if expr.absorb else np.logical_and
         out = _table(expr.children[0], var_pos, k, memo).copy()
         for c in expr.children[1:]:
             op(out, _table(c, var_pos, k, memo), out=out)
@@ -512,12 +508,6 @@ def _table(expr: _GExpr, var_pos: dict, k: int, memo: dict) -> np.ndarray:
         raise TypeError(expr)
     memo[key] = out
     return out
-
-
-def _expr_table(expr: _GExpr) -> tuple[np.ndarray, list[int]]:
-    """Truth table of one expression over its own support, in sorted order."""
-    ordered = sorted(expr.support)
-    return _table(expr, {v: i for i, v in enumerate(ordered)}, len(ordered), {}), ordered
 
 
 def _sweep(constraints: Sequence[_GExpr], costs: Sequence[_GExpr], pick) -> Optional[tuple[int, dict[int, bool]]]:
@@ -530,15 +520,7 @@ def _sweep(constraints: Sequence[_GExpr], costs: Sequence[_GExpr], pick) -> Opti
     picks one row, with pick np.argmin (best case) or np.argmax (worst
     case) over its feasible rows, the first row on ties.
     """
-    parent: dict[int, int] = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    total, live = 0, []
+    total, groups = 0, []
     for e, is_constraint in [(e, True) for e in constraints] + [(e, False) for e in costs]:
         if isinstance(e, _GConst):
             if not is_constraint:
@@ -546,46 +528,35 @@ def _sweep(constraints: Sequence[_GExpr], costs: Sequence[_GExpr], pick) -> Opti
             elif not e.value:
                 return None
             continue
-        live.append((e, is_constraint))
-        first, *rest = e.support
-        parent.setdefault(first, first)
-        for v in rest:
-            root, other = find(first), find(parent.setdefault(v, v))
-            if root != other:
-                parent[other] = root
-
-    groups: dict[int, tuple[set, list, list]] = {}
-    for e, is_constraint in live:
-        root = find(next(iter(e.support)))
-        if root not in groups:
-            groups[root] = (set(), [], [])
-        variables, comp_constraints, comp_costs = groups[root]
-        variables |= e.support
-        (comp_constraints if is_constraint else comp_costs).append(e)
+        # e joins, and merges, every earlier group whose unknowns it meets.
+        variables, members, apart = set(e.support), [(e, is_constraint)], []
+        for g in groups:
+            if g[0].isdisjoint(e.support):
+                apart.append(g)
+            else:
+                variables |= g[0]
+                members += g[1]
+        groups = apart + [(variables, members)]
 
     assignment: dict[int, bool] = {}
-    for variables, comp_constraints, comp_costs in groups.values():
+    for variables, members in groups:
         ordered = sorted(variables)
         var_pos, k = {v: i for i, v in enumerate(ordered)}, len(ordered)
         memo: dict = {}
         counts = np.zeros(1 << k, dtype=np.int32)
-        for e in comp_costs:
-            counts += _table(e, var_pos, k, memo)
         feasible = np.ones(1 << k, dtype=bool)
-        for e in comp_constraints:
-            feasible &= _table(e, var_pos, k, memo)
+        for e, is_constraint in members:
+            if is_constraint:
+                feasible &= _table(e, var_pos, k, memo)
+            else:
+                counts += _table(e, var_pos, k, memo)
         rows = np.flatnonzero(feasible)
         if not rows.size:
             return None
         best = int(rows[pick(counts[rows])])
         total += int(counts[best])
-        assignment.update(_row_assignment(ordered, best))
+        assignment.update((v, bool((best >> i) & 1)) for i, v in enumerate(ordered))  # bit i is ordered[i]
     return total, assignment
-
-
-def _row_assignment(ordered: Sequence[int], row: int) -> dict[int, bool]:
-    """Truth-table row -> values of the unknowns it ranges over (bit i is ordered[i])."""
-    return {v: bool((row >> i) & 1) for i, v in enumerate(ordered)}
 
 
 def _completion(world: World, assignment: dict[int, bool]) -> Completion:
@@ -599,9 +570,8 @@ def _check_cap(worlds: Sequence[World], cap: int) -> None:
 
 
 def _axiom_exprs(world: World, theory: TheorySpec, al: Sequence[_GExpr]) -> list[_GExpr]:
-    """The grounded axioms, given alpha's grounding al."""
-    g = _world_grounding(world, theory)
-    return [_g_junction([_g_not(g.antecedent[a]), al[a], g.consequent[a]], True) for a in world.elements()]
+    """The grounded axioms (or (not V_a) alpha_a), given alpha's grounding al."""
+    return [_g_junction([_g_not(v), a], True) for v, a in zip(_world_grounding(world, theory), al)]
 
 
 def check_scope(theory: TheorySpec, alpha: Hypothesis) -> None:
@@ -628,12 +598,10 @@ def _counterexample(axioms: Sequence[_GExpr]) -> Optional[dict[int, bool]]:
     """An assignment falsifying the first grounded axiom that some
     completion falsifies (its first such truth-table row), or None."""
     for e in axioms:
-        if e is _GTRUE:
-            continue
-        table, ordered = _expr_table(e)
-        miss = int(np.argmin(table))
-        if not table[miss]:
-            return _row_assignment(ordered, miss)
+        if e is not _GTRUE:
+            count, miss = _sweep([], [_g_not(e)], np.argmax)
+            if count:
+                return miss
     return None
 
 
@@ -655,28 +623,24 @@ def validity(
     if regime is Regime.FULL:
         per_world = tuple(c is not None for c in _full_costs(theory, worlds, alpha))
         return EngineVerdict(all(per_world), per_world)
-    per_world = []
-    witness = None
-    witness_world = None
-    first_partial_witness = None
     _check_cap(worlds, cap)
-    for wi, (world, al) in enumerate(zip(worlds, _per_world(worlds, alpha.formula, _groundings))):
+    # Per world, a satisfying assignment (partial) or a counterexample
+    # (skeptical), None where there is none.
+    found = []
+    for world, al in zip(worlds, _per_world(worlds, alpha.formula, _groundings)):
         axioms = _axiom_exprs(world, theory, al)
         if regime is Regime.PARTIAL:
             best = _sweep(axioms, [], np.argmin)
-            valid_w = best is not None
-            if valid_w and wi == 0:
-                first_partial_witness = _completion(world, best[1])
+            found.append(None if best is None else best[1])
         else:
-            miss = _counterexample(axioms)
-            valid_w = miss is None
-            if not valid_w and witness is None:
-                witness, witness_world = _completion(world, miss), wi
-        per_world.append(valid_w)
+            found.append(_counterexample(axioms))
+    per_world = tuple((a is not None) is (regime is Regime.PARTIAL) for a in found)
     overall = all(per_world)
-    if regime is Regime.PARTIAL and overall and first_partial_witness is not None:
-        witness, witness_world = first_partial_witness, 0
-    return EngineVerdict(overall, tuple(per_world), witness, witness_world)
+    if regime is Regime.PARTIAL:
+        wi = 0 if overall and worlds else None
+    else:
+        wi = None if overall else per_world.index(False)
+    return EngineVerdict(overall, per_world, None if wi is None else _completion(worlds[wi], found[wi]), wi)
 
 
 def world_costs(
@@ -752,12 +716,12 @@ def opt_cost(
             raise ValueError("full regime requires a fully observed world")
         return int(_closed_violations(world, theory).sum())
     _check_cap([world], cap)
-    g = _world_grounding(world, theory)
+    violations = _world_grounding(world, theory)
     if regime is Regime.SKEPTICAL and variant == "uniform":
         # Elements with some violating completion must be abnormal under a
         # completion-independent Ab; the rest never need to be.
-        return sum(bool(_expr_table(e)[0].any()) for e in g.violation)
-    return _sweep([], g.violation, np.argmin if regime is Regime.PARTIAL else np.argmax)[0]
+        return sum(_sweep([], [e], np.argmax)[0] for e in violations)
+    return _sweep([], violations, np.argmin if regime is Regime.PARTIAL else np.argmax)[0]
 
 
 def opt_costs(

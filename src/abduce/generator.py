@@ -19,8 +19,11 @@ runs one per-world routine on train and holdout worlds alike.  Cached
 per-world baselines are the scenario-semantics values on the masked
 worlds, which is what scoring consumes.
 
-Instances generate independently; all randomness is derived from
-per-instance seeds, never shared.
+Each instance's worlds and gold are drawn from its own per-instance seed,
+but the instances of one generate_batch are not independent: they share
+one GoldSampler, whose diversity cap and 60-failure dormancy make the
+template instance i may draw depend on every earlier instance.  So a
+batch reproduces byte for byte only as a whole, in index order.
 
 The static part of the competitor pool (tier-1 and tier-2 formulas) and
 the cheater pool depend only on the theory, so each is built once per

@@ -355,3 +355,46 @@ def test_score_rejects_bad_baseline_shapes(tmp_path, monkeypatch, capsys, corrup
     assert not out.exists()
     assert main(["verify", "--dataset", str(bad)]) == 1
     assert f"{rec.id}: {problem}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda data: data["train_worlds"][0].update(n=data["train_worlds"][0]["n"] + 0.5),
+         "domain size must be a JSON integer, got {n}.5"),
+        (lambda data: data["train_worlds"][0].update(n=str(data["train_worlds"][0]["n"])),
+         "domain size must be a JSON integer, got '{n}'"),
+        (lambda data: data["train_worlds"][0].update(n=True), "domain size must be a JSON integer, got True"),
+        (lambda data: data.update(id=7), "instance id must be a string, got 7"),
+    ],
+    ids=["float-domain", "string-domain", "bool-domain", "integer-id"],
+)
+def test_verify_rejects_mistyped_fields_at_load(tmp_path, capsys, edit, expected):
+    # each once loaded: int() truncated a float domain size and parsed a
+    # string one, a bool counted as 1, and any id was taken as it came
+    path = tmp_path / "ds.jsonl"
+    assert _generate(path) == 0
+    header, line = path.read_text().splitlines()
+    data = json.loads(line)
+    n = data["train_worlds"][0]["n"]
+    edit(data)
+    path.write_text(header + "\n" + json.dumps(data) + "\n")
+    capsys.readouterr()
+    rc = main(["verify", "--dataset", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"ds.jsonl:2: bad instance line: {expected.format(n=n)}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, bound", [("-1", "must be >= 0, got -1"), ("17", "must be <= 16, got 17")])
+@pytest.mark.parametrize("command", ["verify", "score"])
+def test_oracle_max_unknowns_within_what_the_oracle_enumerates(tmp_path, capsys, command, value, bound):
+    # above 16 a world reached the oracle and ended in EnumerationCapError;
+    # below 0 every oracle check was skipped in silence
+    files = {"verify": ["--dataset", "ds.jsonl"],
+             "score": ["--dataset", "ds.jsonl", "--predictions", "p.jsonl", "--manifest", "m.jsonl",
+                       "--out", str(tmp_path / "s.jsonl")]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files[command], "--oracle", "--oracle-max-unknowns", value])
+    assert exc.value.code == 2
+    assert f"argument --oracle-max-unknowns: {bound}" in capsys.readouterr().err

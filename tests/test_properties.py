@@ -6,9 +6,12 @@ and formula.  The fixed-seed sweep of acceptance Criterion 1 stays as it is;
 this test adds shrinking and a different distribution.  A second test pins
 the engine's three-valued pre-pass to the grounding it stands in for, and a
 third holds queries over several worlds, which share one evaluator pass per
-domain size, to the one-world queries and the oracle.
+domain size, to the one-world queries and the oracle.  The last two hold
+the component sweep and the skeptical counterexample, which every
+completion question goes through, to plain enumeration of truth tables.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -199,3 +202,89 @@ def test_batches_stay_within_the_cell_budget(regime, monkeypatch):
     assert sorted(batches) == [(3, 2), (16, 4), (16, 16), (MAX_DOMAIN_SIZE, 1), (MAX_DOMAIN_SIZE, 1),
                                (MAX_DOMAIN_SIZE, 1)]
     assert batched == tuple(world_costs(regime, spec, [w], alpha)[0] for w in drawn)
+
+
+@st.composite
+def gexprs(draw, unknowns, depth=3):
+    """A grounded expression over the given unknown indices, built as the
+    grounding builds one, constants included."""
+    kind = draw(st.sampled_from(["unknown", "const"] + (["not", "and", "or"] if depth else [])))
+    if kind == "unknown":
+        return engine._GUnk(draw(st.sampled_from(unknowns)))
+    if kind == "const":
+        return draw(st.sampled_from([engine._GTRUE, engine._GFALSE]))
+    if kind == "not":
+        return engine._g_not(draw(gexprs(unknowns, depth - 1)))
+    return engine._g_junction(draw(st.lists(gexprs(unknowns, depth - 1), min_size=1, max_size=3)), kind == "or")
+
+
+def _rows(e, bits: dict, size: int):
+    """e's truth values over every row of the global table (bits: unknown ->
+    its column), by direct recursion."""
+    if isinstance(e, engine._GConst):
+        return np.full(size, e.value)
+    if isinstance(e, engine._GUnk):
+        return bits[e.index]
+    if isinstance(e, engine._GNot):
+        return ~_rows(e.child, bits, size)
+    parts = [_rows(c, bits, size) for c in e.children]
+    return (np.logical_or if e.absorb else np.logical_and).reduce(parts)
+
+
+def _global_table(unknowns):
+    """Every assignment of the unknowns; bit i of a row is the i-th smallest."""
+    ordered, size = sorted(unknowns), 1 << len(unknowns)
+    rows = np.arange(size)
+    return ordered, size, {v: ((rows >> i) & 1).astype(bool) for i, v in enumerate(ordered)}
+
+
+SWEEP_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("pick, best", [(np.argmin, min), (np.argmax, max)], ids=["argmin", "argmax"])
+@SWEEP_SETTINGS
+@given(data=st.data())
+def test_sweep_matches_the_global_truth_table(pick, best, data):
+    """_sweep against plain enumeration of every assignment: None exactly
+    when no row satisfies every constraint, else the best count and the
+    first optimal row on the unknowns its expressions mention."""
+    unknowns = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True), label="unknowns")
+    constraints = data.draw(st.lists(gexprs(unknowns), max_size=4), label="constraints")
+    costs = data.draw(st.lists(gexprs(unknowns), max_size=5), label="costs")
+    live = [e for e in constraints + costs if not isinstance(e, engine._GConst)]
+    if len(live) >= 2 and data.draw(st.booleans(), label="bridge"):
+        # a later expression meeting the first and the last one's unknowns,
+        # which may sit in two different groups until it joins them
+        ends = [engine._GUnk(min(e.support)) for e in (live[0], live[-1])]
+        costs.append(engine._g_junction(ends, data.draw(st.booleans(), label="absorb")))
+
+    ordered, size, bits = _global_table(unknowns)
+    feasible = np.ones(size, dtype=bool)
+    for e in constraints:
+        feasible &= _rows(e, bits, size)
+    counts = sum((_rows(e, bits, size).astype(int) for e in costs), np.zeros(size, dtype=int))
+    got = engine._sweep(constraints, costs, pick)
+    if not feasible.any():
+        assert got is None
+        return
+    target = best(counts[feasible])
+    first = int(np.flatnonzero(feasible & (counts == target))[0])
+    mentioned = set().union(*(e.support for e in constraints + costs))
+    assert got[0] == target
+    assert got[1] == {v: bool((first >> ordered.index(v)) & 1) for v in mentioned}
+
+
+@SWEEP_SETTINGS
+@given(data=st.data())
+def test_counterexample_is_the_first_falsifying_row_of_the_first_falsifiable_axiom(data):
+    unknowns = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True), label="unknowns")
+    axioms = data.draw(st.lists(gexprs(unknowns), max_size=5), label="axioms")
+    expected = None
+    for e in axioms:
+        ordered, size, bits = _global_table(e.support)
+        falsified = np.flatnonzero(~_rows(e, bits, size))
+        if falsified.size:
+            expected = {v: bool((int(falsified[0]) >> i) & 1) for i, v in enumerate(ordered)}
+            break
+    assert engine._counterexample(axioms) == expected
