@@ -21,7 +21,7 @@ from .dataset import (
     save_generation_log,
     save_score_records,
 )
-from .engine import Regime, cost, opt_cost, validity
+from .engine import opt_cost, world_costs
 from .formula import parse_formula, validate_hypothesis
 from .generator import GenerationError, GenParams, audit_instance, baseline_shape_problems, generate_batch
 from .prompts import render_prompt
@@ -65,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
     gen.add_argument("--world-budget", type=_positive, default=12)
     gen.add_argument("--margin", type=_positive, default=2)
     gen.add_argument("--holdouts", type=_non_negative, default=5)
-    gen.add_argument("--world-attempts", type=int, default=200)
+    gen.add_argument("--world-attempts", type=_positive, default=200)
     gen.add_argument("--refine", action="store_true", help="enable gold refinement")
     gen.add_argument("--out", required=True)
 
@@ -130,12 +130,12 @@ def _oracle_gold_diff(rec, max_unknowns: int) -> tuple[list[str], int]:
             skipped += 1
             continue
         o_valid = oracle.world_valid(regime, theory, world, rec.gold)
-        e_valid = validity(regime, theory, [world], rec.gold).valid
+        e_cost = world_costs(regime, theory, [world], rec.gold)[0]
+        e_valid = e_cost is not None
         if o_valid != e_valid:
             problems.append(f"{rec.id}: world{i} validity engine={e_valid} oracle={o_valid}")
             continue
         if e_valid:
-            e_cost = cost(regime, theory, [world], rec.gold).total
             o_cost = oracle.world_cost(regime, theory, world, rec.gold)
             if e_cost != o_cost:
                 problems.append(f"{rec.id}: world{i} cost engine={e_cost} oracle={o_cost}")
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (DatasetError, GenerationError) as exc:
+    except (DatasetError, GenerationError, OSError) as exc:
         print(f"abduce {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,9 +49,13 @@ def world_to_json(world: World) -> dict:
     return out
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def world_from_json(data: dict) -> World:
     n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_json_int(n):
         raise DatasetError(f"domain size must be a JSON integer, got {n!r}")
     if n > MAX_DOMAIN_SIZE:
         raise DatasetError(f"domain size {n} exceeds MAX_DOMAIN_SIZE {MAX_DOMAIN_SIZE}")
@@ -87,6 +91,13 @@ def instance_to_json(rec: InstanceRecord) -> dict:
     }
 
 
+def _baseline_costs(data: dict, split: str, kind: str) -> tuple[int, ...]:
+    values = data["baselines"][split][kind]
+    if not isinstance(values, list) or not all(map(_is_json_int, values)):
+        raise DatasetError(f"{split} {kind} must be a list of JSON integers, got {values!r}")
+    return tuple(values)
+
+
 def instance_from_json(data: dict) -> InstanceRecord:
     if not isinstance(data["id"], str):
         raise DatasetError(f"instance id must be a string, got {data['id']!r}")
@@ -99,6 +110,8 @@ def instance_from_json(data: dict) -> InstanceRecord:
     gold = validate_hypothesis(
         parse_formula(data["gold"]["formula"]), theory.allowed, theory.forbidden
     )
+    if not isinstance(data["holdout_available"], bool):
+        raise DatasetError(f"holdout_available must be a JSON bool, got {data['holdout_available']!r}")
     return InstanceRecord(
         id=data["id"],
         scenario=data["scenario"],
@@ -106,12 +119,12 @@ def instance_from_json(data: dict) -> InstanceRecord:
         internal_id=data["theory_internal"],
         train_worlds=tuple(world_from_json(w) for w in data["train_worlds"]),
         gold=gold,
-        train_opt_costs=tuple(data["baselines"]["train"]["opt_costs"]),
-        train_gold_costs=tuple(data["baselines"]["train"]["gold_costs"]),
+        train_opt_costs=_baseline_costs(data, "train", "opt_costs"),
+        train_gold_costs=_baseline_costs(data, "train", "gold_costs"),
         holdout_worlds=tuple(world_from_json(w) for w in data["holdout_worlds"]),
-        holdout_available=bool(data["holdout_available"]),
-        holdout_opt_costs=tuple(data["baselines"]["holdout"]["opt_costs"]),
-        holdout_gold_costs=tuple(data["baselines"]["holdout"]["gold_costs"]),
+        holdout_available=data["holdout_available"],
+        holdout_opt_costs=_baseline_costs(data, "holdout", "opt_costs"),
+        holdout_gold_costs=_baseline_costs(data, "holdout", "gold_costs"),
         provenance=provenance,
     )
 

@@ -10,8 +10,8 @@ shared unknown atoms and picks, per component, the first feasible row of
 best count (pick np.argmin or np.argmax).
 
   question                   _sweep(constraints, costs, pick)
-  partial validity, witness  (axioms, [], argmin): not None
-  partial cost               (axioms, alpha_a, argmin)
+  partial cost, validity     (axioms, alpha_a, argmin): not None
+  partial witness            (axioms, [], argmin)
   skeptical counterexample   ([], [not axiom_a], argmax), per axiom: count 1
   skeptical cost             ([], alpha_a, argmax), with no counterexample
   pointwise bound            ([], V_a, argmin partial / argmax skeptical)
@@ -48,11 +48,13 @@ intermediate array exceeds B x n^4 cells.  Grounding memoizes each
 quantifier node on the values of its free variables (at most three), so it
 grounds at most n^4 bodies per node.
 
-Axis 0 of every evaluator array is a batch of worlds of one domain size.
-validity and world_costs group a query's worlds by domain size, cut each
-group into chunks of at most _CELL_BUDGET // n^4 worlds (at least one), and
-run alpha's plan once per chunk on its stacked world arrays; grounding,
-sweeps and witnesses then work per world on its (must, may) row.
+world_costs is the one per-world pass behind every verdict: validity reads
+its per-world answers, and runs one more sweep, on the witness world alone,
+for the witness.  Axis 0 of every evaluator array is a batch of worlds of
+one domain size.  world_costs groups a query's worlds by domain size, cuts
+each group into chunks of at most _CELL_BUDGET // n^4 worlds (at least
+one), and runs alpha's plan once per chunk on its stacked world arrays;
+grounding and sweeps then work per world on its (must, may) row.
 closed_block evaluates a block of B fully observed worlds at once, so the
 generator screens candidate worlds (nontriviality floor, exception cap, gold
 validity and gap) with one pass per block; the numbers are those of
@@ -446,7 +448,7 @@ def _world_grounding(world: World, theory: TheorySpec) -> tuple[_GExpr, ...]:
 
 @lru_cache(maxsize=16384)
 def _alpha_grounding(world: World, alpha_formula: Formula) -> tuple[_GExpr, ...]:
-    """Alpha's grounding on one world, as _per_world gives it in a query."""
+    """Alpha's grounding on one world, as _per_world gives it: validity's witness."""
     return _groundings(world, alpha_formula, *_extension(world, alpha_formula))
 
 
@@ -612,35 +614,26 @@ def validity(
     alpha: Hypothesis,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> EngineVerdict:
-    """Decide per-world and overall validity; see the module docstring.
+    """Decide per-world and overall validity from world_costs; see the
+    module docstring.
 
     The witness is a satisfying completion of the first world (partial,
     valid with unknowns) or a counterexample completion of the first
-    invalid world (skeptical).
+    invalid world (skeptical), from one more sweep on that world alone.
     """
     regime = Regime.parse(regime)
-    check_scope(theory, alpha)
-    if regime is Regime.FULL:
-        per_world = tuple(c is not None for c in _full_costs(theory, worlds, alpha))
-        return EngineVerdict(all(per_world), per_world)
-    _check_cap(worlds, cap)
-    # Per world, a satisfying assignment (partial) or a counterexample
-    # (skeptical), None where there is none.
-    found = []
-    for world, al in zip(worlds, _per_world(worlds, alpha.formula, _groundings)):
-        axioms = _axiom_exprs(world, theory, al)
-        if regime is Regime.PARTIAL:
-            best = _sweep(axioms, [], np.argmin)
-            found.append(None if best is None else best[1])
-        else:
-            found.append(_counterexample(axioms))
-    per_world = tuple((a is not None) is (regime is Regime.PARTIAL) for a in found)
+    per_world = tuple(c is not None for c in world_costs(regime, theory, worlds, alpha, cap=cap))
     overall = all(per_world)
-    if regime is Regime.PARTIAL:
-        wi = 0 if overall and worlds else None
+    if regime is Regime.PARTIAL and overall and worlds:
+        wi = 0
+    elif regime is Regime.SKEPTICAL and not overall:
+        wi = per_world.index(False)
     else:
-        wi = None if overall else per_world.index(False)
-    return EngineVerdict(overall, per_world, None if wi is None else _completion(worlds[wi], found[wi]), wi)
+        return EngineVerdict(overall, per_world)
+    world = worlds[wi]
+    axioms = _axiom_exprs(world, theory, _alpha_grounding(world, alpha.formula))
+    found = _sweep(axioms, [], np.argmin)[1] if regime is Regime.PARTIAL else _counterexample(axioms)
+    return EngineVerdict(overall, per_world, _completion(world, found), wi)
 
 
 def world_costs(

@@ -630,7 +630,6 @@ def build_competitor_pool(
     gold: Hypothesis,
     rng: Random,
     pool_cap: int = 30,
-    extra_tier2: Sequence[str] = (),
 ) -> CompetitorPool:
     """Tier-1 curated, tier-2 mined, then up to 10 gold mutants, truncated
     to pool_cap with tier-1 kept preferentially.
@@ -640,7 +639,7 @@ def build_competitor_pool(
     pool formula would yield a competitor that can never be beaten; the
     gold sampler never draws one that renders like a static pool formula,
     and gold_mutants never yields the gold itself."""
-    static = _static_pool(theory, tuple(extra_tier2))
+    static = _static_pool(theory, ())
     mutants = _distinct(gold_mutants(gold, theory, rng, count=10), seen=set(static.renders))
     entries = static.entries + tuple((h, "mutant") for h in mutants)
     return CompetitorPool(entries[:pool_cap])
@@ -880,8 +879,7 @@ def generate_instance(
         record = _attempt_instance(params, index, attempt, rng, sampler)
         if isinstance(record, tuple):
             last_reason, failed_template = record
-            if failed_template is not None:
-                sampler.record_failure(failed_template)
+            sampler.record_failure(failed_template)
             continue
         sampler.record_use(record.provenance["gold_template"])
         return record
@@ -1032,7 +1030,7 @@ def generate_holdouts(
     instance: InstanceRecord,
     dataset_path: str,
     global_seed: int,
-    params: Optional[GenParams] = None,
+    params: GenParams,
 ) -> InstanceRecord:
     """Attach k holdout worlds sampled from the instance's distribution.
 
@@ -1044,9 +1042,6 @@ def generate_holdouts(
     HOLDOUT_ATTEMPTS_PER_WORLD bounds the search, so the outcome depends
     only on the seeds.
     """
-    params = params or GenParams(
-        scenario=instance.scenario, theory_id=instance.theory_id, global_seed=global_seed
-    )
     acceptor = _WorldAcceptor(params, instance.gold, instance.provenance.get("shared_domain_size"))
     accepted: list[_AcceptedWorld] = []
     for idx in range(params.holdout_count):

@@ -6,7 +6,10 @@ well-formed S-expression, classify as parse errors; formulas that parse
 but break the hypothesis constraints (Ab mention, forbidden predicate,
 free variable other than x) score as invalid on every training world.
 Costs are reported only where validity holds; averages divide by the
-respective valid counts.
+respective valid counts.  classify_failure labels each record with the
+first matching failure class; its two thresholds are the module constants
+INFLATION_THRESHOLD (holdout minus train gap) and CATASTROPHIC_THRESHOLD
+(holdout valid fraction).
 
 Scoring of distinct predictions is independent.  Aggregation builds each
 report table from one grouping pass over the completed records.
@@ -15,13 +18,13 @@ report table from one grouping pass over the completed records.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .engine import DEFAULT_ENUMERATION_CAP, Regime, world_costs
+from .engine import world_costs
 # validity and cost stay importable from here: the benchmark's tracer
 # patches them by name in this module.
 from .engine import cost, validity  # noqa: F401
@@ -116,24 +119,18 @@ def parse_prediction_line(line: str, instance_id: str = "", model_id: str = "") 
     return Prediction(instance_id, model_id, obj["formula"], obj["description"])
 
 
-def score_prediction(
-    pred: Prediction,
-    inst: InstanceRecord,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    inflation_threshold: float = INFLATION_THRESHOLD,
-    catastrophic_threshold: float = CATASTROPHIC_THRESHOLD,
-) -> ScoreRecord:
+def score_prediction(pred: Prediction, inst: InstanceRecord) -> ScoreRecord:
     """Full per-prediction evaluation against one instance.
 
     Uses the instance's cached OptCost and gold baselines; costs are left
-    absent wherever validity fails.
+    absent wherever validity fails.  Every outcome fills one field dict,
+    which classify_failure then labels.
     """
     theory = inst.theory
     regime = inst.regime
     n_train = len(inst.train_worlds)
     gold_train_total = sum(inst.train_gold_costs)
-
-    base = dict(
+    rec = dict(
         instance_id=inst.id,
         model_id=pred.model_id,
         scenario=inst.scenario,
@@ -141,79 +138,68 @@ def score_prediction(
         gold_cost=gold_train_total,
         gold_ast=inst.gold_ast,
         holdout_available=inst.holdout_available,
+        formula_text=pred.formula_text,
+        parse_ok=False,
+        parse_error=pred.parse_error,
     )
 
-    if pred.formula_text is None:
-        return _classify(ScoreRecord(parse_ok=False, parse_error=pred.parse_error, **base),
-                         inflation_threshold, catastrophic_threshold)
-    try:
-        formula = parse_formula(pred.formula_text)
-    except FormulaSyntaxError as exc:
-        return _classify(
-            ScoreRecord(parse_ok=False, parse_error=str(exc), formula_text=pred.formula_text, **base),
-            inflation_threshold, catastrophic_threshold,
-        )
+    alpha = None
+    if pred.formula_text is not None:
+        try:
+            formula = parse_formula(pred.formula_text)
+        except FormulaSyntaxError as exc:
+            rec["parse_error"] = str(exc)
+        else:
+            metrics = formula_metrics(formula)
+            rec.update(parse_ok=True, ast_size=metrics.ast_size, quantifier_depth=metrics.quantifier_depth,
+                       train_world_valid=(False,) * n_train)
+            try:
+                alpha = validate_hypothesis(formula, theory.allowed, theory.forbidden)
+            except HypothesisError as exc:
+                # parses fine but breaks the hypothesis contract: invalid everywhere
+                rec["scope_error"] = str(exc)
 
-    metrics = formula_metrics(formula)
-    base.update(formula_text=pred.formula_text, ast_size=metrics.ast_size,
-                quantifier_depth=metrics.quantifier_depth)
-    try:
-        alpha = validate_hypothesis(formula, theory.allowed, theory.forbidden)
-    except HypothesisError as exc:
-        # parses fine but breaks the hypothesis contract: invalid everywhere
-        return _classify(
-            ScoreRecord(
-                parse_ok=True,
-                scope_error=str(exc),
-                train_world_valid=(False,) * n_train,
-                train_valid=False,
-                **base,
-            ),
-            inflation_threshold, catastrophic_threshold,
-        )
-
-    train_costs = world_costs(regime, theory, inst.train_worlds, alpha, cap=cap)
-    train_valid = tuple(c is not None for c in train_costs)
-    rec = dict(base, parse_ok=True, train_world_valid=train_valid, train_valid=all(train_valid))
-    if all(train_valid):
-        train_cost = sum(train_costs)
-        train_opt = sum(inst.train_opt_costs)
-        rec.update(
-            train_cost=train_cost,
-            train_opt=train_opt,
-            train_gap=(train_cost - train_opt) / n_train,
-            gap_gold=(train_cost - gold_train_total) / n_train,
-            gold_margin=train_cost - gold_train_total,
-            beats_gold=train_cost < gold_train_total,
-        )
-        if inst.holdout_available:
-            hold_costs = world_costs(regime, theory, inst.holdout_worlds, alpha, cap=cap)
-            hold_valid = tuple(c is not None for c in hold_costs)
-            k = len(inst.holdout_worlds)
+    if alpha is not None:
+        train_costs = world_costs(regime, theory, inst.train_worlds, alpha)
+        train_valid = tuple(c is not None for c in train_costs)
+        rec.update(train_world_valid=train_valid, train_valid=all(train_valid))
+        if all(train_valid):
+            train_cost = sum(train_costs)
+            train_opt = sum(inst.train_opt_costs)
             rec.update(
-                holdout_world_valid=hold_valid,
-                holdout_valid=all(hold_valid),
-                holdout_valid_fraction=sum(hold_valid) / k,
+                train_cost=train_cost,
+                train_opt=train_opt,
+                train_gap=(train_cost - train_opt) / n_train,
+                gap_gold=(train_cost - gold_train_total) / n_train,
+                gold_margin=train_cost - gold_train_total,
+                beats_gold=train_cost < gold_train_total,
             )
-            if all(hold_valid):
-                hold_cost = sum(hold_costs)
-                hold_opt = sum(inst.holdout_opt_costs)
-                hold_gap = (hold_cost - hold_opt) / k
+            if inst.holdout_available:
+                hold_costs = world_costs(regime, theory, inst.holdout_worlds, alpha)
+                hold_valid = tuple(c is not None for c in hold_costs)
+                k = len(inst.holdout_worlds)
                 rec.update(
-                    holdout_cost=hold_cost,
-                    holdout_opt=hold_opt,
-                    holdout_gap=hold_gap,
-                    survivor=True,
-                    delta_gap=hold_gap - rec["train_gap"],
+                    holdout_world_valid=hold_valid,
+                    holdout_valid=all(hold_valid),
+                    holdout_valid_fraction=sum(hold_valid) / k,
                 )
-    return _classify(ScoreRecord(**rec), inflation_threshold, catastrophic_threshold)
+                if all(hold_valid):
+                    hold_cost = sum(hold_costs)
+                    hold_opt = sum(inst.holdout_opt_costs)
+                    hold_gap = (hold_cost - hold_opt) / k
+                    rec.update(
+                        holdout_cost=hold_cost,
+                        holdout_opt=hold_opt,
+                        holdout_gap=hold_gap,
+                        survivor=True,
+                        delta_gap=hold_gap - rec["train_gap"],
+                    )
+    record = ScoreRecord(**rec)
+    failure_class, catastrophic = classify_failure(record)
+    return replace(record, failure_class=failure_class, catastrophic=catastrophic)
 
 
-def classify_failure(
-    rec: ScoreRecord,
-    inflation_threshold: float = INFLATION_THRESHOLD,
-    catastrophic_threshold: float = CATASTROPHIC_THRESHOLD,
-) -> tuple[str, bool]:
+def classify_failure(rec: ScoreRecord) -> tuple[str, bool]:
     """First matching category, in fixed order; the boolean flags the
     catastrophic sub-case of Brittle (under half the holdout worlds valid)."""
     if not rec.parse_ok:
@@ -223,29 +209,20 @@ def classify_failure(
     if not rec.train_valid:
         return "PartialInvalidTrain", False
     if rec.holdout_available and rec.holdout_valid is False:
-        return "Brittle", rec.holdout_valid_fraction < catastrophic_threshold
-    if rec.survivor and rec.delta_gap is not None and rec.delta_gap > inflation_threshold:
+        return "Brittle", rec.holdout_valid_fraction < CATASTROPHIC_THRESHOLD
+    if rec.survivor and rec.delta_gap is not None and rec.delta_gap > INFLATION_THRESHOLD:
         return "ParsimonyInflation", False
     # train-valid with no holdout data stops at the train-level outcome
     return "Success", False
 
 
-def _classify(rec: ScoreRecord, inflation_threshold, catastrophic_threshold) -> ScoreRecord:
-    cls, catastrophic = classify_failure(rec, inflation_threshold, catastrophic_threshold)
-    return ScoreRecord(**{**rec.__dict__, "failure_class": cls, "catastrophic": catastrophic})
-
-
-def score_batch(
-    predictions: Sequence[Prediction],
-    instances: Mapping[str, InstanceRecord],
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[ScoreRecord]:
+def score_batch(predictions: Sequence[Prediction], instances: Mapping[str, InstanceRecord]) -> list[ScoreRecord]:
     records = []
     for pred in predictions:
         inst = instances.get(pred.instance_id)
         if inst is None:
             raise KeyError(f"unknown instance_id {pred.instance_id!r}")
-        records.append(score_prediction(pred, inst, cap=cap))
+        records.append(score_prediction(pred, inst))
     return records
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from abduce import oracle
 from abduce.cli import main
 from abduce.dataset import load_dataset
 from abduce.formula import render_formula
@@ -243,7 +244,7 @@ def test_generate_negative_holdouts_rejected(tmp_path, capsys):
 
 def test_generation_error_is_one_line(tmp_path, capsys):
     out = tmp_path / "ds.jsonl"
-    assert _generate(out, "--world-attempts", "0") == 2
+    assert _generate(out, "--world-attempts", "1") == 2
     err = capsys.readouterr().err
     assert err.startswith("abduce generate: error:") and "instances after" in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -300,7 +301,9 @@ def test_verify_malformed_provenance_without_traceback(dataset_path, tmp_path, c
 
 
 @pytest.mark.parametrize(
-    "flag, value, minimum", [("--margin", "0", 1), ("--world-budget", "0", 1), ("--count", "-3", 0)]
+    "flag, value, minimum",
+    [("--margin", "0", 1), ("--world-budget", "0", 1), ("--count", "-3", 0),
+     ("--world-attempts", "0", 1), ("--world-attempts", "-3", 1)],
 )
 def test_generate_rejects_out_of_range_integers(tmp_path, capsys, flag, value, minimum):
     out = tmp_path / "ds.jsonl"
@@ -366,12 +369,24 @@ def test_score_rejects_bad_baseline_shapes(tmp_path, monkeypatch, capsys, corrup
          "domain size must be a JSON integer, got '{n}'"),
         (lambda data: data["train_worlds"][0].update(n=True), "domain size must be a JSON integer, got True"),
         (lambda data: data.update(id=7), "instance id must be a string, got 7"),
+        (lambda data: data["baselines"]["train"]["gold_costs"].__setitem__(0, "1"),
+         "train gold_costs must be a list of JSON integers, got ['1'"),
+        (lambda data: data["baselines"]["train"]["opt_costs"].__setitem__(0, True),
+         "train opt_costs must be a list of JSON integers, got [True"),
+        (lambda data: data["baselines"]["train"]["opt_costs"].__setitem__(0, 1.0),
+         "train opt_costs must be a list of JSON integers, got [1.0"),
+        (lambda data: data["baselines"]["holdout"].update(gold_costs="12"),
+         "holdout gold_costs must be a list of JSON integers, got '12'"),
+        (lambda data: data.update(holdout_available="no"), "holdout_available must be a JSON bool, got 'no'"),
+        (lambda data: data.update(holdout_available=0), "holdout_available must be a JSON bool, got 0"),
     ],
-    ids=["float-domain", "string-domain", "bool-domain", "integer-id"],
+    ids=["float-domain", "string-domain", "bool-domain", "integer-id",
+         "string-cost", "bool-cost", "float-cost", "string-costs", "string-flag", "integer-flag"],
 )
 def test_verify_rejects_mistyped_fields_at_load(tmp_path, capsys, edit, expected):
     # each once loaded: int() truncated a float domain size and parsed a
-    # string one, a bool counted as 1, and any id was taken as it came
+    # string one, a bool counted as 1, and any id was taken as it came; a
+    # string cost ended score in a TypeError, and "no" flagged holdouts
     path = tmp_path / "ds.jsonl"
     assert _generate(path) == 0
     header, line = path.read_text().splitlines()
@@ -398,3 +413,58 @@ def test_oracle_max_unknowns_within_what_the_oracle_enumerates(tmp_path, capsys,
         main([command, *files[command], "--oracle", "--oracle-max-unknowns", value])
     assert exc.value.code == 2
     assert f"argument --oracle-max-unknowns: {bound}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "--dataset", "missing.jsonl"], "missing.jsonl"),
+        (["optcost", "--dataset", "missing.jsonl"], "missing.jsonl"),
+        (["prompt", "--dataset", "missing.jsonl", "--out", "b.jsonl"], "missing.jsonl"),
+        (["score", "--dataset", "missing.jsonl", "--predictions", "p.jsonl", "--manifest", "m.jsonl",
+          "--out", "s.jsonl"], "missing.jsonl"),
+        (["report", "--scores", "scores"], "scores"),
+        (["generate", "--scenario", "full", "--theory", "T1", "--count", "1", "--seed", "1774141687",
+          "--out", "nodir/ds.jsonl"], "nodir/ds.jsonl"),
+    ],
+    ids=["verify", "optcost", "prompt", "score", "report-directory", "generate-missing-dir"],
+)
+def test_file_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, name):
+    # each once ended in a FileNotFoundError or IsADirectoryError traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scores").mkdir()
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"abduce {argv[0]}: error:") and repr(name) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario, theory, seed", [("full", "T1", 1774141687), ("skeptical", "T4", 3)],
+                         ids=["full-T1", "skeptical-T4"])
+def test_verify_oracle_in_each_regime(tmp_path, monkeypatch, capsys, scenario, theory, seed):
+    # the partial regime is covered by test_verify_oracle; here no world
+    # has more than 10 unknowns, so the oracle checks every one
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--scenario", scenario, "--theory", theory, "--count", "1", "--seed", str(seed),
+                 "--out", "ds.jsonl"]) == 0
+    worlds = load_dataset("ds.jsonl")[0].train_worlds
+    assert all(w.num_unknowns() <= 10 for w in worlds)
+    assert any(w.num_unknowns() for w in worlds) == (scenario == "skeptical")
+    capsys.readouterr()
+    assert main(["verify", "--dataset", "ds.jsonl", "--oracle"]) == 0
+    assert capsys.readouterr().out == "verified 1 instances: 0 violation(s)\n"
+
+
+def test_verify_oracle_reports_cost_mismatch(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _generate("ds.jsonl") == 0
+    rec = load_dataset("ds.jsonl")[0]
+    world_cost = oracle.world_cost
+    monkeypatch.setattr(oracle, "world_cost", lambda *args: world_cost(*args) + 1)
+    capsys.readouterr()
+    assert main(["verify", "--dataset", "ds.jsonl", "--oracle"]) == 1
+    out = capsys.readouterr().out
+    for i, gold_cost in enumerate(rec.train_gold_costs):
+        assert f"{rec.id}: world{i} cost engine={gold_cost} oracle={gold_cost + 1}\n" in out
+    assert f"{len(rec.train_worlds)} violation(s)" in out
