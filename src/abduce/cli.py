@@ -6,6 +6,7 @@ Every command exits 0 only when zero errors occurred.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -96,7 +97,18 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_out(path: str) -> None:
+    """Fail before any work when `path` cannot be opened for writing: its
+    directory is missing, or it is a directory.  The error reads as the one
+    open() would raise."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_generate(args) -> int:
+    _check_out(args.out)
     params = GenParams(
         scenario=args.scenario,
         theory_id=args.theory,
@@ -187,6 +199,7 @@ def cmd_optcost(args) -> int:
 
 
 def cmd_score(args) -> int:
+    _check_out(args.out)
     records = load_dataset(args.dataset, check=False)
     for rec in records:
         problems = baseline_shape_problems(rec)

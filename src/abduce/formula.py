@@ -18,13 +18,17 @@ it.  Parenthesised expressions nest at most MAX_NESTING deep (``(P x)`` is 1,
 ``(not (P x))`` is 2); deeper input is a FormulaSyntaxError, so untrusted
 text can never push this module's recursive walkers, or the evaluators'
 recursion over the parsed tree, into the interpreter's recursion limit.
-All values here are immutable and all functions are pure.
+All values here are immutable and all functions are pure; each node
+memoizes its hash and its facts record (size, depth, predicates, free
+variables, implication) on first use.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 VARIABLE_NAMES = ("x", "y", "z", "w")
 MAX_NESTING = 100
@@ -75,14 +79,18 @@ PREDICATES = {
 BINARY_PREDICATES = ("R", "S")
 
 
+_MEMOS = ("_hash", "_facts")
+
+
 def memoize_hash(cls):
     """Class decorator for a frozen dataclass: compute its field hash once
     per instance and keep it.
 
     The memo lives in the instance ``__dict__``, outside the dataclass
     fields, so ``__eq__``, ``repr``, ``asdict`` and ``replace`` (which builds
-    a new instance) are unchanged.  Pickling drops it: string hashes differ
-    between processes.
+    a new instance) are unchanged; so does a formula node's facts record.
+    Pickling drops both: string hashes differ between processes, and the
+    facts are rebuilt on first use.
     """
     field_hash = cls.__hash__
 
@@ -95,7 +103,7 @@ def memoize_hash(cls):
             return h
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return {k: v for k, v in self.__dict__.items() if k not in _MEMOS}
 
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
@@ -103,7 +111,8 @@ def memoize_hash(cls):
 
 
 class Formula:
-    """Marker base class for AST nodes; each caches its hash (memoize_hash)."""
+    """Marker base class for AST nodes; each caches its hash (memoize_hash)
+    and its facts record (_facts)."""
 
     __slots__ = ()
 
@@ -210,33 +219,13 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        if self.pos >= len(self.tokens):
-            raise FormulaSyntaxError("unexpected end of input (unbalanced parentheses?)")
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.next()
-        if got != tok:
-            raise FormulaSyntaxError(f"expected {tok!r}, got {got!r}")
-
-    def done(self):
-        return self.pos >= len(self.tokens)
+_VARIABLES = {name: Variable(name) for name in VARIABLE_NAMES}
 
 
 def _parse_variable(token: str) -> Variable:
-    if token in VARIABLE_NAMES:
-        return Variable(token)
+    var = _VARIABLES.get(token)
+    if var is not None:
+        return var
     if _CONSTANT_RE.match(token):
         raise FormulaSyntaxError(
             f"object-constant token {token!r} in argument position; use variables only"
@@ -244,58 +233,64 @@ def _parse_variable(token: str) -> Variable:
     raise FormulaSyntaxError(f"variable token {token!r} outside {{x, y, z, w}}")
 
 
-def _parse_expr(stream: _TokenStream, allow_implies: bool, depth: int = 1) -> Formula:
+def _close(tokens: list[str], pos: int) -> int:
+    if tokens[pos] != ")":
+        raise FormulaSyntaxError(f"expected ')', got {tokens[pos]!r}")
+    return pos + 1
+
+
+def _parse_expr(tokens: list[str], pos: int, allow_implies: bool, depth: int = 1) -> tuple[Formula, int]:
+    """The formula that starts at tokens[pos], and the position after it.
+    Reading past the last token raises IndexError, which parse_formula
+    reports as the end of input."""
     if depth > MAX_NESTING:
         raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels")
-    tok = stream.next()
+    tok = tokens[pos]
     if tok != "(":
         raise FormulaSyntaxError(f"expected '(', got {tok!r}")
-    head = stream.next()
+    head = tokens[pos + 1]
+    pos += 2
     if head in ("(", ")"):
         raise FormulaSyntaxError(f"expected operator or predicate, got {head!r}")
 
     if head in PREDICATES:
         args = []
-        while stream.peek() != ")":
-            args.append(_parse_variable(stream.next()))
-        stream.expect(")")
-        return Atom(head, tuple(args))
+        while tokens[pos] != ")":
+            args.append(_parse_variable(tokens[pos]))
+            pos += 1
+        return Atom(head, tuple(args)), pos + 1
 
     if head == "=":
-        left = _parse_variable(stream.next())
-        right = _parse_variable(stream.next())
-        stream.expect(")")
-        return Equal(left, right)
+        left = _parse_variable(tokens[pos])
+        right = _parse_variable(tokens[pos + 1])
+        return Equal(left, right), _close(tokens, pos + 2)
 
     if head == "not":
-        child = _parse_expr(stream, allow_implies, depth + 1)
-        stream.expect(")")
-        return Not(child)
+        child, pos = _parse_expr(tokens, pos, allow_implies, depth + 1)
+        return Not(child), _close(tokens, pos)
 
     if head in ("and", "or"):
         children = []
-        while stream.peek() != ")":
-            children.append(_parse_expr(stream, allow_implies, depth + 1))
-        stream.expect(")")
+        while tokens[pos] != ")":
+            child, pos = _parse_expr(tokens, pos, allow_implies, depth + 1)
+            children.append(child)
         if len(children) < 2:
             raise FormulaSyntaxError(f"{head} requires at least 2 arguments, got {len(children)}")
-        return And(tuple(children)) if head == "and" else Or(tuple(children))
+        return (And if head == "and" else Or)(tuple(children)), pos + 1
 
     if head == "implies":
         if not allow_implies:
             raise FormulaSyntaxError(
                 "implies is not allowed here; encode A implies B as (or (not A) B)"
             )
-        lhs = _parse_expr(stream, allow_implies, depth + 1)
-        rhs = _parse_expr(stream, allow_implies, depth + 1)
-        stream.expect(")")
-        return Implies(lhs, rhs)
+        lhs, pos = _parse_expr(tokens, pos, allow_implies, depth + 1)
+        rhs, pos = _parse_expr(tokens, pos, allow_implies, depth + 1)
+        return Implies(lhs, rhs), _close(tokens, pos)
 
     if head in ("forall", "exists"):
-        var = _parse_variable(stream.next())
-        body = _parse_expr(stream, allow_implies, depth + 1)
-        stream.expect(")")
-        return Forall(var, body) if head == "forall" else Exists(var, body)
+        var = _parse_variable(tokens[pos])
+        body, pos = _parse_expr(tokens, pos + 1, allow_implies, depth + 1)
+        return (Forall if head == "forall" else Exists)(var, body), _close(tokens, pos)
 
     raise FormulaSyntaxError(f"unknown operator token {head!r}")
 
@@ -309,19 +304,23 @@ def parse_formula(text: str, allow_implies: bool = False) -> Formula:
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty input")
-    stream = _TokenStream(tokens)
-    formula = _parse_expr(stream, allow_implies)
-    if not stream.done():
-        raise FormulaSyntaxError(f"trailing tokens after formula: {' '.join(tokens[stream.pos:])!r}")
+    try:
+        formula, pos = _parse_expr(tokens, 0, allow_implies)
+    except IndexError:
+        raise FormulaSyntaxError("unexpected end of input (unbalanced parentheses?)") from None
+    if pos < len(tokens):
+        raise FormulaSyntaxError(f"trailing tokens after formula: {' '.join(tokens[pos:])!r}")
     return formula
 
 
 # ---------------------------------------------------------------------------
-# Traversal: every structural walk goes through these per-type tables.  A
-# value that is not a formula node fails the lookup with a KeyError.
+# Traversal: every structural walk goes through these per-type tables, and
+# every structural measure through the one facts record (_facts) each node
+# builds from its children's.  A value that is not a formula node fails
+# the lookup with a KeyError.
 
 # What a node prints before its children: operator or predicate, then the
-# variables it names.  Each head token counts 1 towards the AST size.
+# variables it names.
 _HEAD = {
     Atom: lambda f: " ".join([f.pred, *[v.name for v in f.args]]),
     Equal: lambda f: f"= {f.left.name} {f.right.name}",
@@ -352,7 +351,6 @@ _REBUILD = {
     Forall: lambda f, kids: Forall(f.var, *kids),
     Exists: lambda f, kids: Exists(f.var, *kids),
 }
-_BINDERS = (Forall, Exists)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -392,6 +390,83 @@ def render_formula(f: Formula) -> str:
 # Measures and structural queries
 
 
+# Predicates and variable names as bits, so a node's facts are a few small
+# ints: a union of children is an or, a binder clears its variable's bit.
+_PREDICATE_NAMES = tuple(PREDICATES)
+_PRED_BIT = {p: 1 << i for i, p in enumerate(_PREDICATE_NAMES)}
+_VAR_BIT = {v: 1 << i for i, v in enumerate(VARIABLE_NAMES)}
+
+
+@cache
+def _names(bits: int, names: tuple[str, ...]) -> frozenset[str]:
+    """The names whose bits are set, names[i] at bit i.  There are 48 such
+    sets, so each is made once and shared."""
+    return frozenset(n for i, n in enumerate(names) if bits >> i & 1)
+
+
+def _var_bits(variables) -> int:
+    bits = 0
+    for v in variables:
+        bits |= _VAR_BIT[v.name]
+    return bits
+
+
+class _Facts(NamedTuple):
+    size: int
+    depth: int
+    predicates: int  # bits of _PRED_BIT
+    free: int  # bits of _VAR_BIT
+    implies: bool
+
+
+def _join(f, kids: list[_Facts]) -> _Facts:
+    """And, Or and Implies: 1 plus the children's sizes, their deepest depth,
+    the union of their predicates and free variables."""
+    size, depth, preds, free, implies = 1, 0, 0, 0, type(f) is Implies
+    for k in kids:
+        size += k.size
+        depth = max(depth, k.depth)
+        preds |= k.predicates
+        free |= k.free
+        implies = implies or k.implies
+    return _Facts(size, depth, preds, free, implies)
+
+
+def _bind(f, kids: list[_Facts]) -> _Facts:
+    (body,) = kids
+    free = body.free & ~_VAR_BIT[f.var.name]
+    return _Facts(body.size + 2, body.depth + 1, body.predicates, free, body.implies)
+
+
+# Per node type, its facts from its children's, in the order _CHILDREN gives.
+_FACTS = {
+    Atom: lambda f, kids: _Facts(1 + len(f.args), 0, _PRED_BIT[f.pred], _var_bits(f.args), False),
+    Equal: lambda f, kids: _Facts(3, 0, 0, _var_bits((f.left, f.right)), False),
+    Not: lambda f, kids: _Facts(kids[0].size + 1, *kids[0][1:]),
+    And: _join,
+    Or: _join,
+    Implies: _join,
+    Forall: _bind,
+    Exists: _bind,
+}
+
+
+def _facts(f: Formula) -> _Facts:
+    """The node's facts record, built once from its children's and kept on
+    the node next to its hash.  Nodes shared between formulas (a mutant and
+    its gold) share their records.  A leaf's record is rebuilt instead:
+    only its parent asks for it, once, and keeping it would hold memory
+    for every atom of every live formula."""
+    facts = getattr(f, "_facts", None)
+    if facts is None:
+        t = type(f)
+        kids = _CHILDREN[t](f)
+        facts = _FACTS[t](f, [_facts(c) for c in kids])
+        if kids:
+            object.__setattr__(f, "_facts", facts)
+    return facts
+
+
 def formula_metrics(f: Formula) -> FormulaMetrics:
     """AST size and quantifier depth.
 
@@ -400,60 +475,23 @@ def formula_metrics(f: Formula) -> FormulaMetrics:
     that is, one per head token.  Depth: atoms 0, connectives take the max
     of their children, quantifiers add 1.
     """
-    return FormulaMetrics(*_size_depth(f))
-
-
-def _size_depth(f: Formula) -> tuple[int, int]:
-    t = type(f)
-    size, depth = _HEAD[t](f).count(" ") + 1, 0
-    for child in _CHILDREN[t](f):
-        s, d = _size_depth(child)
-        size += s
-        if d > depth:
-            depth = d
-    return size, depth + (t in _BINDERS)
-
-
-def _scope_facts(f: Formula) -> tuple[set[str], set[str], bool]:
-    """(predicates used, free variable names, implication present), one pass.
-
-    Shadowed variables resolve to the innermost binder.
-    """
-    t = type(f)
-    kids = _CHILDREN[t](f)
-    if not kids:
-        tokens = _HEAD[t](f).split()
-        return ({tokens[0]} if t is Atom else set()), set(tokens[1:]), False
-    preds, free, implies = set(), set(), t is Implies
-    for child in kids:
-        p, v, i = _scope_facts(child)
-        preds |= p
-        free |= v
-        implies = implies or i
-    if t in _BINDERS:
-        free.discard(f.var.name)
-    return preds, free, implies
+    facts = _facts(f)
+    return FormulaMetrics(facts.size, facts.depth)
 
 
 def free_variables(f: Formula) -> frozenset[str]:
     """Free variable names; shadowed variables resolve to the innermost binder."""
-    return frozenset(_scope_facts(f)[1])
+    return _names(_facts(f).free, VARIABLE_NAMES)
 
 
 def predicates_used(f: Formula) -> frozenset[str]:
-    # a plain loop: the engine asks this on every validity and cost call
-    out, stack = set(), [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is Atom:
-            out.add(g.pred)
-        else:
-            stack.extend(_CHILDREN[type(g)](g))
-    return frozenset(out)
+    # a lookup once the node's record exists: the engine asks this on every
+    # world_costs call
+    return _names(_facts(f).predicates, _PREDICATE_NAMES)
 
 
 def contains_implies(f: Formula) -> bool:
-    return any(type(g) is Implies for _, g in subformulas(f))
+    return _facts(f).implies
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +510,9 @@ def validate_hypothesis(
     """
     allowed = frozenset(allowed)
     forbidden = frozenset(forbidden)
-    used, free, implies = _scope_facts(f)
-    if implies:
+    facts = _facts(f)
+    used, free = _names(facts.predicates, _PREDICATE_NAMES), _names(facts.free, VARIABLE_NAMES)
+    if facts.implies:
         raise HypothesisError("implication is not allowed in a hypothesis")
     if "Ab" in used:
         raise HypothesisError("hypothesis must not mention Ab (it defines Ab)")

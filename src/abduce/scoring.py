@@ -11,14 +11,17 @@ first matching failure class; its two thresholds are the module constants
 INFLATION_THRESHOLD (holdout minus train gap) and CATASTROPHIC_THRESHOLD
 (holdout valid fraction).
 
-Scoring of distinct predictions is independent.  Aggregation builds each
-report table from one grouping pass over the completed records.
+Scoring of distinct predictions is independent.  score_prediction fills
+one dict with every field, labels it by the rules classify_failure applies
+to a finished record, and builds the ScoreRecord once from it.
+Aggregation builds each report table from one grouping pass over the
+completed records.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
@@ -98,6 +101,10 @@ class ScoreRecord:
     catastrophic: bool = False
 
 
+# Every ScoreRecord field that has a default, with it.
+_DEFAULTS = {f.name: f.default for f in fields(ScoreRecord) if f.default is not MISSING}
+
+
 def parse_prediction_line(line: str, instance_id: str = "", model_id: str = "") -> Prediction:
     """Strict one-line parse: a single JSON object with exactly the keys
     formula and description.  Fences, prefixes, or extra objects record a
@@ -123,14 +130,15 @@ def score_prediction(pred: Prediction, inst: InstanceRecord) -> ScoreRecord:
     """Full per-prediction evaluation against one instance.
 
     Uses the instance's cached OptCost and gold baselines; costs are left
-    absent wherever validity fails.  Every outcome fills one field dict,
-    which classify_failure then labels.
+    absent wherever validity fails.  Every outcome fills one dict of all
+    the fields, which _failure labels before the one ScoreRecord is built.
     """
     theory = inst.theory
     regime = inst.regime
     n_train = len(inst.train_worlds)
     gold_train_total = sum(inst.train_gold_costs)
     rec = dict(
+        _DEFAULTS,
         instance_id=inst.id,
         model_id=pred.model_id,
         scenario=inst.scenario,
@@ -194,23 +202,27 @@ def score_prediction(pred: Prediction, inst: InstanceRecord) -> ScoreRecord:
                         survivor=True,
                         delta_gap=hold_gap - rec["train_gap"],
                     )
-    record = ScoreRecord(**rec)
-    failure_class, catastrophic = classify_failure(record)
-    return replace(record, failure_class=failure_class, catastrophic=catastrophic)
+    rec["failure_class"], rec["catastrophic"] = _failure(rec)
+    return ScoreRecord(**rec)
 
 
 def classify_failure(rec: ScoreRecord) -> tuple[str, bool]:
     """First matching category, in fixed order; the boolean flags the
     catastrophic sub-case of Brittle (under half the holdout worlds valid)."""
-    if not rec.parse_ok:
+    return _failure(vars(rec))
+
+
+def _failure(rec: Mapping) -> tuple[str, bool]:
+    """classify_failure's rules over a mapping of every ScoreRecord field."""
+    if not rec["parse_ok"]:
         return "ParseError", False
-    if not any(rec.train_world_valid):
+    if not any(rec["train_world_valid"]):
         return "AllInvalidTrain", False
-    if not rec.train_valid:
+    if not rec["train_valid"]:
         return "PartialInvalidTrain", False
-    if rec.holdout_available and rec.holdout_valid is False:
-        return "Brittle", rec.holdout_valid_fraction < CATASTROPHIC_THRESHOLD
-    if rec.survivor and rec.delta_gap is not None and rec.delta_gap > INFLATION_THRESHOLD:
+    if rec["holdout_available"] and rec["holdout_valid"] is False:
+        return "Brittle", rec["holdout_valid_fraction"] < CATASTROPHIC_THRESHOLD
+    if rec["survivor"] and rec["delta_gap"] is not None and rec["delta_gap"] > INFLATION_THRESHOLD:
         return "ParsimonyInflation", False
     # train-valid with no holdout data stops at the train-level outcome
     return "Success", False

@@ -126,6 +126,7 @@ class World:
     True, 1.0, list pairs) and stored as the canonical Python object, which
     every world of the same domain size shares; anything else raises
     ValueError, and so does a predicate key other than P, Q, R and S.
+    The number of unknown atoms is counted once, at construction.
     """
 
     n: int
@@ -146,6 +147,7 @@ class World:
                 raise ValueError(f"{p}: true and unknown atom sets overlap")
         object.__setattr__(self, "true_atoms", true)
         object.__setattr__(self, "unknown_atoms", unk)
+        object.__setattr__(self, "_num_unknowns", sum(map(len, unk.values())))
 
     def unknown_order(self) -> list[tuple[str, object]]:
         """All unknown atoms, sorted by predicate name then row-major index.
@@ -164,7 +166,7 @@ class World:
         return out
 
     def num_unknowns(self) -> int:
-        return sum(len(v) for v in self.unknown_atoms.values())
+        return self._num_unknowns
 
     def elements(self) -> range:
         return range(self.n)

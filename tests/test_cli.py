@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from abduce import oracle
+from abduce import cli, oracle
 from abduce.cli import main
 from abduce.dataset import load_dataset
 from abduce.formula import render_formula
@@ -468,3 +468,35 @@ def test_verify_oracle_reports_cost_mismatch(tmp_path, monkeypatch, capsys):
     for i, gold_cost in enumerate(rec.train_gold_costs):
         assert f"{rec.id}: world{i} cost engine={gold_cost} oracle={gold_cost + 1}\n" in out
     assert f"{len(rec.train_worlds)} violation(s)" in out
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran the work before checking --out")
+
+
+@pytest.mark.parametrize("out, reason", [("nodir/out.jsonl", "[Errno 2] No such file or directory"),
+                                         ("scores", "[Errno 21] Is a directory")],
+                         ids=["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["generate", "score"])
+def test_unwritable_out_fails_before_the_work(dataset_path, tmp_path, monkeypatch, capsys, command, out,
+                                              reason):
+    # generate_batch and score_batch once ran to the end before --out was opened
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scores").mkdir()
+    monkeypatch.setattr(cli, "generate_batch", _refuse)
+    monkeypatch.setattr(cli, "score_batch", _refuse)
+    rec = load_dataset(dataset_path)[0]
+    (tmp_path / "p.jsonl").write_text(
+        json.dumps({"formula": render_formula(rec.gold.formula), "description": "g"}) + "\n")
+    (tmp_path / "m.jsonl").write_text(json.dumps({"model_id": "gold", "instance_id": rec.id}) + "\n")
+    argv = {
+        "generate": ["generate", "--scenario", "full", "--theory", "T1", "--count", "1", "--out", out],
+        "score": ["score", "--dataset", dataset_path, "--predictions", "p.jsonl", "--manifest", "m.jsonl",
+                  "--out", out],
+    }[command]
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"abduce {command}: error: {reason}: {out!r}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before

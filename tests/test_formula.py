@@ -3,27 +3,37 @@ import pickle
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from abduce.formula import (
     And,
     Atom,
     Equal,
     Exists,
+    Forall,
     FormulaSyntaxError,
+    Hypothesis,
     HypothesisError,
+    Implies,
     Not,
+    Or,
     Variable,
+    children,
     contains_implies,
     formula_metrics,
     free_variables,
     parse_formula,
     parse_hypothesis,
+    predicates_used,
     render_formula,
     validate_hypothesis,
 )
-from abduce.theory import builtin_theory, custom_theory
+from abduce.generator import gold_mutants
+from abduce.theory import THEORY_IDS, builtin_theory, custom_theory
 
 from conftest import random_formula
+from test_properties import formulas
 
 
 def v(name):
@@ -289,3 +299,116 @@ class TestHashMemo:
         c1, c2 = (custom_theory("(exists y (R x y))", "(Q x)", {"P", "R"}) for _ in range(2))
         assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
         assert t1 != t2
+
+
+# ---------------------------------------------------------------------------
+# The per-node facts memo against plain recursion
+
+
+def _reference(f):
+    """(size, quantifier depth, predicates, free variables, implication
+    present) by plain recursion over the node types."""
+    if isinstance(f, Atom):
+        return 1 + len(f.args), 0, {f.pred}, {a.name for a in f.args}, False
+    if isinstance(f, Equal):
+        return 3, 0, set(), {f.left.name, f.right.name}, False
+    if isinstance(f, (Forall, Exists)):
+        size, depth, preds, free, implies = _reference(f.body)
+        return size + 2, depth + 1, preds, free - {f.var.name}, implies
+    if isinstance(f, Not):
+        kids = [f.child]
+    else:
+        kids = [f.lhs, f.rhs] if isinstance(f, Implies) else list(f.children)
+    refs = [_reference(k) for k in kids]
+    return (
+        1 + sum(r[0] for r in refs),
+        max(r[1] for r in refs),
+        set().union(*(r[2] for r in refs)),
+        set().union(*(r[3] for r in refs)),
+        isinstance(f, Implies) or any(r[4] for r in refs),
+    )
+
+
+def _reference_verdict(f, allowed, forbidden):
+    """The HypothesisError message validate_hypothesis should raise, or None."""
+    _, _, used, free, implies = _reference(f)
+    if implies:
+        return "implication is not allowed in a hypothesis"
+    if "Ab" in used:
+        return "hypothesis must not mention Ab (it defines Ab)"
+    bad = sorted((used & forbidden) | (used - allowed))
+    if bad:
+        return f"forbidden predicate(s) used: {', '.join(bad)}"
+    if free != {"x"}:
+        return "free-variable set must be exactly {x}, got {" + ", ".join(sorted(free)) + "}"
+    return None
+
+
+def _assert_facts(f, spec):
+    size, depth, preds, free, implies = _reference(f)
+    metrics = formula_metrics(f)
+    assert (metrics.ast_size, metrics.quantifier_depth) == (size, depth)
+    assert free_variables(f) == free and predicates_used(f) == preds and contains_implies(f) == implies
+    expected = _reference_verdict(f, spec.allowed, spec.forbidden)
+    try:
+        got = validate_hypothesis(f, spec.allowed, spec.forbidden)
+    except HypothesisError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None and got == Hypothesis(f, spec.allowed)
+
+
+@st.composite
+def _any_formulas(draw):
+    """test_properties.formulas over a random scope and free variables, now
+    and then with an implication at the root or below it, or beside an Ab
+    atom."""
+    preds = sorted(draw(st.sets(st.sampled_from(("P", "Q", "R", "S")), min_size=1)))
+    env = draw(st.sampled_from((("x",), ("x", "y"), ("y",))))
+    f = draw(formulas(preds, env, depth=draw(st.integers(0, 4))))
+    kind = draw(st.sampled_from(("plain", "plain", "implies", "nested implies", "ab")))
+    if kind == "implies":
+        return Implies(f, draw(formulas(preds, env, depth=2)))
+    if kind == "nested implies":
+        return Exists(Variable("y"), Not(And((f, Implies(f, draw(formulas(preds, env, depth=2)))))))
+    if kind == "ab":
+        return Or((Atom("Ab", (Variable("x"),)), f))
+    return f
+
+
+FACTS_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None,
+                          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@FACTS_SETTINGS
+@given(f=_any_formulas(), theory=st.sampled_from(THEORY_IDS))
+def test_facts_memo_matches_plain_recursion(f, theory):
+    spec = builtin_theory(theory)
+    fresh = parse_formula(render_formula(f), allow_implies=True)
+    _assert_facts(f, spec)
+    # the memo sits beside the fields, on every node but a leaf: equality,
+    # hash, repr, replace and pickle see the same node as a copy that has none
+    assert ("_facts" in vars(f)) == bool(children(f)) and "_facts" not in vars(fresh)
+    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+    assert dataclasses.asdict(f) == dataclasses.asdict(fresh)
+    again = dataclasses.replace(f)
+    assert "_facts" not in vars(again) and again == f and hash(again) == hash(f)
+    thawed = pickle.loads(pickle.dumps(f))
+    assert "_facts" not in vars(thawed) and "_hash" not in vars(thawed)
+    assert thawed == f and hash(thawed) == hash(f)
+    _assert_facts(thawed, spec)
+    _assert_facts(fresh, spec)
+
+
+@FACTS_SETTINGS
+@given(data=st.data())
+def test_facts_memo_on_mutants_that_share_subtrees(data):
+    spec = builtin_theory(data.draw(st.sampled_from(THEORY_IDS), label="theory"))
+    f = data.draw(formulas(sorted(spec.allowed), depth=4), label="gold")
+    assume(_reference(f)[3] == {"x"})
+    _assert_facts(f, spec)  # every inner node of the gold now holds its record
+    gold = validate_hypothesis(f, spec.allowed, spec.forbidden)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    for mutant in gold_mutants(gold, spec, random.Random(seed), count=10):
+        _assert_facts(mutant.formula, spec)
+        _assert_facts(parse_formula(render_formula(mutant.formula)), spec)

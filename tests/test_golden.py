@@ -7,20 +7,40 @@ byte.  A change that alters either must do so on purpose: bump
 FORMAT_VERSION, regenerate, and update the hashes here.  The engine hash
 pins what the oracle tests do not compare: which completion each verdict
 names as its witness.  The report hash pins every table's rows, column
-order and values, and their rendering.
+order and values, and their rendering.  The score hash pins every field of
+the records score_prediction makes for a fixed set of prediction lines
+against real instances, from the gold replay to hostile input.
 """
 
 import hashlib
 import json
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from abduce.dataset import FORMAT_VERSION, save_dataset
 from abduce.engine import cost, opt_cost, validity
-from abduce.formula import validate_hypothesis
-from abduce.generator import GenParams, generate_batch
+from abduce.formula import (
+    And,
+    Atom,
+    Equal,
+    Exists,
+    Forall,
+    Not,
+    Or,
+    Variable,
+    render_formula,
+    validate_hypothesis,
+)
+from abduce.generator import GenParams, generate_batch, gold_mutants, tier1_formulas, tier2_formulas
 from abduce.prompts import render_prompt
-from abduce.scoring import ScoreRecord, aggregate_report, classify_failure, render_report
+from abduce.scoring import (
+    ScoreRecord,
+    aggregate_report,
+    classify_failure,
+    parse_prediction_line,
+    render_report,
+    score_prediction,
+)
 from abduce.theory import THEORY_IDS, builtin_theory
 
 from conftest import random_hypothesis_formula, random_world
@@ -39,6 +59,11 @@ ENGINE_CASES = 300
 ENGINE_SHA256 = "5e9f2b2f63e3935ceb0a69a5a5d8e938cc2c1e1b6bc1d1fa7ce98eeb65dbc2eb"
 REPORT_SEEDS = (3, 11, 29)
 REPORT_SHA256 = "9483f86f928452f75c7f8b46990b25a46667264c084b4c658a3fbe0580729286"
+# The holdout instances plus one skeptical instance (two worlds of 18
+# unknown atoms, no holdouts), so every regime is scored.
+SCORE_MIX = HOLDOUT_MIX + (("skeptical", "T6", 1790208476),)
+SCORE_SEED = 20261019
+SCORE_SHA256 = "e2c0dd9c7500d1640570a75d8039e310488a4a8a806ec5981e56297a451907b8"
 
 
 def _golden(tmp_path):
@@ -174,3 +199,91 @@ def test_golden_report():
         # no sort_keys: the hash pins each table's column order too
         digest.update(json.dumps(report).encode() + b"\0" + render_report(report).encode() + b"\0")
     assert digest.hexdigest() == REPORT_SHA256
+
+
+def _score_formula(rng, allowed, depth):
+    """An in-scope formula of quantifier depth exactly `depth`, tied to x by
+    a unary conjunct when the theory has one."""
+    unary = sorted(p for p in allowed if p in ("P", "Q"))
+    binary = sorted(p for p in allowed if p in ("R", "S"))
+
+    def leaf(env):
+        kinds = ["unary"] * bool(unary) + ["binary"] * bool(binary) + ["equal"] * (len(env) > 1)
+        kind = rng.choice(kinds)
+        if kind == "unary":
+            return Atom(rng.choice(unary), (Variable(rng.choice(env)),))
+        if kind == "binary":
+            return Atom(rng.choice(binary), (Variable(rng.choice(env)), Variable(rng.choice(env))))
+        return Equal(*(Variable(v) for v in rng.sample(env, 2)))
+
+    def build(depth, env):
+        if depth == 0:
+            kind = rng.choice(("leaf", "leaf", "not", "and", "or"))
+            if kind == "leaf":
+                return leaf(env)
+            if kind == "not":
+                return Not(leaf(env))
+            return (And if kind == "and" else Or)((leaf(env), leaf(env)))
+        var = rng.choice([v for v in ("y", "z", "w") if v != env[-1]])
+        inner = tuple(v for v in env if v != var) + (var,)
+        body = build(depth - 1, inner)
+        if rng.random() < 0.5:
+            body = (And if rng.random() < 0.5 else Or)((leaf(inner), body))
+        return (Exists if rng.random() < 0.5 else Forall)(Variable(var), body)
+
+    f = build(depth, ("x",))
+    return And((Atom(unary[0], (Variable("x"),)), f)) if unary else f
+
+
+def _score_lines(inst, rng):
+    """The gold replay, up to 30 gold mutants, the tier-1 and tier-2 pools,
+    the formula true of every element, eight random formulas per quantifier
+    depth 0-4, scope errors, malformed lines and one line nested 3,000
+    deep."""
+    def line(text):
+        return json.dumps({"formula": text, "description": "golden"})
+
+    theory = inst.theory
+    gold = render_formula(inst.gold.formula)
+    texts = [gold]
+    texts += [render_formula(h.formula) for h in gold_mutants(inst.gold, theory, rng, count=30)]
+    texts += [render_formula(h.formula) for h in tier1_formulas(theory) + tier2_formulas(theory)]
+    texts.append("(= x x)")
+    texts += [render_formula(_score_formula(rng, theory.allowed, d)) for d in range(5) for _ in range(8)]
+    forbidden = sorted(theory.forbidden - {"Ab"})
+    texts += ["(Ab x)", "(exists y (P y))", "(and (P x) (P y))", "(P z)", "(implies (P x) (Q x))", "(P a1)"]
+    texts += [f"({p} x)" if p in ("P", "Q") else f"({p} x x)" for p in forbidden]
+    lines = [line(t) for t in texts]
+    lines += [
+        "```json " + line(gold) + " ```",
+        json.dumps({"formula": gold}),
+        json.dumps({"formula": gold, "description": "x", "confidence": 0.9}),
+        line(gold)[:-3],
+        json.dumps([gold, "golden"]),
+        json.dumps({"formula": 3, "description": "golden"}),
+        "Answer: " + gold,
+        line("(P x"),
+        line("(and (P x))"),
+        line(""),
+    ]
+    lines.append(line("(not " * 3000 + "(P x)" + ")" * 3000))
+    return lines
+
+
+def test_golden_score_records():
+    instances = []
+    for s, t, seed in SCORE_MIX:
+        extra = {"world_attempts": 1500} if s == "skeptical" else {}
+        params = GenParams(scenario=s, theory_id=t, global_seed=seed, **extra)
+        instances.extend(generate_batch(params, 1, dataset_path="bench.jsonl"))
+    assert sum(inst.holdout_available for inst in instances) == 2
+    rng = random.Random(SCORE_SEED)
+    records = []
+    for inst in instances:
+        for i, line in enumerate(_score_lines(inst, rng)):
+            pred = parse_prediction_line(line, inst.id, f"m{i % 3}")
+            records.append(score_prediction(pred, inst))
+    classes = {r.failure_class for r in records}
+    assert {"ParseError", "AllInvalidTrain", "PartialInvalidTrain", "Brittle", "Success"} <= classes
+    data = json.dumps([asdict(r) for r in records], sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(data).hexdigest() == SCORE_SHA256
