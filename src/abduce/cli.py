@@ -10,11 +10,13 @@ import errno
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from . import oracle
 from .dataset import (
     DatasetError,
+    check_scenario,
     load_dataset,
     load_predictions,
     load_score_records,
@@ -27,7 +29,7 @@ from .formula import parse_formula, validate_hypothesis
 from .generator import GenerationError, GenParams, audit_instance, baseline_shape_problems, generate_batch
 from .prompts import render_prompt
 from .scoring import aggregate_report, render_report, render_table, score_batch
-from .theory import THEORY_IDS
+from .theory import THEORY_IDS, builtin_theory
 
 
 def _int_in(minimum: int, maximum: Optional[int] = None):
@@ -58,15 +60,17 @@ def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="abduce", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate a dataset with holdouts and a log sidecar")
+    # Each GenParams setting a flag leaves out keeps its GenParams default.
+    gen = sub.add_parser("generate", help="generate a dataset with holdouts and a log sidecar",
+                         argument_default=argparse.SUPPRESS)
     gen.add_argument("--scenario", required=True, choices=("full", "partial", "skeptical"))
-    gen.add_argument("--theory", required=True, choices=THEORY_IDS)
+    gen.add_argument("--theory", dest="theory_id", required=True, choices=THEORY_IDS)
     gen.add_argument("--count", type=_non_negative, default=10)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--world-budget", type=_positive, default=12)
-    gen.add_argument("--margin", type=_positive, default=2)
-    gen.add_argument("--holdouts", type=_non_negative, default=5)
-    gen.add_argument("--world-attempts", type=_positive, default=200)
+    gen.add_argument("--seed", dest="global_seed", metavar="SEED", type=int)
+    gen.add_argument("--world-budget", type=_positive)
+    gen.add_argument("--margin", type=_positive)
+    gen.add_argument("--holdouts", dest="holdout_count", metavar="HOLDOUTS", type=_non_negative)
+    gen.add_argument("--world-attempts", type=_positive)
     gen.add_argument("--refine", action="store_true", help="enable gold refinement")
     gen.add_argument("--out", required=True)
 
@@ -108,19 +112,11 @@ def _check_out(path: str) -> None:
 
 
 def cmd_generate(args) -> int:
+    check_scenario(builtin_theory(args.theory_id), args.scenario)
     _check_out(args.out)
-    params = GenParams(
-        scenario=args.scenario,
-        theory_id=args.theory,
-        world_budget=args.world_budget,
-        margin=args.margin,
-        holdout_count=args.holdouts,
-        global_seed=args.seed,
-        world_attempts=args.world_attempts,
-        refine=args.refine,
-    )
+    params = GenParams(**{f.name: getattr(args, f.name) for f in fields(GenParams) if hasattr(args, f.name)})
     records = generate_batch(params, args.count, dataset_path=args.out)
-    save_dataset(records, args.out, [params], global_seed=args.seed)
+    save_dataset(records, args.out, [params], global_seed=params.global_seed)
     save_generation_log(records, args.out + ".log.jsonl")
     with_holdouts = sum(r.holdout_available for r in records)
     print(
@@ -190,11 +186,12 @@ def cmd_optcost(args) -> int:
             rows.append(
                 {"id": rec.id, "split": "holdout", "world": i, "opt_cost": o, "gold_cost": g}
             )
-    print(render_table("opt_cost baselines", rows), end="")
+    # --out is written first, so a command that fails on it prints nothing
     if args.out:
         with open(args.out, "w") as fh:
             for row in rows:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
+    print(render_table("opt_cost baselines", rows), end="")
     return 0
 
 
@@ -239,13 +236,14 @@ def cmd_report(args) -> int:
     if not records:
         raise DatasetError(f"{args.scores}: no score records")
     report = aggregate_report(records)
-    print(render_report(report), end="")
+    # as in optcost, --out is written before anything is printed
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for name, rows in report.items():
             with open(os.path.join(args.out, f"{name}.json"), "w") as fh:
                 json.dump(rows, fh, indent=2, sort_keys=True)
                 fh.write("\n")
+    print(render_report(report), end="")
     return 0
 
 

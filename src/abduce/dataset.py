@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Container, Iterable, Optional, Sequence
 
 from .formula import formula_metrics, parse_formula, render_formula, validate_hypothesis
 from .generator import GenParams, InstanceRecord, audit_instance
-from .scoring import Prediction
-from .theory import SCENARIOS, builtin_theory
+from .scoring import FAILURE_CLASSES, Prediction, ScoreRecord
+from .theory import SCENARIOS, THEORY_IDS, TheorySpec, builtin_theory
 from .world import World, OBSERVABLE_PREDICATES
 
 FORMAT_NAME = "abduce-dataset"
@@ -98,6 +98,14 @@ def _baseline_costs(data: dict, split: str, kind: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def check_scenario(theory: TheorySpec, scenario: str) -> None:
+    """DatasetError unless the theory declares the scenario (T6 and T7 are
+    skeptical-only)."""
+    if scenario not in theory.scenarios:
+        raise DatasetError(f"theory {theory.short_id} does not take the {scenario} scenario, only "
+                           + ", ".join(sorted(theory.scenarios)))
+
+
 def instance_from_json(data: dict) -> InstanceRecord:
     if not isinstance(data["id"], str):
         raise DatasetError(f"instance id must be a string, got {data['id']!r}")
@@ -106,7 +114,10 @@ def instance_from_json(data: dict) -> InstanceRecord:
         raise DatasetError("provenance is not a JSON object")
     if data["scenario"] not in SCENARIOS:
         raise DatasetError(f"unknown scenario {data['scenario']!r}")
+    if data["theory"] not in THEORY_IDS:
+        raise DatasetError(f"unknown theory {data['theory']!r}")
     theory = builtin_theory(data["theory"])
+    check_scenario(theory, data["scenario"])
     gold = validate_hypothesis(
         parse_formula(data["gold"]["formula"]), theory.allowed, theory.forbidden
     )
@@ -130,7 +141,7 @@ def instance_from_json(data: dict) -> InstanceRecord:
 
 
 def params_digest(params_list: Sequence[GenParams]) -> str:
-    payload = _dump([{**asdict(p), "densities": p.densities.ranges} for p in params_list])
+    payload = _dump([p.settings() for p in params_list])
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -270,20 +281,49 @@ def save_score_records(records, path: str) -> None:
             fh.write(_dump(asdict(rec)) + "\n")
 
 
-def load_score_records(path: str):
-    from .scoring import ScoreRecord
+# Whether a JSON value fits a ScoreRecord field's declared type; a JSON
+# number fits a float field, but a bool is no int or float.
+_JSON_FITS = {
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int": _is_json_int,
+    "float": lambda v: _is_json_int(v) or isinstance(v, float),
+    "tuple[bool, ...]": lambda v: isinstance(v, list) and all(isinstance(b, bool) for b in v),
+}
 
+
+def _fits(declared: str, value) -> bool:
+    if declared.startswith("Optional["):
+        return value is None or _fits(declared[len("Optional["):-1], value)
+    return _JSON_FITS[declared](value)
+
+
+def _score_record(data) -> ScoreRecord:
+    """The ScoreRecord of one decoded score line.  TypeError when it is not
+    an object, lacks a field or has one ScoreRecord does not take, or holds a
+    value of the wrong JSON type; ValueError for an unknown failure class."""
+    if not isinstance(data, dict):
+        raise TypeError("not a JSON object")
+    for f in fields(ScoreRecord):
+        if f.name in data and not _fits(f.type, data[f.name]):
+            raise TypeError(f"{f.name} must be {f.type}, got {data[f.name]!r}")
+    for key in ("train_world_valid", "holdout_world_valid"):
+        if key in data:
+            data[key] = tuple(data[key])
+    record = ScoreRecord(**data)
+    if record.failure_class not in FAILURE_CLASSES:
+        raise ValueError(f"unknown failure_class {record.failure_class!r}")
+    return record
+
+
+def load_score_records(path: str) -> list[ScoreRecord]:
     out = []
     with open(path) as fh:
         for i, line in enumerate(fh.read().splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
-                for key in ("train_world_valid", "holdout_world_valid"):
-                    data[key] = tuple(bool(v) for v in data.get(key, ()))
-                out.append(ScoreRecord(**data))
-            except (ValueError, TypeError, AttributeError) as exc:
-                # not JSON, not an object, or fields ScoreRecord does not take
+                out.append(_score_record(json.loads(line)))
+            except (ValueError, TypeError) as exc:
                 raise DatasetError(f"{path}:{i}: bad score line: {exc}") from exc
     return out

@@ -37,9 +37,9 @@ import functools
 import hashlib
 import itertools
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from random import Random
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -67,7 +67,7 @@ from .formula import (
     subformulas,
     validate_hypothesis,
 )
-from .theory import TheorySpec, UNKNOWN_RATES, builtin_theory
+from .theory import THEORY_IDS, TheorySpec, UNKNOWN_RATES, builtin_theory
 from .world import (
     DENSITY_RANGES,
     DOMAIN_SIZES,
@@ -82,6 +82,7 @@ from .world import (
 
 GOLD_AST_RANGE = (5, 30)
 HOLDOUT_ATTEMPTS_PER_WORLD = 150
+POOL_CAP = 30
 # Candidate worlds drawn, and screened in one evaluator pass, at a time.
 _BLOCK = 16
 MASK_BASIS = {"full": "grid", "partial": "true_count", "skeptical": "grid"}
@@ -93,38 +94,33 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GenParams:
+    """The generation settings a caller sets.  The rest define the benchmark's
+    distribution and no caller varies them, so they are fixed: the values
+    below, POOL_CAP, GoldSampler.DIVERSITY_CAP, the enumeration cap, densities
+    and unknown rates.  settings() lists all, and params_digest hashes them."""
+
     scenario: str
     theory_id: str
-    densities: Optional[DensityRanges] = None
-    unknown_rates: Optional[dict] = None
     world_budget: int = 12
     margin: int = 2
-    pool_cap: int = 30
     holdout_count: int = 5
-    exception_cap: float = 0.20
-    gold_gap_slack: int = 1
-    diversity_cap: float = 0.15
     global_seed: int = 0
     refine: bool = False
     world_attempts: int = 200
-    instance_attempts: int = 40
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
+
+    exception_cap: ClassVar[float] = 0.20
+    gold_gap_slack: ClassVar[int] = 1
+    instance_attempts: ClassVar[int] = 40
 
     def __post_init__(self):
-        if self.scenario not in ("full", "partial", "skeptical"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+        if self.scenario not in ("full", "partial", "skeptical") or self.theory_id not in THEORY_IDS:
+            raise ValueError(f"unknown scenario {self.scenario!r} or theory id {self.theory_id!r}")
         if not 1 <= self.world_budget:
             raise ValueError("world_budget must be >= 1")
-        if self.margin < 1 or self.pool_cap < 1:
-            raise ValueError("margin and pool_cap must be >= 1")
+        if self.margin < 1:
+            raise ValueError("margin must be >= 1")
         if self.holdout_count < 0:
             raise ValueError("holdout_count must be >= 0")
-        if self.densities is None:
-            object.__setattr__(self, "densities", DENSITY_RANGES[self.scenario])
-        if self.unknown_rates is None:
-            object.__setattr__(
-                self, "unknown_rates", dict(UNKNOWN_RATES[self.scenario][self.theory_id])
-            )
 
     @property
     def theory(self) -> TheorySpec:
@@ -133,6 +129,21 @@ class GenParams:
     @property
     def regime(self) -> Regime:
         return Regime.parse(self.scenario)
+
+    @property
+    def densities(self) -> DensityRanges:
+        return DENSITY_RANGES[self.scenario]
+
+    @property
+    def unknown_rates(self) -> dict[str, float]:
+        return UNKNOWN_RATES[self.scenario][self.theory_id]
+
+    def settings(self) -> dict:
+        """Every generation setting, the fixed and derived ones included."""
+        return {**asdict(self), "exception_cap": self.exception_cap, "gold_gap_slack": self.gold_gap_slack,
+                "instance_attempts": self.instance_attempts, "pool_cap": POOL_CAP,
+                "diversity_cap": GoldSampler.DIVERSITY_CAP, "enumeration_cap": DEFAULT_ENUMERATION_CAP,
+                "densities": self.densities.ranges, "unknown_rates": self.unknown_rates}
 
 
 @dataclass(frozen=True)
@@ -390,8 +401,9 @@ class GoldSampler:
     """
 
     DORMANCY_THRESHOLD = 60
+    DIVERSITY_CAP = 0.15
 
-    def __init__(self, diversity_cap: float = 0.15):
+    def __init__(self, diversity_cap: float = DIVERSITY_CAP):
         self.diversity_cap = diversity_cap
         self.counts: dict[str, int] = {}
         self.failures: dict[str, int] = {}
@@ -629,7 +641,7 @@ def build_competitor_pool(
     theory: TheorySpec,
     gold: Hypothesis,
     rng: Random,
-    pool_cap: int = 30,
+    pool_cap: int = POOL_CAP,
 ) -> CompetitorPool:
     """Tier-1 curated, tier-2 mined, then up to 10 gold mutants, truncated
     to pool_cap with tier-1 kept preferentially.
@@ -667,7 +679,7 @@ class _EvalCache:
     with its world and rejected candidates are not kept alive.
     """
 
-    def __init__(self, regime: Regime, theory: TheorySpec, cap: int):
+    def __init__(self, regime: Regime, theory: TheorySpec, cap: int = DEFAULT_ENUMERATION_CAP):
         self.regime = regime
         self.theory = theory
         self.cap = cap
@@ -704,9 +716,7 @@ class _AcceptedWorld:
     pre_gold_cost: int
 
 
-def closed_stage_problems(
-    params: GenParams, n: int, opt: int, valid: bool, gold_cost: Optional[int]
-) -> list[str]:
+def closed_stage_problems(n: int, opt: int, valid: bool, gold_cost: Optional[int]) -> list[str]:
     """The closed-world stage on a complete world of domain size n with
     opt_cost(FULL) `opt`: one message per failed filter among the
     nontriviality floor, the exception cap, gold validity and the gold gap
@@ -714,12 +724,12 @@ def closed_stage_problems(
     out = []
     if opt < 1:
         out.append(f"opt_cost {opt} < 1")
-    if opt / n > params.exception_cap:
-        out.append(f"exception rate {opt}/{n} > {params.exception_cap}")
+    if opt / n > GenParams.exception_cap:
+        out.append(f"exception rate {opt}/{n} > {GenParams.exception_cap}")
     if not valid:
         out.append("gold invalid on the pre-mask world")
-    elif gold_cost > opt + params.gold_gap_slack:
-        out.append(f"gold gap {gold_cost - opt} > {params.gold_gap_slack}")
+    elif gold_cost > opt + GenParams.gold_gap_slack:
+        out.append(f"gold gap {gold_cost - opt} > {GenParams.gold_gap_slack}")
     return out
 
 
@@ -786,7 +796,9 @@ class _WorldAcceptor:
             self.n_range = (shared_n,)
         else:
             self.n_range = DOMAIN_SIZES[params.scenario]
-        self.scen_cache = _EvalCache(self.regime, self.theory, params.enumeration_cap)
+        self.densities = params.densities
+        self.unknown_rates = params.unknown_rates
+        self.scen_cache = _EvalCache(self.regime, self.theory)
 
     def _screen(self, draws: Sequence[tuple[int, dict]]) -> list[tuple[int, bool, int]]:
         """Per drawn complete world: opt_cost(FULL), whether the gold is
@@ -816,12 +828,12 @@ class _WorldAcceptor:
         while left > 0:
             state = rng.getstate()
             draws = [
-                draw_complete_world(self.n_range, params.densities, rng)
+                draw_complete_world(self.n_range, self.densities, rng)
                 for _ in range(min(_BLOCK, left))
             ]
             screened = self._screen(draws)
             first = next((
-                i for i, row in enumerate(screened) if not closed_stage_problems(params, draws[i][0], *row)
+                i for i, row in enumerate(screened) if not closed_stage_problems(draws[i][0], *row)
             ), None)
             if first is None:
                 left -= len(draws)
@@ -829,18 +841,18 @@ class _WorldAcceptor:
             left -= first + 1
             rng.setstate(state)
             for _ in range(first):
-                draw_complete_world(self.n_range, params.densities, rng)
-            complete = sample_complete_world(self.n_range, params.densities, rng)
+                draw_complete_world(self.n_range, self.densities, rng)
+            complete = sample_complete_world(self.n_range, self.densities, rng)
             pre_opt, _, pre_gold = screened[first]
             if params.scenario == "full":
                 yield _AcceptedWorld(complete, {}, pre_opt, pre_gold, pre_opt, pre_gold)
                 continue
             masked, hidden = mask_world(
-                complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario]
+                complete, self.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario]
             )
             valid, scen_gold = self.scen_cache.world_eval(masked, self.gold)
             if valid:
-                scen_opt = opt_cost(self.regime, self.theory, masked, cap=params.enumeration_cap)
+                scen_opt = opt_cost(self.regime, self.theory, masked)
                 yield _AcceptedWorld(masked, hidden, scen_opt, scen_gold, pre_opt, pre_gold)
 
 
@@ -872,7 +884,7 @@ def generate_instance(
     GenerationError; each attempt runs the full accept-worlds /
     eliminate-competitors / cheater-screen pipeline.
     """
-    sampler = sampler or GoldSampler(params.diversity_cap)
+    sampler = sampler or GoldSampler()
     last_reason = "no attempts"
     for attempt in range(params.instance_attempts):
         rng = Random(_derive_seed(params.global_seed, params.scenario, params.theory_id, index, attempt))
@@ -892,7 +904,7 @@ def _attempt_instance(params, index, attempt, rng, sampler):
     theory = params.theory
     gold, template = sampler.draw(theory, rng)
     pool_seed = rng.getrandbits(63)
-    pool = build_competitor_pool(theory, gold, Random(pool_seed), params.pool_cap)
+    pool = build_competitor_pool(theory, gold, Random(pool_seed))
     shared_n = rng.choice(DOMAIN_SIZES["skeptical"]) if params.scenario == "skeptical" else None
     acceptor = _WorldAcceptor(params, gold, shared_n)
     cache = acceptor.scen_cache
@@ -992,11 +1004,9 @@ def refine_gold(
     break by total cost, then largest cheater margin, then smallest AST.
     Falls back to the seed gold.
     """
-    cache = cache or _EvalCache(params.regime, theory, params.enumeration_cap)
+    cache = cache or _EvalCache(params.regime, theory)
     # under the full regime a pre-mask world is the world itself
-    full_cache = cache
-    if params.regime is not Regime.FULL:
-        full_cache = _EvalCache(Regime.FULL, theory, params.enumeration_cap)
+    full_cache = cache if params.regime is Regime.FULL else _EvalCache(Regime.FULL, theory)
     pre_worlds = [_pre_mask_world(aw.world, aw.hidden) for aw in accepted]
     local_sampler = GoldSampler(1.0)
     candidates = [seed_gold, *(local_sampler.draw(theory, rng)[0] for _ in range(10))]
@@ -1007,7 +1017,7 @@ def refine_gold(
     for cand in _distinct(candidates):
         total = 0
         for aw, pre in zip(accepted, pre_worlds):
-            if closed_stage_problems(params, pre.n, aw.pre_opt, *full_cache.world_eval(pre, cand)):
+            if closed_stage_problems(pre.n, aw.pre_opt, *full_cache.world_eval(pre, cand)):
                 break
             svalid, scost = cache.world_eval(aw.world, cand)
             if not svalid:
@@ -1112,15 +1122,11 @@ def audit_instance(
     elimination and the cheater margin are audited on the training worlds;
     with pools off they are skipped (the cheap load-time check).
     """
-    params = params or GenParams(
-        scenario=instance.scenario,
-        theory_id=instance.theory_id,
-        global_seed=instance.provenance.get("global_seed", 0),
-    )
+    margin = params.margin if params else GenParams.margin
     regime, theory, prov = instance.regime, instance.theory, instance.provenance
-    cache = _EvalCache(regime, theory, params.enumeration_cap)
+    cache = _EvalCache(regime, theory)
     # as in refine_gold, the full regime's worlds are their own pre-mask worlds
-    full_cache = cache if regime is Regime.FULL else _EvalCache(Regime.FULL, theory, params.enumeration_cap)
+    full_cache = cache if regime is Regime.FULL else _EvalCache(Regime.FULL, theory)
     out = []
     try:
         validate_hypothesis(instance.gold.formula, theory.allowed, theory.forbidden)
@@ -1139,13 +1145,13 @@ def audit_instance(
             out.append(tag + str(exc))
         else:
             pre_opt = opt_cost(Regime.FULL, theory, pre)
-            closed = closed_stage_problems(params, pre.n, pre_opt, *full_cache.world_eval(pre, instance.gold))
+            closed = closed_stage_problems(pre.n, pre_opt, *full_cache.world_eval(pre, instance.gold))
             out.extend(tag + m for m in closed)
         valid, gcost = cache.world_eval(world, instance.gold)
         if not valid:
             out.append(f"{tag}gold invalid under {instance.scenario} semantics")
             return None
-        opt = opt_cost(regime, theory, world, cap=params.enumeration_cap)
+        opt = opt_cost(regime, theory, world)
         for name, cached, value in zip(("opt", "gold cost"), baselines, (opt, gcost)):
             if i < len(cached) and cached[i] != value:
                 out.append(f"{tag}cached {name} {cached[i]} != {value}")
@@ -1158,8 +1164,8 @@ def audit_instance(
 
     pool_seed = prov.get("pool_seed")
     if pools and pool_seed is not None and not out:
-        pool = build_competitor_pool(theory, instance.gold, Random(pool_seed), params.pool_cap)
-        surv = _survivors(pool, instance.train_worlds, gold_total, params.margin, cache)
+        pool = build_competitor_pool(theory, instance.gold, Random(pool_seed))
+        surv = _survivors(pool, instance.train_worlds, gold_total, margin, cache)
         if surv:
             names = [render_formula(pool.entries[i][0].formula) for i in sorted(surv)]
             out.append(f"surviving competitors: {names}")
@@ -1189,7 +1195,7 @@ def generate_batch(
     skip numbers); the walk is deterministic, so regeneration reproduces the
     exact same batch byte for byte.
     """
-    sampler = GoldSampler(params.diversity_cap)
+    sampler = GoldSampler()
     records = []
     index = 0
     index_limit = max(8 * count, count + 16)

@@ -500,3 +500,64 @@ def test_unwritable_out_fails_before_the_work(dataset_path, tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err == f"abduce {command}: error: {reason}: {out!r}\n"
     assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+def _gold_scores(dataset_path, tmp_path):
+    """A score file for the gold replay of every instance of the dataset."""
+    records = load_dataset(dataset_path, check=False)
+    (tmp_path / "p.jsonl").write_text("".join(
+        json.dumps({"formula": render_formula(r.gold.formula), "description": "g"}) + "\n" for r in records))
+    (tmp_path / "m.jsonl").write_text("".join(
+        json.dumps({"model_id": "gold", "instance_id": r.id}) + "\n" for r in records))
+    assert main(["score", "--dataset", dataset_path, "--predictions", str(tmp_path / "p.jsonl"),
+                 "--manifest", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "s.jsonl")]) == 0
+    return str(tmp_path / "s.jsonl")
+
+
+@pytest.mark.parametrize("command, out, reason", [
+    ("optcost", "nodir/o.jsonl", "[Errno 2] No such file or directory"),
+    ("report", "afile", "[Errno 17] File exists"),
+], ids=["optcost-missing-dir", "report-existing-file"])
+def test_unwritable_out_fails_before_printing(dataset_path, tmp_path, monkeypatch, capsys, command, out, reason):
+    # both once printed their whole table or report, then failed on --out
+    scores = _gold_scores(dataset_path, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    argv = {"optcost": ["optcost", "--dataset", dataset_path, "--out", out],
+            "report": ["report", "--scores", scores, "--out", out]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"abduce {command}: error: {reason}: {out!r}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("train_gap", "abc", "train_gap must be Optional[float], got 'abc'"),
+    ("failure_class", "Nope", "unknown failure_class 'Nope'"),
+], ids=["string-gap", "unknown-class"])
+def test_report_rejects_mistyped_score_line(dataset_path, tmp_path, capsys, field, value, message):
+    # a numpy TypeError and a KeyError traceback once, with exit 1
+    scores = tmp_path / "s.jsonl"
+    lines = open(_gold_scores(dataset_path, tmp_path)).read().splitlines()
+    data = json.loads(lines[1])
+    data[field] = value
+    scores.write_text(lines[0] + "\n" + json.dumps(data) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--scores", str(scores)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"abduce report: error: {scores}:2: bad score line: {message}\n"
+
+
+@pytest.mark.parametrize("scenario, theory", [("full", "T6"), ("partial", "T7")])
+def test_generate_rejects_theory_outside_its_scenario(tmp_path, monkeypatch, capsys, scenario, theory):
+    # T6 and T7 declare only the skeptical scenario, yet such a dataset was written and verified clean
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "generate_batch", _refuse)
+    assert main(["generate", "--scenario", scenario, "--theory", theory, "--count", "1", "--out", "ds.jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"abduce generate: error: theory {theory} does not take the {scenario} scenario, "
+                            "only skeptical\n")
+    assert list(tmp_path.iterdir()) == []

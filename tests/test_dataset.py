@@ -197,3 +197,55 @@ def test_malformed_score_line(tmp_path, score_line):
     path.write_text("\n" + score_line + "\n")
     with pytest.raises(DatasetError, match=r"s\.jsonl:2: bad score line"):
         load_score_records(str(path))
+
+
+@pytest.mark.parametrize("theory, message", [
+    ("T7", "theory T7 does not take the partial scenario, only skeptical"),
+    ("TH7", "unknown theory 'TH7'"),
+], ids=["outside-scenario", "internal-id"])
+def test_instance_theory_must_be_a_short_id_of_the_scenario(batch, theory, message):
+    # the gold of a partial T2 instance is in the scope of T7 and of TH7 (T2's
+    # internal id); both lines once loaded, and TH7 then failed the audit
+    _, records, _ = batch
+    data = instance_to_json(records[0])
+    data["theory"] = theory
+    with pytest.raises(DatasetError, match=message):
+        instance_from_json(data)
+
+
+def _score_line(**fields):
+    from dataclasses import asdict
+
+    from abduce.scoring import ScoreRecord
+
+    record = ScoreRecord(instance_id="i", model_id="m", scenario="full", theory_id="T1", parse_ok=True,
+                         train_world_valid=(True, False))
+    return json.dumps({**asdict(record), **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"train_gap": "abc"}, "train_gap must be Optional[float], got 'abc'"),
+    ({"ast_size": True}, "ast_size must be Optional[int], got True"),
+    ({"ast_size": 2.5}, "ast_size must be Optional[int], got 2.5"),
+    ({"parse_ok": 1}, "parse_ok must be bool, got 1"),
+    ({"instance_id": 7}, "instance_id must be str, got 7"),
+    ({"holdout_valid": "yes"}, "holdout_valid must be Optional[bool], got 'yes'"),
+    ({"train_world_valid": "ab"}, "train_world_valid must be tuple[bool, ...], got 'ab'"),
+    ({"train_world_valid": [1, 0]}, "train_world_valid must be tuple[bool, ...], got [1, 0]"),
+    ({"failure_class": "Nope"}, "unknown failure_class 'Nope'"),
+    ({"failure_class": None}, "failure_class must be str, got None"),
+], ids=["str-gap", "bool-int", "float-int", "int-bool", "int-str", "str-bool", "str-tuple", "int-tuple",
+        "unknown-class", "null-class"])
+def test_mistyped_score_line(tmp_path, fields, message):
+    path = tmp_path / "s.jsonl"
+    path.write_text(_score_line() + "\n" + _score_line(**fields) + "\n")
+    with pytest.raises(DatasetError) as exc:
+        load_score_records(str(path))
+    assert str(exc.value) == f"{path}:2: bad score line: {message}"
+
+
+def test_score_line_number_fits_a_float_field(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text(_score_line(train_gap=0, delta_gap=0.5) + "\n")
+    (record,) = load_score_records(str(path))
+    assert (record.train_gap, record.delta_gap, record.train_world_valid) == (0, 0.5, (True, False))
