@@ -17,16 +17,10 @@ from .formula import formula_metrics, parse_formula, render_formula, validate_hy
 from .generator import GenParams, InstanceRecord, audit_instance
 from .scoring import FAILURE_CLASSES, Prediction, ScoreRecord
 from .theory import SCENARIOS, THEORY_IDS, TheorySpec, builtin_theory
-from .world import World, OBSERVABLE_PREDICATES
+from .world import DEFAULT_ENUMERATION_CAP, MAX_DOMAIN_SIZE, OBSERVABLE_PREDICATES, World
 
 FORMAT_NAME = "abduce-dataset"
 FORMAT_VERSION = 1
-
-# The largest domain size a dataset file may declare.  The evaluator holds
-# up to n^4 cells per formula node for one world, so an unchecked n from a
-# file could ask for terabytes; it batches worlds only while a batch fits
-# engine._CELL_BUDGET, one world at this size.  The generator uses n <= 12.
-MAX_DOMAIN_SIZE = 32
 
 
 class DatasetError(ValueError):
@@ -59,7 +53,10 @@ def world_from_json(data: dict) -> World:
         raise DatasetError(f"domain size must be a JSON integer, got {n!r}")
     if n > MAX_DOMAIN_SIZE:
         raise DatasetError(f"domain size {n} exceeds MAX_DOMAIN_SIZE {MAX_DOMAIN_SIZE}")
-    return World(n, data.get("true", {}), data.get("unknown", {}))
+    world = World(n, data.get("true", {}), data.get("unknown", {}))
+    if world.num_unknowns() > DEFAULT_ENUMERATION_CAP:
+        raise DatasetError(f"{world.num_unknowns()} unknown atoms exceed DEFAULT_ENUMERATION_CAP {DEFAULT_ENUMERATION_CAP}")
+    return world
 
 
 def instance_to_json(rec: InstanceRecord) -> dict:
@@ -112,12 +109,19 @@ def instance_from_json(data: dict) -> InstanceRecord:
     provenance = data.get("provenance", {})
     if not isinstance(provenance, dict):
         raise DatasetError("provenance is not a JSON object")
+    pool_seed = provenance.get("pool_seed")
+    if pool_seed is not None and not _is_json_int(pool_seed):
+        raise DatasetError(f"provenance pool_seed must be a JSON integer or null, got {pool_seed!r}")
     if data["scenario"] not in SCENARIOS:
         raise DatasetError(f"unknown scenario {data['scenario']!r}")
     if data["theory"] not in THEORY_IDS:
         raise DatasetError(f"unknown theory {data['theory']!r}")
     theory = builtin_theory(data["theory"])
     check_scenario(theory, data["scenario"])
+    if data["theory_internal"] != theory.internal_id:
+        raise DatasetError(f"theory_internal {data['theory_internal']!r} is not {theory.short_id}'s internal id")
+    if not isinstance(data["train_worlds"], list) or not data["train_worlds"]:
+        raise DatasetError(f"train_worlds must be a non-empty JSON list, got {data['train_worlds']!r}")
     gold = validate_hypothesis(
         parse_formula(data["gold"]["formula"]), theory.allowed, theory.forbidden
     )
@@ -127,7 +131,6 @@ def instance_from_json(data: dict) -> InstanceRecord:
         id=data["id"],
         scenario=data["scenario"],
         theory_id=data["theory"],
-        internal_id=data["theory_internal"],
         train_worlds=tuple(world_from_json(w) for w in data["train_worlds"]),
         gold=gold,
         train_opt_costs=_baseline_costs(data, "train", "opt_costs"),

@@ -88,7 +88,7 @@ from .formula import (
     predicates_used,
 )
 from .theory import TheorySpec
-from .world import DEFAULT_ENUMERATION_CAP, Completion, EnumerationCapError, World
+from .world import DEFAULT_ENUMERATION_CAP, MAX_DOMAIN_SIZE, Completion, EnumerationCapError, World
 
 
 class Regime(enum.Enum):
@@ -452,7 +452,7 @@ def _alpha_grounding(world: World, alpha_formula: Formula) -> tuple[_GExpr, ...]
     return _groundings(world, alpha_formula, *_extension(world, alpha_formula))
 
 
-_CELL_BUDGET = 32**4  # cells per node of one plan pass: one world of domain size 32, four axes
+_CELL_BUDGET = MAX_DOMAIN_SIZE**4  # cells per node of one plan pass: one largest world, four axes
 
 
 def _per_world(worlds: Sequence[World], formula: Formula, from_rows) -> list:
@@ -565,10 +565,10 @@ def _completion(world: World, assignment: dict[int, bool]) -> Completion:
     return Completion({atom: assignment.get(i, False) for i, atom in enumerate(world.unknown_order())})
 
 
-def _check_cap(worlds: Sequence[World], cap: int) -> None:
+def _check_cap(worlds: Sequence[World]) -> None:
     for k in (world.num_unknowns() for world in worlds):
-        if k > cap:
-            raise EnumerationCapError(f"{k} unknown atoms exceed the enumeration cap {cap}")
+        if k > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(f"{k} unknown atoms exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}")
 
 
 def _axiom_exprs(world: World, theory: TheorySpec, al: Sequence[_GExpr]) -> list[_GExpr]:
@@ -612,7 +612,6 @@ def validity(
     theory: TheorySpec,
     worlds: Sequence[World],
     alpha: Hypothesis,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> EngineVerdict:
     """Decide per-world and overall validity from world_costs; see the
     module docstring.
@@ -622,7 +621,7 @@ def validity(
     invalid world (skeptical), from one more sweep on that world alone.
     """
     regime = Regime.parse(regime)
-    per_world = tuple(c is not None for c in world_costs(regime, theory, worlds, alpha, cap=cap))
+    per_world = tuple(c is not None for c in world_costs(regime, theory, worlds, alpha))
     overall = all(per_world)
     if regime is Regime.PARTIAL and overall and worlds:
         wi = 0
@@ -641,7 +640,6 @@ def world_costs(
     theory: TheorySpec,
     worlds: Sequence[World],
     alpha: Hypothesis,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[Optional[int], ...]:
     """Per world, the hypothesis's abnormality count, or None where it is
     invalid: validity and cost in one pass.
@@ -656,7 +654,7 @@ def world_costs(
     if regime is Regime.FULL:
         return tuple(_full_costs(theory, worlds, alpha))
     out = []
-    _check_cap(worlds, cap)
+    _check_cap(worlds)
     for world, alpha_exprs in zip(worlds, _per_world(worlds, alpha.formula, _groundings)):
         axioms = _axiom_exprs(world, theory, alpha_exprs)
         if regime is Regime.PARTIAL:
@@ -674,12 +672,11 @@ def cost(
     theory: TheorySpec,
     worlds: Sequence[World],
     alpha: Hypothesis,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CostReport:
     """Abnormality counts for a valid hypothesis (error otherwise); see
     world_costs."""
     regime = Regime.parse(regime)
-    per_world = world_costs(regime, theory, worlds, alpha, cap=cap)
+    per_world = world_costs(regime, theory, worlds, alpha)
     bad = [i for i, c in enumerate(per_world) if c is None]
     if bad:
         raise InvalidHypothesisError(f"hypothesis is invalid on world(s) {bad}; cost is undefined")
@@ -691,7 +688,6 @@ def opt_cost(
     theory: TheorySpec,
     world: World,
     variant: str = "pointwise",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """Free-Ab lower bound for one world.
 
@@ -708,7 +704,7 @@ def opt_cost(
         if world.num_unknowns():
             raise ValueError("full regime requires a fully observed world")
         return int(_closed_violations(world, theory).sum())
-    _check_cap([world], cap)
+    _check_cap([world])
     violations = _world_grounding(world, theory)
     if regime is Regime.SKEPTICAL and variant == "uniform":
         # Elements with some violating completion must be abnormal under a
@@ -722,10 +718,9 @@ def opt_costs(
     theory: TheorySpec,
     worlds: Sequence[World],
     variant: str = "pointwise",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> OptReport:
     regime = Regime.parse(regime)
-    per = tuple(opt_cost(regime, theory, w, variant=variant, cap=cap) for w in worlds)
+    per = tuple(opt_cost(regime, theory, w, variant=variant) for w in worlds)
     return OptReport(regime, per, sum(per), variant)
 
 
@@ -736,7 +731,6 @@ def gaps(
     theory: Optional[TheorySpec] = None,
     worlds: Optional[Sequence[World]] = None,
     gold_costs: Optional[Sequence[int]] = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CostReport:
     """Assemble the complete cost report: gaps and optional gold margin.
 
@@ -757,7 +751,7 @@ def gaps(
     elif gold is not None:
         if theory is None or worlds is None:
             raise ValueError("computing a gold cost needs the theory and worlds")
-        gold_total = cost(costs.regime, theory, worlds, gold, cap=cap).total
+        gold_total = cost(costs.regime, theory, worlds, gold).total
     if gold_total is not None:
         gap_gold_norm = (costs.total - gold_total) / n_worlds
     return CostReport(

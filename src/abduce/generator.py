@@ -151,7 +151,6 @@ class InstanceRecord:
     id: str
     scenario: str
     theory_id: str
-    internal_id: str
     train_worlds: tuple[World, ...]
     gold: Hypothesis
     train_opt_costs: tuple[int, ...]
@@ -165,6 +164,10 @@ class InstanceRecord:
     @property
     def theory(self) -> TheorySpec:
         return builtin_theory(self.theory_id)
+
+    @property
+    def internal_id(self) -> str:
+        return self.theory.internal_id
 
     @property
     def regime(self) -> Regime:
@@ -394,7 +397,7 @@ def _applicable_templates(theory: TheorySpec) -> tuple[str, ...]:
 
 
 class GoldSampler:
-    """Draws gold rules from the template library under the diversity cap.
+    """Draws gold rules from the template library under DIVERSITY_CAP.
 
     Usage counts grow only via record_use, so eligibility reflects accepted
     instances, not failed attempts.
@@ -403,8 +406,7 @@ class GoldSampler:
     DORMANCY_THRESHOLD = 60
     DIVERSITY_CAP = 0.15
 
-    def __init__(self, diversity_cap: float = DIVERSITY_CAP):
-        self.diversity_cap = diversity_cap
+    def __init__(self):
         self.counts: dict[str, int] = {}
         self.failures: dict[str, int] = {}
         self.total = 0
@@ -414,7 +416,7 @@ class GoldSampler:
             # scope-compatible but semantically hopeless for this theory;
             # stop burning attempts on it
             return False
-        limit = max(1, int(self.diversity_cap * (self.total + 1)))
+        limit = max(1, int(self.DIVERSITY_CAP * (self.total + 1)))
         return self.counts.get(name, 0) + 1 <= limit
 
     def applicable_templates(self, theory: TheorySpec) -> tuple[str, ...]:
@@ -641,10 +643,9 @@ def build_competitor_pool(
     theory: TheorySpec,
     gold: Hypothesis,
     rng: Random,
-    pool_cap: int = POOL_CAP,
 ) -> CompetitorPool:
     """Tier-1 curated, tier-2 mined, then up to 10 gold mutants, truncated
-    to pool_cap with tier-1 kept preferentially.
+    to POOL_CAP with tier-1 kept preferentially.
 
     The tier-1 and tier-2 part is the theory's cached static pool, so a
     build renders only the gold's mutants.  A gold that coincides with a
@@ -654,7 +655,7 @@ def build_competitor_pool(
     static = _static_pool(theory, ())
     mutants = _distinct(gold_mutants(gold, theory, rng, count=10), seen=set(static.renders))
     entries = static.entries + tuple((h, "mutant") for h in mutants)
-    return CompetitorPool(entries[:pool_cap])
+    return CompetitorPool(entries[:POOL_CAP])
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +680,9 @@ class _EvalCache:
     with its world and rejected candidates are not kept alive.
     """
 
-    def __init__(self, regime: Regime, theory: TheorySpec, cap: int = DEFAULT_ENUMERATION_CAP):
+    def __init__(self, regime: Regime, theory: TheorySpec):
         self.regime = regime
         self.theory = theory
-        self.cap = cap
         self.memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def world_eval(self, world: World, hyp: Hypothesis) -> tuple[bool, Optional[int]]:
@@ -691,7 +691,7 @@ class _EvalCache:
             memo = self.memo[world] = {}
         hit = memo.get(hyp.formula)
         if hit is None:
-            c = world_costs(self.regime, self.theory, [world], hyp, cap=self.cap)[0]
+            c = world_costs(self.regime, self.theory, [world], hyp)[0]
             hit = memo[hyp.formula] = (c is not None, c)
         return hit
 
@@ -955,7 +955,6 @@ def _attempt_instance(params, index, attempt, rng, sampler):
         id=instance_id,
         scenario=params.scenario,
         theory_id=params.theory_id,
-        internal_id=theory.internal_id,
         train_worlds=tuple(aw.world for aw in accepted),
         gold=gold,
         train_opt_costs=tuple(aw.opt for aw in accepted),
@@ -1008,7 +1007,7 @@ def refine_gold(
     # under the full regime a pre-mask world is the world itself
     full_cache = cache if params.regime is Regime.FULL else _EvalCache(Regime.FULL, theory)
     pre_worlds = [_pre_mask_world(aw.world, aw.hidden) for aw in accepted]
-    local_sampler = GoldSampler(1.0)
+    local_sampler = GoldSampler()  # records nothing, so every applicable template stays eligible
     candidates = [seed_gold, *(local_sampler.draw(theory, rng)[0] for _ in range(10))]
     candidates.extend(gold_mutants(seed_gold, theory, rng, count=10))
 
@@ -1187,9 +1186,8 @@ def generate_batch(
     params: GenParams,
     count: int,
     dataset_path: str = "",
-    with_holdouts: bool = True,
 ) -> list[InstanceRecord]:
-    """Generate `count` accepted instances (plus holdouts) deterministically.
+    """Generate `count` accepted instances, with their holdouts, deterministically.
 
     An exhausted seed index is skipped and the next index is tried (ids then
     skip numbers); the walk is deterministic, so regeneration reproduces the
@@ -1210,9 +1208,7 @@ def generate_batch(
             record = None
         index += 1
         if record is not None:
-            if with_holdouts:
-                record = generate_holdouts(record, dataset_path, params.global_seed, params=params)
-            records.append(record)
+            records.append(generate_holdouts(record, dataset_path, params.global_seed, params=params))
         # The engine caches key on worlds, and no later instance evaluates
         # this one's candidates: drop them rather than keep them alive.
         clear_caches()

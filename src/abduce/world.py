@@ -46,6 +46,11 @@ OBSERVABLE_PREDICATES = ("P", "Q", "R", "S")
 # Unknown atoms beyond which exhaustive completion enumeration is refused.
 DEFAULT_ENUMERATION_CAP = 24
 
+# The largest domain size a world may have.  The evaluator holds up to n^4
+# cells per formula node for one world (engine._CELL_BUDGET is one world at
+# this size), so an unchecked n could ask for terabytes.  Generated n <= 12.
+MAX_DOMAIN_SIZE = 32
+
 
 class EnumerationCapError(RuntimeError):
     """Too many unknown atoms for exhaustive completion enumeration."""

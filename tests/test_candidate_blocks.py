@@ -76,8 +76,9 @@ def test_candidates_match_one_at_a_time_sampling(monkeypatch, scenario, theory_i
     """Draining the candidate stream yields the worlds, and leaves the rng
     in the state, of drawing and checking one candidate at a time, so the
     attempt budget counts candidates exactly."""
-    params = GenParams(scenario=scenario, theory_id=theory_id, global_seed=seed, world_attempts=1500)
-    rec = generate_batch(params, 1, with_holdouts=False)[0]
+    params = GenParams(scenario=scenario, theory_id=theory_id, global_seed=seed, world_attempts=1500,
+                       holdout_count=0)
+    rec = generate_batch(params, 1)[0]
     acceptor = _WorldAcceptor(params, rec.gold, rec.provenance["shared_domain_size"])
 
     def drain(stream):

@@ -203,11 +203,14 @@ def _generate(out, *flags):
     [
         (lambda data: data["train_worlds"][0].update(n=1000000), "domain size 1000000 exceeds MAX_DOMAIN_SIZE 32"),
         (lambda data: data.update(scenario="bogus"), "unknown scenario 'bogus'"),
+        (lambda data: data["train_worlds"][0].update(n=6, true={}, unknown={"R": [[i // 6, i % 6] for i in range(30)]}),
+         "30 unknown atoms exceed DEFAULT_ENUMERATION_CAP 24"),
     ],
-    ids=["huge-domain", "unknown-scenario"],
+    ids=["huge-domain", "unknown-scenario", "over-enumeration-cap"],
 )
 def test_verify_rejects_bad_instance_at_load(tmp_path, capsys, edit, expected):
-    # each once ended in a traceback: a 931 GiB array, or a GenParams error
+    # each once ended in a traceback: a 931 GiB array, a GenParams error, or
+    # an engine error on a world over the enumeration cap
     path = tmp_path / "ds.jsonl"
     assert _generate(path) == 0
     header, line = path.read_text().splitlines()
@@ -561,3 +564,58 @@ def test_generate_rejects_theory_outside_its_scenario(tmp_path, monkeypatch, cap
     assert captured.err == (f"abduce generate: error: theory {theory} does not take the {scenario} scenario, "
                             "only skeptical\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def _rewrite_first_instance(dataset_path, out, edit):
+    """Copy the dataset to `out` with `edit` applied to its first instance."""
+    header, line, *rest = open(dataset_path).read().splitlines()
+    data = json.loads(line)
+    edit(data)
+    out.write_text("\n".join([header, json.dumps(data), *rest]) + "\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "prompt"])
+@pytest.mark.parametrize("internal", ["TH9", ["TH3"]], ids=["other-id", "list"])
+def test_theory_internal_must_match_the_theory(dataset_path, tmp_path, capsys, command, internal):
+    # a T2 line claiming TH9 loaded, verified, and was prompted as TH9
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_first_instance(dataset_path, bad, lambda data: data.update(theory_internal=internal))
+    extra = ["--out", str(tmp_path / "prompts.jsonl")] if command == "prompt" else []
+    capsys.readouterr()
+    rc = main([command, "--dataset", str(bad), *extra])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"bad.jsonl:2: bad instance line: theory_internal {internal!r} is not T2's" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_rejects_non_integer_pool_seed(dataset_path, tmp_path, capsys):
+    # Random([1]) in the pool audit ended verify in a TypeError traceback
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_first_instance(dataset_path, bad, lambda data: data["provenance"].update(pool_seed=[1]))
+    capsys.readouterr()
+    rc = main(["verify", "--dataset", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "bad.jsonl:2: bad instance line: provenance pool_seed must be a JSON integer or null" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("worlds", [[], {}], ids=["empty-list", "object"])
+def test_score_rejects_an_instance_without_training_worlds(dataset_path, tmp_path, capsys, worlds):
+    # with no training worlds, score ended in a ZeroDivisionError traceback
+    def edit(data):
+        data.update(train_worlds=worlds)
+        data["baselines"]["train"] = {"opt_costs": [], "gold_costs": []}
+        data["provenance"].pop("masked_truth")
+
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_first_instance(dataset_path, bad, edit)
+    rec = load_dataset(dataset_path, check=False)[0]
+    preds, manifest = tmp_path / "p.jsonl", tmp_path / "m.jsonl"
+    preds.write_text(json.dumps({"formula": render_formula(rec.gold.formula), "description": "g"}) + "\n")
+    manifest.write_text(json.dumps({"model_id": "gold", "instance_id": rec.id}) + "\n")
+    capsys.readouterr()
+    rc = main(["score", "--dataset", str(bad), "--predictions", str(preds), "--manifest", str(manifest),
+               "--out", str(tmp_path / "s.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"bad.jsonl:2: bad instance line: train_worlds must be a non-empty JSON list, got {worlds!r}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -35,6 +35,12 @@ class TestWorldJson:
         again = world_from_json(world_to_json(w))
         assert worlds_equivalent(w, again)
 
+    def test_enumeration_cap_is_a_format_bound(self):
+        atoms = [[i // 6, i % 6] for i in range(25)]
+        assert world_from_json({"n": 6, "unknown": {"R": atoms[:24]}}).num_unknowns() == 24
+        with pytest.raises(DatasetError, match="25 unknown atoms exceed DEFAULT_ENUMERATION_CAP 24"):
+            world_from_json({"n": 6, "unknown": {"R": atoms}})
+
     def test_sorted_arrays(self):
         w = World(4, {"P": {2, 0}, "R": {(3, 1), (0, 0)}})
         data = world_to_json(w)

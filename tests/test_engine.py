@@ -90,7 +90,7 @@ class TestContracts:
     def test_cap(self):
         w = World(6, {}, {"R": {(i, j) for i in range(5) for j in range(5)}})
         with pytest.raises(EnumerationCapError):
-            validity(Regime.PARTIAL, PQ, [w], ALPHA_P, cap=24)
+            validity(Regime.PARTIAL, PQ, [w], ALPHA_P)
 
     @pytest.mark.parametrize("query", [validity, world_costs])
     def test_cap_checked_before_alpha_is_evaluated(self, query, monkeypatch):
@@ -102,7 +102,7 @@ class TestContracts:
         monkeypatch.setattr(engine, "_extensions", unexpected)
         w = World(6, {}, {"R": {(i, j) for i in range(5) for j in range(5)}})
         with pytest.raises(EnumerationCapError, match="25 unknown atoms"):
-            query(Regime.PARTIAL, PQ, [World(2, {"P": {0}}), w], ALPHA_P, cap=24)
+            query(Regime.PARTIAL, PQ, [World(2, {"P": {0}}), w], ALPHA_P)
 
     def test_gaps_regime_mismatch(self):
         c = cost(Regime.FULL, PQ, [FULL_WORLD], ALPHA_PNQ)

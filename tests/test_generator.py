@@ -9,6 +9,7 @@ from abduce.formula import formula_metrics, free_variables, predicates_used, ren
 from abduce.generator import (
     GenParams,
     GoldSampler,
+    POOL_CAP,
     audit_instance,
     build_competitor_pool,
     cheater_pool,
@@ -45,7 +46,7 @@ class TestGoldSampler:
 
     def test_diversity_cap(self):
         rng = random.Random(9)
-        sampler = GoldSampler(0.15)
+        sampler = GoldSampler()
         for _ in range(100):
             sample_gold(T1, rng, sampler)
         assert sampler.total == 100
@@ -177,7 +178,7 @@ class TestRefineGold:
         cheaters = cheater_pool(rec.theory)
         refined = refine_gold(rec.theory, self._accepted(params, rec), rec.gold, params, rng, cheaters)
         # the refined gold is never worse than the seed under the selection key
-        cache = _EvalCache(rec.regime, rec.theory, 24)
+        cache = _EvalCache(rec.regime, rec.theory)
         seed_total = cache.total_cost(rec.train_worlds, rec.gold)
         new_total = cache.total_cost(rec.train_worlds, refined)
         assert new_total is not None and new_total <= seed_total
@@ -186,7 +187,7 @@ class TestRefineGold:
         params, rec = tiny_instance("full", "T1", seed=3)
         rng = random.Random(0)
         refined = refine_gold(rec.theory, self._accepted(params, rec), rec.gold, params, rng, [])
-        cache = _EvalCache(rec.regime, rec.theory, 24)
+        cache = _EvalCache(rec.regime, rec.theory)
         if render_formula(refined.formula) != render_formula(rec.gold.formula):
             same_cost = cache.total_cost(rec.train_worlds, refined) == cache.total_cost(
                 rec.train_worlds, rec.gold
@@ -389,7 +390,7 @@ class TestCachesByValue:
         from abduce.engine import clear_caches
         from abduce.formula import parse_hypothesis
 
-        cache = _EvalCache(Regime.FULL, T1, 24)
+        cache = _EvalCache(Regime.FULL, T1)
         world = World(3, {"P": {1}, "R": {(0, 1)}})
         cache.world_eval(world, parse_hypothesis("(P x)", T1.allowed))
         assert len(cache.memo) == 1
@@ -468,14 +469,13 @@ class TestStaticPool:
         theory = builtin_theory(tid)
         for seed in range(20):
             gold = sample_gold(theory, random.Random(seed))
-            pool_cap = 30 if seed % 2 else 12
             tiers = (
                 ("tier1", tier1_formulas(theory)),
                 ("tier2", tier2_formulas(theory)),
                 ("mutant", gold_mutants(gold, theory, random.Random(1000 + seed), count=10)),
             )
-            expected = _distinct(((h, t) for t, hs in tiers for h in hs), lambda e: e[0])[:pool_cap]
-            pool = build_competitor_pool(theory, gold, random.Random(1000 + seed), pool_cap)
+            expected = _distinct(((h, t) for t, hs in tiers for h in hs), lambda e: e[0])[:POOL_CAP]
+            pool = build_competitor_pool(theory, gold, random.Random(1000 + seed))
             assert list(pool.entries) == expected
 
     @pytest.mark.parametrize("tid", THEORY_IDS)

@@ -30,7 +30,6 @@ def t1_instance(iid, trains, opt, gold_costs, holdouts=(), hopt=(), hgold=(), go
         id=iid,
         scenario="full",
         theory_id="T1",
-        internal_id="TH2",
         train_worlds=tuple(trains),
         gold=parse_hypothesis(gold, spec.allowed, spec.forbidden),
         train_opt_costs=tuple(opt),
