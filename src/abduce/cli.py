@@ -174,8 +174,20 @@ def cmd_verify(args) -> int:
     return 0 if violations == 0 else 1
 
 
+def _load_scorable(path: str) -> list:
+    """The dataset's instances without the audit, but with the shape checks
+    scoring and the baseline table rely on (baseline_shape_problems): a
+    DatasetError names the first instance that fails them."""
+    records = load_dataset(path, check=False)
+    for rec in records:
+        problems = baseline_shape_problems(rec)
+        if problems:
+            raise DatasetError(f"{path}: instance {rec.id}: " + "; ".join(problems))
+    return records
+
+
 def cmd_optcost(args) -> int:
-    records = load_dataset(args.dataset, check=False)
+    records = _load_scorable(args.dataset)
     rows = []
     for rec in records:
         for i, (o, g) in enumerate(zip(rec.train_opt_costs, rec.train_gold_costs)):
@@ -197,11 +209,7 @@ def cmd_optcost(args) -> int:
 
 def cmd_score(args) -> int:
     _check_out(args.out)
-    records = load_dataset(args.dataset, check=False)
-    for rec in records:
-        problems = baseline_shape_problems(rec)
-        if problems:
-            raise DatasetError(f"{args.dataset}: instance {rec.id}: " + "; ".join(problems))
+    records = _load_scorable(args.dataset)
     instances = {r.id: r for r in records}
     predictions = load_predictions(args.predictions, args.manifest, known_ids=instances)
     scores = score_batch(predictions, instances)

@@ -127,15 +127,23 @@ def instance_from_json(data: dict) -> InstanceRecord:
     )
     if not isinstance(data["holdout_available"], bool):
         raise DatasetError(f"holdout_available must be a JSON bool, got {data['holdout_available']!r}")
+    train_worlds = tuple(world_from_json(w) for w in data["train_worlds"])
+    holdout_worlds = tuple(world_from_json(w) for w in data["holdout_worlds"])
+    if data["scenario"] == "full":
+        for split, worlds in (("train", train_worlds), ("holdout", holdout_worlds)):
+            for i, world in enumerate(worlds):
+                if world.num_unknowns():
+                    raise DatasetError(f"{split} world {i} has {world.num_unknowns()} unknown atom(s), "
+                                       "but the full scenario observes every atom")
     return InstanceRecord(
         id=data["id"],
         scenario=data["scenario"],
         theory_id=data["theory"],
-        train_worlds=tuple(world_from_json(w) for w in data["train_worlds"]),
+        train_worlds=train_worlds,
         gold=gold,
         train_opt_costs=_baseline_costs(data, "train", "opt_costs"),
         train_gold_costs=_baseline_costs(data, "train", "gold_costs"),
-        holdout_worlds=tuple(world_from_json(w) for w in data["holdout_worlds"]),
+        holdout_worlds=holdout_worlds,
         holdout_available=data["holdout_available"],
         holdout_opt_costs=_baseline_costs(data, "holdout", "opt_costs"),
         holdout_gold_costs=_baseline_costs(data, "holdout", "gold_costs"),

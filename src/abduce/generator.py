@@ -50,7 +50,6 @@ from .engine import cost, validity  # noqa: F401
 from .formula import (
     And,
     Atom,
-    Equal,
     Exists,
     Forall,
     Formula,
@@ -58,7 +57,6 @@ from .formula import (
     HypothesisError,
     Not,
     Or,
-    Variable,
     children,
     formula_metrics,
     parse_formula,
@@ -185,180 +183,112 @@ class CompetitorPool:
 
 
 # ---------------------------------------------------------------------------
-# Gold templates
-
-_L = lambda pred, var, positive: (  # noqa: E731 - tiny literal builder
-    Atom(pred, (Variable(var),)) if positive else Not(Atom(pred, (Variable(var),)))
-)
+# Gold templates: each draws its predicates and polarities from rng and
+# writes the rule as canonical S-expression text, as render_formula would.
 
 
-def _x():
-    return Variable("x")
+def _lit(pred: str, var: str, positive: bool) -> str:
+    return f"({pred} {var})" if positive else f"(not ({pred} {var}))"
 
 
 def _template_unary_pair(rng, unary, binary):
-    if len(unary) < 2:
-        return None
     u1, u2 = rng.sample(unary, 2)
-    op = rng.choice((And, Or))
-    f = op((_L(u1, "x", rng.random() < 0.7), _L(u2, "x", rng.random() < 0.5)))
-    # pad to the minimum template size with a third literal when needed
-    if formula_metrics(f).ast_size < GOLD_AST_RANGE[0]:
-        f = op((f.children[0], f.children[1], _L(rng.choice(unary), "x", False)))
-    return f
+    op = rng.choice(("and", "or"))
+    return f"({op} {_lit(u1, 'x', rng.random() < 0.7)} {_lit(u2, 'x', rng.random() < 0.5)})"
 
 
 def _template_unary_triple(rng, unary, binary):
-    if len(unary) < 2:
-        return None
     u1, u2 = rng.sample(unary, 2)
     u3 = rng.choice(unary)
-    inner = Or((_L(u2, "x", rng.random() < 0.5), _L(u3, "x", rng.random() < 0.5)))
-    return And((_L(u1, "x", rng.random() < 0.7), inner))
+    inner = f"(or {_lit(u2, 'x', rng.random() < 0.5)} {_lit(u3, 'x', rng.random() < 0.5)})"
+    return f"(and {_lit(u1, 'x', rng.random() < 0.7)} {inner})"
 
 
 def _template_exists_witness(rng, unary, binary):
-    if not binary or not unary:
-        return None
-    b = rng.choice(binary)
-    u = rng.choice(unary)
-    return Exists(
-        Variable("y"),
-        And((Atom(b, (_x(), Variable("y"))), _L(u, "y", rng.random() < 0.7))),
-    )
+    b, u = rng.choice(binary), rng.choice(unary)
+    return f"(exists y (and ({b} x y) {_lit(u, 'y', rng.random() < 0.7)}))"
 
 
 def _template_no_successor(rng, unary, binary):
-    if not binary or not unary:
-        return None
-    b = rng.choice(binary)
-    u = rng.choice(unary)
-    return And((_L(u, "x", True), Not(Exists(Variable("y"), Atom(b, (_x(), Variable("y")))))))
+    b, u = rng.choice(binary), rng.choice(unary)
+    return f"(and ({u} x) (not (exists y ({b} x y))))"
 
 
 def _template_unary_and_exists(rng, unary, binary):
-    if not binary or not unary:
-        return None
-    b = rng.choice(binary)
-    u = rng.choice(unary)
-    witness = Atom(b, (_x(), Variable("y")))
+    b, u = rng.choice(binary), rng.choice(unary)
+    body = f"({b} x y)"
     if rng.random() < 0.5:
         u2 = rng.choice(unary)
-        body = And((witness, _L(u2, "y", rng.random() < 0.7)))
-    else:
-        body = witness
-    f = And((_L(u, "x", rng.random() < 0.8), Exists(Variable("y"), body)))
-    return f if formula_metrics(f).ast_size >= GOLD_AST_RANGE[0] else None
+        body = f"(and {body} {_lit(u2, 'y', rng.random() < 0.7)})"
+    return f"(and {_lit(u, 'x', rng.random() < 0.8)} (exists y {body}))"
 
 
 def _template_forall_successors(rng, unary, binary):
-    if not binary or not unary:
-        return None
-    b = rng.choice(binary)
-    u = rng.choice(unary)
-    body = Forall(
-        Variable("y"),
-        Or((Not(Atom(b, (_x(), Variable("y")))), _L(u, "y", rng.random() < 0.6))),
-    )
+    b, u = rng.choice(binary), rng.choice(unary)
+    body = f"(forall y (or (not ({b} x y)) {_lit(u, 'y', rng.random() < 0.6)}))"
     if rng.random() < 0.5:
-        return And((Exists(Variable("y"), Atom(b, (_x(), Variable("y")))), body))
+        return f"(and (exists y ({b} x y)) {body})"
     return body
 
 
 def _template_self_loop(rng, unary, binary):
-    if not binary or not unary:
-        return None
-    b = rng.choice(binary)
-    u = rng.choice(unary)
-    return And((Atom(b, (_x(), _x())), _L(u, "x", rng.random() < 0.6)))
+    b, u = rng.choice(binary), rng.choice(unary)
+    return f"(and ({b} x x) {_lit(u, 'x', rng.random() < 0.6)})"
 
 
 def _template_two_hop(rng, unary, binary):
-    if not binary:
-        return None
-    b1 = rng.choice(binary)
-    b2 = rng.choice(binary)
-    y, z = Variable("y"), Variable("z")
-    hop = Atom(b2, (y, z))
+    b1, b2 = rng.choice(binary), rng.choice(binary)
+    hop = f"({b2} y z)"
     if unary and rng.random() < 0.6:
-        hop = And((hop, _L(rng.choice(unary), "z", rng.random() < 0.7)))
-    return Exists(y, And((Atom(b1, (_x(), y)), Exists(z, hop))))
+        hop = f"(and {hop} {_lit(rng.choice(unary), 'z', rng.random() < 0.7)})"
+    return f"(exists y (and ({b1} x y) (exists z {hop})))"
 
 
 def _template_exists_forall(rng, unary, binary):
-    if not binary or not unary:
-        return None
-    b1 = rng.choice(binary)
-    b2 = rng.choice(binary)
-    u = rng.choice(unary)
-    y, z = Variable("y"), Variable("z")
-    inner = Forall(z, Or((Not(Atom(b2, (y, z))), _L(u, "z", rng.random() < 0.6))))
-    return Exists(y, And((Atom(b1, (_x(), y)), inner)))
+    b1, b2, u = rng.choice(binary), rng.choice(binary), rng.choice(unary)
+    inner = f"(forall z (or (not ({b2} y z)) {_lit(u, 'z', rng.random() < 0.6)}))"
+    return f"(exists y (and ({b1} x y) {inner}))"
 
 
 def _template_two_witnesses(rng, unary, binary):
-    if not binary:
-        return None
     b = rng.choice(binary)
-    y, z = Variable("y"), Variable("z")
-    parts = [Atom(b, (_x(), y)), Atom(b, (_x(), z)), Not(Equal(y, z))]
-    if unary and rng.random() < 0.5:
-        parts.insert(2, _L(rng.choice(unary), "y", True))
-    return Exists(y, Exists(z, And(tuple(parts))))
+    witness = f" ({rng.choice(unary)} y)" if unary and rng.random() < 0.5 else ""
+    return f"(exists y (exists z (and ({b} x y) ({b} x z){witness} (not (= y z)))))"
 
 
 def _template_unique_witness(rng, unary, binary):
-    if not binary or not unary:
-        return None
-    b = rng.choice(binary)
-    u = rng.choice(unary)
-    y, z = Variable("y"), Variable("z")
-    only = Forall(z, Or((Not(Atom(b, (_x(), z))), Equal(z, y))))
-    return Exists(y, And((Atom(b, (_x(), y)), _L(u, "y", True), only)))
+    b, u = rng.choice(binary), rng.choice(unary)
+    return f"(exists y (and ({b} x y) ({u} y) (forall z (or (not ({b} x z)) (= z y)))))"
 
 
 def _template_negated_unary_with_exists(rng, unary, binary):
-    if not binary or not unary:
-        return None
-    b = rng.choice(binary)
-    u1 = rng.choice(unary)
-    u2 = rng.choice(unary)
-    y = Variable("y")
-    return And(
-        (
-            _L(u1, "x", False),
-            Exists(y, And((Atom(b, (_x(), y)), _L(u2, "y", rng.random() < 0.7)))),
-        )
-    )
+    b, u1, u2 = rng.choice(binary), rng.choice(unary), rng.choice(unary)
+    return f"(and (not ({u1} x)) (exists y (and ({b} x y) {_lit(u2, 'y', rng.random() < 0.7)})))"
 
 
 def _template_guarded_deep(rng, unary, binary):
-    if not binary or not unary:
-        return None
-    b1 = rng.choice(binary)
-    b2 = rng.choice(binary)
-    u1 = rng.choice(unary)
-    u2 = rng.choice(unary)
-    y, z = Variable("y"), Variable("z")
-    inner = Forall(z, Or((Not(Atom(b2, (y, z))), _L(u2, "z", rng.random() < 0.6))))
-    return And((_L(u1, "x", True), Exists(y, And((Atom(b1, (_x(), y)), inner)))))
+    b1, b2, u1, u2 = rng.choice(binary), rng.choice(binary), rng.choice(unary), rng.choice(unary)
+    inner = f"(forall z (or (not ({b2} y z)) {_lit(u2, 'z', rng.random() < 0.6)}))"
+    return f"(and ({u1} x) (exists y (and ({b1} x y) {inner})))"
 
 
-GOLD_TEMPLATES = (
-    ("unary_pair", _template_unary_pair),
-    ("unary_triple", _template_unary_triple),
-    ("exists_witness", _template_exists_witness),
-    ("no_successor", _template_no_successor),
-    ("unary_and_exists", _template_unary_and_exists),
-    ("forall_successors", _template_forall_successors),
-    ("self_loop", _template_self_loop),
-    ("two_hop", _template_two_hop),
-    ("exists_forall", _template_exists_forall),
-    ("two_witnesses", _template_two_witnesses),
-    ("unique_witness", _template_unique_witness),
-    ("negated_unary_with_exists", _template_negated_unary_with_exists),
-    ("guarded_deep", _template_guarded_deep),
-)
+# name -> (unary predicates needed, binary predicates needed, template), in
+# the order the gold sampler draws from.
+GOLD_TEMPLATES = {
+    "unary_pair": (2, 0, _template_unary_pair),
+    "unary_triple": (2, 0, _template_unary_triple),
+    "exists_witness": (1, 1, _template_exists_witness),
+    "no_successor": (1, 1, _template_no_successor),
+    "unary_and_exists": (1, 1, _template_unary_and_exists),
+    "forall_successors": (1, 1, _template_forall_successors),
+    "self_loop": (1, 1, _template_self_loop),
+    "two_hop": (0, 1, _template_two_hop),
+    "exists_forall": (1, 1, _template_exists_forall),
+    "two_witnesses": (0, 1, _template_two_witnesses),
+    "unique_witness": (1, 1, _template_unique_witness),
+    "negated_unary_with_exists": (1, 1, _template_negated_unary_with_exists),
+    "guarded_deep": (1, 1, _template_guarded_deep),
+}
 
 
 def _scope_split(theory: TheorySpec):
@@ -372,13 +302,16 @@ def _try_instantiate(name: str, theory: TheorySpec, rng: Random) -> Optional[Hyp
     scope, outside GOLD_AST_RANGE, or identical to a static pool formula:
     such a gold would survive its own competitor pool forever and the
     instance could never be accepted."""
+    need_unary, need_binary, template = GOLD_TEMPLATES[name]
     unary, binary = _scope_split(theory)
-    f = dict(GOLD_TEMPLATES)[name](rng, unary, binary)
-    if f is None:
+    if len(unary) < need_unary or len(binary) < need_binary:
         return None
+    text = template(rng, unary, binary)
+    # the text is canonical, so it compares directly with the pool's renders
+    if text in _static_pool(theory, ()).renders:
+        return None
+    f = parse_formula(text)
     if not GOLD_AST_RANGE[0] <= formula_metrics(f).ast_size <= GOLD_AST_RANGE[1]:
-        return None
-    if render_formula(f) in _static_pool(theory, ()).renders:
         return None
     try:
         return validate_hypothesis(f, theory.allowed, theory.forbidden)
@@ -391,7 +324,7 @@ def _applicable_templates(theory: TheorySpec) -> tuple[str, ...]:
     probe = Random(12345)
     return tuple(
         name
-        for name, _ in GOLD_TEMPLATES
+        for name in GOLD_TEMPLATES
         if any(_try_instantiate(name, theory, probe) for _ in range(60))
     )
 

@@ -413,13 +413,13 @@ def _beats_gold_rows(records):
     for model, sub in _groups(records, "model_id"):
         valid = [r for r in sub if r.train_valid]
         beaters = [r for r in valid if r.beats_gold]
-        improvements = [(r.gold_cost - r.train_cost) / len(r.train_world_valid) for r in beaters]
         rows.append(
             {
                 "model": model,
                 "beats_gold_pct": _pct(beaters, valid),
-                "avg_improvement": _mean(improvements),
-                "avg_ast": _mean([float(r.ast_size) for r in beaters]),
+                # the gold's cost minus the rule's, per training world
+                "avg_improvement": _mean([-r.gap_gold for r in beaters if r.gap_gold is not None]),
+                "avg_ast": _mean([r.ast_size for r in beaters]),
                 "n": len(beaters),
             }
         )

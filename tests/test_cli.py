@@ -619,3 +619,84 @@ def test_score_rejects_an_instance_without_training_worlds(dataset_path, tmp_pat
     err = capsys.readouterr().err
     assert rc == 2 and f"bad.jsonl:2: bad instance line: train_worlds must be a non-empty JSON list, got {worlds!r}" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _unknown_p0(world):
+    """A copy of `world` with the atom P(0) moved to unknown."""
+    true = dict(world["true"], P=[a for a in world["true"]["P"] if a != 0])
+    return dict(world, true=true, unknown=dict(world["unknown"], P=[0]))
+
+
+@pytest.mark.parametrize("command", ["verify", "score"])
+@pytest.mark.parametrize("split", ["train", "holdout"])
+def test_full_scenario_world_with_unknown_atoms_rejected_at_load(tmp_path, capsys, command, split):
+    # both ended in a "full regime requires a fully observed world"
+    # ValueError traceback, with exit 1
+    path = tmp_path / "ds.jsonl"
+    assert _generate(path) == 0
+    rec = load_dataset(str(path))[0]
+    bad = tmp_path / "bad.jsonl"
+
+    def edit(data):
+        if split == "train":
+            data["train_worlds"][0] = _unknown_p0(data["train_worlds"][0])
+        else:
+            # a whole holdout slot, so only the unknown atom is wrong
+            data["holdout_worlds"].append(_unknown_p0(data["train_worlds"][0]))
+            for kind in ("opt_costs", "gold_costs"):
+                data["baselines"]["holdout"][kind].append(data["baselines"]["train"][kind][0])
+            data["holdout_available"] = True
+
+    _rewrite_first_instance(str(path), bad, edit)
+    preds, manifest = tmp_path / "p.jsonl", tmp_path / "m.jsonl"
+    preds.write_text(json.dumps({"formula": render_formula(rec.gold.formula), "description": "g"}) + "\n")
+    manifest.write_text(json.dumps({"model_id": "gold", "instance_id": rec.id}) + "\n")
+    argv = {"verify": ["verify", "--dataset", str(bad)],
+            "score": ["score", "--dataset", str(bad), "--predictions", str(preds), "--manifest", str(manifest),
+                      "--out", str(tmp_path / "s.jsonl")]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    world = len(rec.holdout_worlds) if split == "holdout" else 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"abduce {command}: error: {bad}:2: bad instance line: {split} world {world} has "
+                            "1 unknown atom(s), but the full scenario observes every atom\n")
+
+
+def test_optcost_rejects_bad_baseline_shapes(dataset_path, tmp_path, capsys):
+    # one cached train opt cost for several train worlds printed a one-row
+    # table for that instance, with exit 0
+    rec = load_dataset(dataset_path, check=False)[0]
+    assert len(rec.train_worlds) > 1
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_first_instance(dataset_path, bad, lambda data: data["baselines"]["train"].update(
+        opt_costs=data["baselines"]["train"]["opt_costs"][:1]))
+    out = tmp_path / "o.jsonl"
+    capsys.readouterr()
+    assert main(["optcost", "--dataset", str(bad), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"abduce optcost: error: {bad}: instance {rec.id}: "
+                            f"train: 1 cached opt cost(s) for {len(rec.train_worlds)} world(s)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, improvement, ast", [
+    (dict(beats_gold=True, train_cost=None, gold_cost=None, gap_gold=None, ast_size=None), None, None),
+    (dict(beats_gold=True, train_world_valid=[], gap_gold=-1.5), 1.5, "ast"),
+], ids=["null-costs", "no-train-verdicts"])
+def test_report_takes_every_loadable_beats_gold_line(dataset_path, tmp_path, capsys, edit, improvement, ast):
+    # the beats-gold table ended report in a TypeError and a
+    # ZeroDivisionError traceback on these lines, which load cleanly
+    lines = open(_gold_scores(dataset_path, tmp_path)).read().splitlines()
+    data = json.loads(lines[0])
+    assert data["train_valid"]
+    data.update(edit)
+    scores = tmp_path / "bad.jsonl"
+    scores.write_text(json.dumps(data) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--scores", str(scores), "--out", str(tmp_path / "report")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (row,) = json.loads((tmp_path / "report" / "beats_gold.json").read_text())
+    assert row["n"] == 1 and row["avg_improvement"] == improvement
+    assert row["avg_ast"] == (None if ast is None else float(data["ast_size"]))

@@ -9,10 +9,13 @@ pins what the oracle tests do not compare: which completion each verdict
 names as its witness.  The report hash pins every table's rows, column
 order and values, and their rendering.  The score hash pins every field of
 the records score_prediction makes for a fixed set of prediction lines
-against real instances, from the gold replay to hostile input.
+against real instances, from the gold replay to hostile input.  The
+template hash pins every gold template's output and its use of the random
+generator, which the gold sampler's draws, and so every dataset, rest on.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import asdict, replace
@@ -28,10 +31,20 @@ from abduce.formula import (
     Not,
     Or,
     Variable,
+    parse_formula,
     render_formula,
     validate_hypothesis,
 )
-from abduce.generator import GenParams, generate_batch, gold_mutants, tier1_formulas, tier2_formulas
+from abduce.generator import (
+    GOLD_TEMPLATES,
+    GenParams,
+    _applicable_templates,
+    _try_instantiate,
+    generate_batch,
+    gold_mutants,
+    tier1_formulas,
+    tier2_formulas,
+)
 from abduce.prompts import render_prompt
 from abduce.scoring import (
     ScoreRecord,
@@ -64,6 +77,15 @@ REPORT_SHA256 = "9483f86f928452f75c7f8b46990b25a46667264c084b4c658a3fbe058072928
 SCORE_MIX = HOLDOUT_MIX + (("skeptical", "T6", 1790208476),)
 SCORE_SEED = 20261019
 SCORE_SHA256 = "e2c0dd9c7500d1640570a75d8039e310488a4a8a806ec5981e56297a451907b8"
+# The gold templates in library order: the gold sampler draws from lists in
+# this order, so it is pinned as well.
+TEMPLATE_NAMES = (
+    "unary_pair", "unary_triple", "exists_witness", "no_successor", "unary_and_exists",
+    "forall_successors", "self_loop", "two_hop", "exists_forall", "two_witnesses",
+    "unique_witness", "negated_unary_with_exists", "guarded_deep",
+)
+TEMPLATE_SEEDS = 200
+TEMPLATE_SHA256 = "4da9d0fac2702dc4c95f28cfe7baf0ba7612976f5476466cee373d374711a096"
 
 
 def _golden(tmp_path):
@@ -99,6 +121,37 @@ def test_golden_holdout_dataset(tmp_path):
     path = tmp_path / "holdouts.jsonl"
     save_dataset(records, str(path), params_list, global_seed=0)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == HOLDOUT_SHA256
+
+
+def test_golden_gold_templates():
+    """Every theory's applicable templates, and for every theory, template
+    and seed the rendered instantiation (or None) and the generator state
+    after it."""
+    digest = hashlib.sha256()
+    for tid in THEORY_IDS:
+        theory = builtin_theory(tid)
+        digest.update(json.dumps(_applicable_templates(theory)).encode())
+        for name in TEMPLATE_NAMES:
+            for seed in range(TEMPLATE_SEEDS):
+                rng = random.Random(seed)
+                hyp = _try_instantiate(name, theory, rng)
+                text = render_formula(hyp.formula) if hyp is not None else None
+                digest.update(json.dumps([text, rng.getstate()]).encode())
+    assert digest.hexdigest() == TEMPLATE_SHA256
+
+
+def test_gold_template_texts_are_canonical():
+    """Each template writes the text render_formula would, over every scope
+    that meets its needs: the static-pool check compares the text as it is."""
+    assert tuple(GOLD_TEMPLATES) == TEMPLATE_NAMES
+    scopes = lambda preds: [list(c) for k in range(len(preds) + 1) for c in itertools.combinations(preds, k)]
+    for need_unary, need_binary, template in GOLD_TEMPLATES.values():
+        for unary, binary in itertools.product(scopes(("P", "Q")), scopes(("R", "S"))):
+            if len(unary) < need_unary or len(binary) < need_binary:
+                continue
+            for seed in range(50):
+                text = template(random.Random(seed), unary, binary)
+                assert render_formula(parse_formula(text)) == text
 
 
 def _engine_sweep():
