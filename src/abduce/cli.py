@@ -22,6 +22,7 @@ from .dataset import (
     load_score_records,
     save_dataset,
     save_generation_log,
+    save_jsonl,
     save_score_records,
 )
 from .engine import opt_cost, world_costs
@@ -115,7 +116,8 @@ def cmd_generate(args) -> int:
     check_scenario(builtin_theory(args.theory_id), args.scenario)
     _check_out(args.out)
     params = GenParams(**{f.name: getattr(args, f.name) for f in fields(GenParams) if hasattr(args, f.name)})
-    records = generate_batch(params, args.count, dataset_path=args.out)
+    # holdout seeds hash the file name alone, however the directory is spelled
+    records = generate_batch(params, args.count, dataset_path=os.path.basename(args.out))
     save_dataset(records, args.out, [params], global_seed=params.global_seed)
     save_generation_log(records, args.out + ".log.jsonl")
     with_holdouts = sum(r.holdout_available for r in records)
@@ -188,21 +190,16 @@ def _load_scorable(path: str) -> list:
 
 def cmd_optcost(args) -> int:
     records = _load_scorable(args.dataset)
-    rows = []
-    for rec in records:
-        for i, (o, g) in enumerate(zip(rec.train_opt_costs, rec.train_gold_costs)):
-            rows.append(
-                {"id": rec.id, "split": "train", "world": i, "opt_cost": o, "gold_cost": g}
-            )
-        for i, (o, g) in enumerate(zip(rec.holdout_opt_costs, rec.holdout_gold_costs)):
-            rows.append(
-                {"id": rec.id, "split": "holdout", "world": i, "opt_cost": o, "gold_cost": g}
-            )
+    rows = [
+        {"id": rec.id, "split": split, "world": i, "opt_cost": o, "gold_cost": g}
+        for rec in records
+        for split, opts, golds in (("train", rec.train_opt_costs, rec.train_gold_costs),
+                                   ("holdout", rec.holdout_opt_costs, rec.holdout_gold_costs))
+        for i, (o, g) in enumerate(zip(opts, golds))
+    ]
     # --out is written first, so a command that fails on it prints nothing
     if args.out:
-        with open(args.out, "w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        save_jsonl(rows, args.out)
     print(render_table("opt_cost baselines", rows), end="")
     return 0
 
@@ -257,16 +254,9 @@ def cmd_report(args) -> int:
 
 def cmd_prompt(args) -> int:
     records = load_dataset(args.dataset, check=False)
-    with open(args.out, "w") as fh:
-        for rec in records:
-            bundle = render_prompt(rec)
-            fh.write(
-                json.dumps(
-                    {"id": rec.id, "system": bundle.system_prompt, "user": bundle.user_prompt},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    prompts = map(render_prompt, records)
+    save_jsonl(({"id": rec.id, "system": p.system_prompt, "user": p.user_prompt}
+                for rec, p in zip(records, prompts)), args.out)
     print(f"wrote {len(records)} prompt bundles to {args.out}")
     return 0
 

@@ -3,7 +3,8 @@
 A dataset file is one JSON header line followed by one JSON instance per
 line.  Serialization is canonical (sorted keys, no extra whitespace,
 sorted atom arrays), so loading and re-saving a dataset is byte-identical
-and regeneration with equal seeds reproduces files exactly.
+and regeneration with equal seeds reproduces files exactly.  save_jsonl writes
+and _read_jsonl reads every JSON-lines file; a malformed line is a DatasetError.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, fields
-from typing import Container, Iterable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .formula import formula_metrics, parse_formula, render_formula, validate_hypothesis
 from .generator import GenParams, InstanceRecord, audit_instance
-from .scoring import FAILURE_CLASSES, Prediction, ScoreRecord
+from .scoring import FAILURE_CLASSES, Prediction, ScoreRecord, parse_prediction_line
 from .theory import SCENARIOS, THEORY_IDS, TheorySpec, builtin_theory
 from .world import DEFAULT_ENUMERATION_CAP, MAX_DOMAIN_SIZE, OBSERVABLE_PREDICATES, World
 
@@ -29,6 +31,41 @@ class DatasetError(ValueError):
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def save_jsonl(rows: Iterable, path: str) -> None:
+    """Write each row as one canonical JSON line."""
+    with open(path, "w") as fh:
+        fh.writelines(_dump(row) + "\n" for row in rows)
+
+
+# What a line that fails to decode or parse raises: a missing field, a bad
+# value (bad JSON, bad UTF-8 and an integer past int's digit limit included),
+# a field of the wrong JSON type, or nesting past the recursion limit.
+_LINE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, RecursionError)
+
+
+def _read_jsonl(path: str, kind: str, parse: Callable, header: Optional[Callable] = None) -> list:
+    """parse(obj) for the JSON object on each non-blank line of the file at
+    `path`, in order.  With `header`, line 1 is the file's header line,
+    parsed by `header` instead and first in the list; blank or missing, it
+    is malformed.  The first line that fails raises DatasetError
+    "<path>:<line>: bad <kind> line: <reason>" before later lines are parsed."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines() or [b""]
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        line_kind, line_parse = ("header", header) if header and lineno == 1 else (kind, parse)
+        if line_kind != "header" and not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode())
+            if not isinstance(obj, dict):
+                raise TypeError("not a JSON object")
+            out.append(line_parse(obj))
+        except _LINE_ERRORS as exc:
+            raise DatasetError(f"{path}:{lineno}: bad {line_kind} line: {exc}") from exc
+    return out
 
 
 def world_to_json(world: World) -> dict:
@@ -45,6 +82,12 @@ def world_to_json(world: World) -> dict:
 
 def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The largest magnitude of a cost or score number on a line: 2**53, the largest
+# integer a float holds exactly.  No cost or score comes near it, and quotients
+# and means of such numbers stay finite (NaN and the infinities fail it too).
+MAX_JSON_NUMBER = 2**53
 
 
 def world_from_json(data: dict) -> World:
@@ -90,7 +133,7 @@ def instance_to_json(rec: InstanceRecord) -> dict:
 
 def _baseline_costs(data: dict, split: str, kind: str) -> tuple[int, ...]:
     values = data["baselines"][split][kind]
-    if not isinstance(values, list) or not all(map(_is_json_int, values)):
+    if not isinstance(values, list) or not all(_is_json_int(v) and abs(v) <= MAX_JSON_NUMBER for v in values):
         raise DatasetError(f"{split} {kind} must be a list of JSON integers, got {values!r}")
     return tuple(values)
 
@@ -171,71 +214,58 @@ def save_dataset(
         "global_seed": global_seed,
         "params_digest": params_digest(params_list) if params_list else None,
     }
-    with open(path, "w") as fh:
-        fh.write(_dump(header) + "\n")
-        for rec in records:
-            fh.write(_dump(instance_to_json(rec)) + "\n")
+    save_jsonl(chain([header], map(instance_to_json, records)), path)
+
+
+def _header_count(header: dict) -> Optional[int]:
+    """The instance count a dataset header declares, or None."""
+    if header.get("format") != FORMAT_NAME:
+        raise ValueError(f"not a {FORMAT_NAME} file")
+    if header.get("version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported version {header.get('version')!r}")
+    count = header.get("count")
+    if count is not None and not _is_json_int(count):
+        raise TypeError(f"count must be a JSON integer or null, got {count!r}")
+    return count
 
 
 def load_dataset(path: str, check: bool = True) -> list[InstanceRecord]:
     """Load instances; with check on, every record re-validates its world
     and filter invariants (pool/cheater re-verification is `verify`'s job)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DatasetError(f"{path}: empty dataset file")
-    try:
-        header = json.loads(lines[0])
-    except ValueError as exc:
-        raise DatasetError(f"{path}:1: bad header line: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DatasetError(f"{path}:1: bad header line: not a JSON object")
-    if header.get("format") != FORMAT_NAME:
-        raise DatasetError(f"{path}: not a {FORMAT_NAME} file")
-    if header.get("version") != FORMAT_VERSION:
-        raise DatasetError(f"{path}: unsupported version {header.get('version')}")
-    records = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rec = instance_from_json(json.loads(line))
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            # a missing field, a bad value, or a field of the wrong JSON type
-            raise DatasetError(f"{path}:{i}: bad instance line: {exc}") from exc
-        if check:
-            violations = audit_instance(rec, pools=False)
-            if violations:
-                raise DatasetError(f"{path}:{i}: invariant violations: {violations}")
-        records.append(rec)
-    if header.get("count") is not None and header["count"] != len(records):
-        raise DatasetError(f"{path}: header count {header['count']} != {len(records)} records")
+
+    def instance(data: dict) -> InstanceRecord:
+        rec = instance_from_json(data)
+        violations = audit_instance(rec, pools=False) if check else []
+        if violations:
+            raise ValueError(f"invariant violations: {violations}")
+        return rec
+
+    count, *records = _read_jsonl(path, "instance", instance, header=_header_count)
+    if count is not None and count != len(records):
+        raise DatasetError(f"{path}:1: header count {count} != {len(records)} records")
     return records
 
 
 def save_generation_log(records: Sequence[InstanceRecord], path: str) -> None:
     """Sidecar log: per instance, seeds, attempts, eliminated competitors,
     and filter outcomes."""
-    with open(path, "w") as fh:
-        for rec in records:
-            prov = rec.provenance
-            fh.write(
-                _dump(
-                    {
-                        "id": rec.id,
-                        "global_seed": prov.get("global_seed"),
-                        "index": prov.get("index"),
-                        "accepted_attempt": prov.get("attempt"),
-                        "pool_seed": prov.get("pool_seed"),
-                        "gold_template": prov.get("gold_template"),
-                        "worlds": len(rec.train_worlds),
-                        "cheater_margin": prov.get("cheater_margin"),
-                        "elimination_log": prov.get("elimination_log"),
-                        "holdout_available": rec.holdout_available,
-                    }
-                )
-                + "\n"
-            )
+    save_jsonl(map(_log_row, records), path)
+
+
+def _log_row(rec: InstanceRecord) -> dict:
+    prov = rec.provenance
+    return {
+        "id": rec.id,
+        "global_seed": prov.get("global_seed"),
+        "index": prov.get("index"),
+        "accepted_attempt": prov.get("attempt"),
+        "pool_seed": prov.get("pool_seed"),
+        "gold_template": prov.get("gold_template"),
+        "worlds": len(rec.train_worlds),
+        "cheater_margin": prov.get("cheater_margin"),
+        "elimination_log": prov.get("elimination_log"),
+        "holdout_available": rec.holdout_available,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +278,10 @@ def load_predictions(
 ) -> list[Prediction]:
     """Predictions paired with their manifest entries; with known_ids, a
     manifest line naming any other instance id is a DatasetError."""
-    from .scoring import parse_prediction_line
-
-    with open(predictions_path) as fh:
+    # bytes that are not UTF-8 read as U+FFFD, which no formula token holds
+    with open(predictions_path, encoding="utf-8", errors="replace") as fh:
         lines = fh.read().splitlines()
-    with open(manifest_path) as fh:
-        manifest = []
-        for i, line in enumerate(fh.read().splitlines(), start=1):
-            if not line.strip():
-                continue
-            entry = _manifest_entry(manifest_path, i, line)
-            if known_ids is not None and entry[0] not in known_ids:
-                raise DatasetError(f"{manifest_path}:{i}: instance id {entry[0]!r} is not in the dataset")
-            manifest.append(entry)
+    manifest = _read_jsonl(manifest_path, "manifest", lambda meta: _manifest_entry(meta, known_ids))
     if len(manifest) != len(lines):
         raise DatasetError(
             f"manifest has {len(manifest)} entries but predictions file has {len(lines)} lines"
@@ -271,25 +292,19 @@ def load_predictions(
     ]
 
 
-def _manifest_entry(path: str, lineno: int, line: str) -> tuple[str, str]:
-    """(instance_id, model_id) of one manifest line; DatasetError naming the
-    line when it is not a JSON object with both keys as strings."""
-    try:
-        meta = json.loads(line)
-    except ValueError as exc:
-        raise DatasetError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise DatasetError(f"{path}:{lineno}: bad manifest line: not a JSON object")
+def _manifest_entry(meta: dict, known_ids: Optional[Container[str]] = None) -> tuple[str, str]:
+    """(instance_id, model_id) of one manifest line; TypeError unless both
+    are strings, ValueError for an instance id outside known_ids."""
     ids = meta.get("instance_id"), meta.get("model_id")
     if not all(isinstance(v, str) for v in ids):
-        raise DatasetError(f"{path}:{lineno}: bad manifest line: instance_id and model_id must be strings")
+        raise TypeError("instance_id and model_id must be strings")
+    if known_ids is not None and ids[0] not in known_ids:
+        raise ValueError(f"instance id {ids[0]!r} is not in the dataset")
     return ids
 
 
 def save_score_records(records, path: str) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(_dump(asdict(rec)) + "\n")
+    save_jsonl(map(asdict, records), path)
 
 
 # Whether a JSON value fits a ScoreRecord field's declared type; a JSON
@@ -297,8 +312,8 @@ def save_score_records(records, path: str) -> None:
 _JSON_FITS = {
     "str": lambda v: isinstance(v, str),
     "bool": lambda v: isinstance(v, bool),
-    "int": _is_json_int,
-    "float": lambda v: _is_json_int(v) or isinstance(v, float),
+    "int": lambda v: _is_json_int(v) and abs(v) <= MAX_JSON_NUMBER,
+    "float": lambda v: (_is_json_int(v) or isinstance(v, float)) and abs(v) <= MAX_JSON_NUMBER,
     "tuple[bool, ...]": lambda v: isinstance(v, list) and all(isinstance(b, bool) for b in v),
 }
 
@@ -309,12 +324,10 @@ def _fits(declared: str, value) -> bool:
     return _JSON_FITS[declared](value)
 
 
-def _score_record(data) -> ScoreRecord:
-    """The ScoreRecord of one decoded score line.  TypeError when it is not
-    an object, lacks a field or has one ScoreRecord does not take, or holds a
-    value of the wrong JSON type; ValueError for an unknown failure class."""
-    if not isinstance(data, dict):
-        raise TypeError("not a JSON object")
+def _score_record(data: dict) -> ScoreRecord:
+    """The ScoreRecord of one score line.  TypeError when it lacks a field or
+    has one ScoreRecord does not take, or holds a value of the wrong JSON
+    type; ValueError for an unknown failure class."""
     for f in fields(ScoreRecord):
         if f.name in data and not _fits(f.type, data[f.name]):
             raise TypeError(f"{f.name} must be {f.type}, got {data[f.name]!r}")
@@ -328,13 +341,4 @@ def _score_record(data) -> ScoreRecord:
 
 
 def load_score_records(path: str) -> list[ScoreRecord]:
-    out = []
-    with open(path) as fh:
-        for i, line in enumerate(fh.read().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(_score_record(json.loads(line)))
-            except (ValueError, TypeError) as exc:
-                raise DatasetError(f"{path}:{i}: bad score line: {exc}") from exc
-    return out
+    return _read_jsonl(path, "score", _score_record)

@@ -107,13 +107,15 @@ _DEFAULTS = {f.name: f.default for f in fields(ScoreRecord) if f.default is not 
 
 def parse_prediction_line(line: str, instance_id: str = "", model_id: str = "") -> Prediction:
     """Strict one-line parse: a single JSON object with exactly the keys
-    formula and description.  Fences, prefixes, or extra objects record a
+    formula and description.  Fences, prefixes, extra objects, an integer
+    past int's digit limit or nesting past the recursion limit record a
     parse error without aborting the batch."""
     text = line.strip()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return Prediction(instance_id, model_id, None, parse_error=f"not a single JSON object: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        return Prediction(instance_id, model_id, None, parse_error=f"not a single JSON object: {reason}")
     if not isinstance(obj, dict):
         return Prediction(instance_id, model_id, None, parse_error="JSON value is not an object")
     if set(obj.keys()) != {"formula", "description"}:
@@ -428,7 +430,9 @@ def _beats_gold_rows(records):
 
 def _gap_distribution_rows(records):
     rows = []
-    for (scen, model), sub in _groups([r for r in records if r.train_valid], "scenario", "model_id"):
+    # a loaded score line may leave a train-valid rule's gap null
+    gaps = [r for r in records if r.train_valid and r.train_gap is not None]
+    for (scen, model), sub in _groups(gaps, "scenario", "model_id"):
         arr = np.array([r.train_gap for r in sub], dtype=float)
         rows.append(
             {

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -700,3 +701,166 @@ def test_report_takes_every_loadable_beats_gold_line(dataset_path, tmp_path, cap
     (row,) = json.loads((tmp_path / "report" / "beats_gold.json").read_text())
     assert row["n"] == 1 and row["avg_improvement"] == improvement
     assert row["avg_ast"] == (None if ast is None else float(data["ast_size"]))
+
+
+DEEP_LINE = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("kind, lineno", [("manifest", 1), ("score", 1), ("instance", 2), ("header", 1)])
+def test_deep_line_is_one_error_line(dataset_path, tmp_path, capsys, kind, lineno):
+    # each ended in a RecursionError traceback with exit 1
+    header, *instances = open(dataset_path).read().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    preds = tmp_path / "p.jsonl"
+    preds.write_text('{"formula":"(P x)","description":"d"}\n')
+    bad.write_text({
+        "manifest": DEEP_LINE, "score": DEEP_LINE,
+        "instance": "\n".join([header, DEEP_LINE]), "header": "\n".join([DEEP_LINE, *instances]),
+    }[kind] + "\n")
+    command, argv = {
+        "manifest": ("score", ["--dataset", dataset_path, "--predictions", str(preds), "--manifest", str(bad),
+                               "--out", str(tmp_path / "s.jsonl")]),
+        "score": ("report", ["--scores", str(bad)]),
+        "instance": ("verify", ["--dataset", str(bad)]),
+        "header": ("verify", ["--dataset", str(bad)]),
+    }[kind]
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"abduce {command}: error: {bad}:{lineno}: bad {kind} line: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def _score_lines(dataset_path, tmp_path, lines: list[bytes]) -> list[dict]:
+    """The score lines `abduce score` writes for these prediction lines, each
+    against the dataset's first instance; the command must exit 0."""
+    iid = load_dataset(dataset_path, check=False)[0].id
+    preds, manifest, out = tmp_path / "p.jsonl", tmp_path / "m.jsonl", tmp_path / "s.jsonl"
+    preds.write_bytes(b"".join(line + b"\n" for line in lines))
+    manifest.write_text((json.dumps({"model_id": "m", "instance_id": iid}) + "\n") * len(lines))
+    assert main(["score", "--dataset", dataset_path, "--predictions", str(preds),
+                 "--manifest", str(manifest), "--out", str(out)]) == 0
+    return [json.loads(line) for line in out.read_text().splitlines()]
+
+
+def _gold_line(dataset_path) -> bytes:
+    gold = load_dataset(dataset_path, check=False)[0].gold.formula
+    return json.dumps({"formula": render_formula(gold), "description": "g"}).encode()
+
+
+@pytest.mark.parametrize("line", [
+    DEEP_LINE.encode(),
+    b'{"formula": "(P x)", "description": ' + DEEP_LINE.encode() + b"}",
+    b'{"formula": "(P x)", "description": "d", "n": ' + b"9" * 5000 + b"}",
+], ids=["deep-array", "deep-description", "5000-digit-int"])
+def test_hostile_prediction_line_scores_as_parse_error(dataset_path, tmp_path, capsys, line):
+    # a RecursionError or a ValueError traceback ended score, exit 1 and no records
+    gold = _gold_line(dataset_path)
+    records = _score_lines(dataset_path, tmp_path, [gold, line, gold])
+    assert [r["failure_class"] for r in records] == ["Success", "ParseError", "Success"]
+    assert records[1]["parse_error"].startswith("not a single JSON object: ")
+
+
+def test_prediction_line_with_bad_utf8_scores_as_parse_error(dataset_path, tmp_path, capsys):
+    # a UnicodeDecodeError traceback ended score, exit 1 and no records
+    gold = _gold_line(dataset_path)
+    records = _score_lines(dataset_path, tmp_path, [gold, b'{"formula": "(P x\xff)", "description": "d"}', gold])
+    assert [r["failure_class"] for r in records] == ["Success", "ParseError", "Success"]
+    assert records[1]["formula_text"] == "(P x\ufffd)"
+
+
+def test_dataset_line_with_bad_utf8_is_one_error_line(dataset_path, tmp_path, capsys):
+    # a UnicodeDecodeError traceback ended verify, score, optcost and prompt
+    header, first, *rest = open(dataset_path, "rb").read().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n".join([header, first.replace(b'"id":"', b'"id":"\xff'), *rest]) + b"\n")
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"abduce verify: error: {bad}:2: bad instance line: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def _no_nan(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_report_leaves_null_train_gaps_out(dataset_path, tmp_path, capsys):
+    # a train-valid line with a null gap printed nan and wrote NaN, which is
+    # not JSON, into gap_distribution.json
+    lines = open(_gold_scores(dataset_path, tmp_path)).read().splitlines()
+    data = [json.loads(line) for line in lines]
+    assert all(d["train_valid"] for d in data) and len(data) == 2
+    data[0]["train_gap"] = None
+    scores = tmp_path / "null_gap.jsonl"
+    scores.write_text("".join(json.dumps(d) + "\n" for d in data))
+    capsys.readouterr()
+    assert main(["report", "--scores", str(scores), "--out", str(tmp_path / "report")]) == 0
+    assert "nan" not in capsys.readouterr().out
+    text = (tmp_path / "report" / "gap_distribution.json").read_text()
+    (row,) = json.loads(text, parse_constant=_no_nan)
+    assert row["n"] == 1 and row["mean"] == data[1]["train_gap"]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999", "9" * 400, str(2**53 + 1)],
+                         ids=["nan", "infinity", "1e999", "400-digit-int", "2**53+1"])
+def test_report_rejects_score_numbers_past_the_bound(dataset_path, tmp_path, capsys, value):
+    # NaN and the infinities reached the report's JSON files; a 400-digit
+    # integer ended report in an OverflowError traceback
+    line = open(_gold_scores(dataset_path, tmp_path)).read().splitlines()[0]
+    scores = tmp_path / "big.jsonl"
+    scores.write_text(re.sub(r'"train_gap":[^,]*', f'"train_gap":{value}', line) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--scores", str(scores)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"abduce report: error: {scores}:1: bad score line: train_gap must be Optional[float]")
+    assert err.count("\n") == 1
+
+
+def test_report_takes_score_numbers_at_the_bound(dataset_path, tmp_path, capsys):
+    line = open(_gold_scores(dataset_path, tmp_path)).read().splitlines()[0]
+    scores = tmp_path / "edge.jsonl"
+    scores.write_text(re.sub(r'"train_gap":[^,]*', f'"train_gap":{-2**53}', line) + "\n")
+    assert main(["report", "--scores", str(scores), "--out", str(tmp_path / "report")]) == 0
+    (row,) = json.loads((tmp_path / "report" / "gap_distribution.json").read_text(), parse_constant=_no_nan)
+    assert row["mean"] == -2**53
+
+
+def test_score_rejects_baseline_costs_past_the_bound(dataset_path, tmp_path, capsys):
+    # a 400-digit cached cost ended score in an OverflowError traceback
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_first_instance(dataset_path, bad, lambda data: data["baselines"]["train"].update(
+        opt_costs=[10**400] * len(data["train_worlds"])))
+    preds, manifest = tmp_path / "p.jsonl", tmp_path / "m.jsonl"
+    preds.write_text('{"formula":"(P x)","description":"d"}\n')
+    manifest.write_text(json.dumps({"model_id": "m", "instance_id": load_dataset(dataset_path)[0].id}) + "\n")
+    capsys.readouterr()
+    assert main(["score", "--dataset", str(bad), "--predictions", str(preds), "--manifest", str(manifest),
+                 "--out", str(tmp_path / "s.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"abduce score: error: {bad}:2: bad instance line: train opt_costs must be a list of JSON")
+    assert err.count("\n") == 1
+
+
+def test_holdouts_depend_only_on_the_out_file_name(tmp_path, monkeypatch):
+    # holdout seeds hashed --out as spelled, so these wrote three datasets
+    monkeypatch.chdir(tmp_path)
+    outs = ["a/ds.jsonl", "./b/ds.jsonl", str(tmp_path / "c" / "ds.jsonl")]
+    for out in outs:
+        (tmp_path / out).parent.mkdir()
+        assert main(["generate", "--scenario", "full", "--theory", "T1", "--count", "2", "--seed", "5",
+                     "--out", out]) == 0
+    assert any(r.holdout_available for r in load_dataset(outs[0]))
+    for suffix in ("", ".log.jsonl"):
+        files = {(tmp_path / (out + suffix)).read_bytes() for out in outs}
+        assert len(files) == 1
+
+
+def test_optcost_and_prompt_write_canonical_lines(dataset_path, tmp_path):
+    for command in ("optcost", "prompt"):
+        out = tmp_path / f"{command}.jsonl"
+        assert main([command, "--dataset", dataset_path, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines and all(line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+                             for line in lines)

@@ -255,3 +255,31 @@ def test_score_line_number_fits_a_float_field(tmp_path):
     path.write_text(_score_line(train_gap=0, delta_gap=0.5) + "\n")
     (record,) = load_score_records(str(path))
     assert (record.train_gap, record.delta_gap, record.train_world_valid) == (0, 0.5, (True, False))
+
+
+@pytest.mark.parametrize("count, message", [
+    (5, "bad.jsonl:1: header count 5 != 3 records"),
+    ("3", "bad.jsonl:1: bad header line: count must be a JSON integer or null, got '3'"),
+], ids=["mismatch", "string"])
+def test_header_count_names_the_header_line(batch, tmp_path, count, message):
+    _, _, path = batch
+    header, *instances = open(path).read().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps({**json.loads(header), "count": count}), *instances]) + "\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(str(bad), check=False)
+    assert str(exc.value).endswith(message)
+
+
+def test_audit_failure_is_reported_before_later_lines(batch, tmp_path):
+    # the check runs as each line is parsed, so the garbage on line 3 is never reached
+    _, _, path = batch
+    header, first, *_ = open(path).read().splitlines()
+    data = json.loads(first)
+    data["baselines"]["train"]["opt_costs"] = [c + 1 for c in data["baselines"]["train"]["opt_costs"]]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([header, json.dumps(data), "garbage"]) + "\n")
+    with pytest.raises(DatasetError, match=r"bad\.jsonl:2: bad instance line: invariant violations"):
+        load_dataset(str(bad))
+    with pytest.raises(DatasetError, match=r"bad\.jsonl:3: bad instance line: Expecting value"):
+        load_dataset(str(bad), check=False)
