@@ -19,7 +19,8 @@ from .formula import formula_metrics, parse_formula, render_formula, validate_hy
 from .generator import GenParams, InstanceRecord, audit_instance
 from .scoring import FAILURE_CLASSES, Prediction, ScoreRecord, parse_prediction_line
 from .theory import SCENARIOS, THEORY_IDS, TheorySpec, builtin_theory
-from .world import DEFAULT_ENUMERATION_CAP, MAX_DOMAIN_SIZE, OBSERVABLE_PREDICATES, World
+from .world import DEFAULT_ENUMERATION_CAP, OBSERVABLE_PREDICATES, World, atoms_to_json
+from .world import MAX_DOMAIN_SIZE  # noqa: F401  (re-exported; World enforces it)
 
 FORMAT_NAME = "abduce-dataset"
 FORMAT_VERSION = 1
@@ -69,15 +70,11 @@ def _read_jsonl(path: str, kind: str, parse: Callable, header: Optional[Callable
 
 
 def world_to_json(world: World) -> dict:
-    out = {"n": world.n, "true": {}, "unknown": {}}
-    for p in OBSERVABLE_PREDICATES:
-        for key, atoms in (("true", world.true_atoms[p]), ("unknown", world.unknown_atoms[p])):
-            if all(isinstance(a, int) for a in atoms):
-                vals = sorted(atoms)
-            else:
-                vals = sorted([list(a) for a in atoms])
-            out[key][p] = vals
-    return out
+    return {
+        "n": world.n,
+        "true": {p: atoms_to_json(world.true_atoms[p]) for p in OBSERVABLE_PREDICATES},
+        "unknown": {p: atoms_to_json(world.unknown_atoms[p]) for p in OBSERVABLE_PREDICATES},
+    }
 
 
 def _is_json_int(value) -> bool:
@@ -94,8 +91,6 @@ def world_from_json(data: dict) -> World:
     n = data["n"]
     if not _is_json_int(n):
         raise DatasetError(f"domain size must be a JSON integer, got {n!r}")
-    if n > MAX_DOMAIN_SIZE:
-        raise DatasetError(f"domain size {n} exceeds MAX_DOMAIN_SIZE {MAX_DOMAIN_SIZE}")
     world = World(n, data.get("true", {}), data.get("unknown", {}))
     if world.num_unknowns() > DEFAULT_ENUMERATION_CAP:
         raise DatasetError(f"{world.num_unknowns()} unknown atoms exceed DEFAULT_ENUMERATION_CAP {DEFAULT_ENUMERATION_CAP}")
@@ -231,10 +226,15 @@ def _header_count(header: dict) -> Optional[int]:
 
 def load_dataset(path: str, check: bool = True) -> list[InstanceRecord]:
     """Load instances; with check on, every record re-validates its world
-    and filter invariants (pool/cheater re-verification is `verify`'s job)."""
+    and filter invariants (pool/cheater re-verification is `verify`'s job).
+    A line repeating an earlier instance id is malformed."""
+    seen = set()
 
     def instance(data: dict) -> InstanceRecord:
         rec = instance_from_json(data)
+        if rec.id in seen:
+            raise ValueError(f"duplicate instance id {rec.id!r}")
+        seen.add(rec.id)
         violations = audit_instance(rec, pools=False) if check else []
         if violations:
             raise ValueError(f"invariant violations: {violations}")
@@ -278,9 +278,11 @@ def load_predictions(
 ) -> list[Prediction]:
     """Predictions paired with their manifest entries; with known_ids, a
     manifest line naming any other instance id is a DatasetError."""
+    # split as _read_jsonl splits, at \n, \r and \r\n only: str.splitlines
+    # also splits at U+2028 and the like, which a JSON string may hold raw;
     # bytes that are not UTF-8 read as U+FFFD, which no formula token holds
-    with open(predictions_path, encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().splitlines()
+    with open(predictions_path, "rb") as fh:
+        lines = [line.decode(errors="replace") for line in fh.read().splitlines()]
     manifest = _read_jsonl(manifest_path, "manifest", lambda meta: _manifest_entry(meta, known_ids))
     if len(manifest) != len(lines):
         raise DatasetError(

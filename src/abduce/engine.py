@@ -52,9 +52,10 @@ world_costs is the one per-world pass behind every verdict: validity reads
 its per-world answers, and runs one more sweep, on the witness world alone,
 for the witness.  Axis 0 of every evaluator array is a batch of worlds of
 one domain size.  world_costs groups a query's worlds by domain size, cuts
-each group into chunks of at most _CELL_BUDGET // n^4 worlds (at least
-one), and runs alpha's plan once per chunk on its stacked world arrays;
-grounding and sweeps then work per world on its (must, may) row.
+each group into chunks of at most _CELL_BUDGET // n^4 worlds (one at
+MAX_DOMAIN_SIZE, which World enforces), and runs alpha's plan once per
+chunk on its stacked world arrays; grounding and sweeps then work per
+world on its (must, may) row.
 closed_block evaluates a block of B fully observed worlds at once, so the
 generator screens candidate worlds (nontriviality floor, exception cap, gold
 validity and gap) with one pass per block; the numbers are those of
@@ -462,7 +463,7 @@ def _per_world(worlds: Sequence[World], formula: Formula, from_rows) -> list:
     for i, world in enumerate(worlds):
         by_size.setdefault(world.n, []).append(i)
     for n, idx in by_size.items():
-        step = max(1, _CELL_BUDGET // n**4)
+        step = _CELL_BUDGET // n**4
         for chunk in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
             for i, (must, may) in zip(chunk, _extensions([worlds[i] for i in chunk], formula)):
                 out[i] = from_rows(worlds[i], formula, must, may)

@@ -71,6 +71,7 @@ from .world import (
     DOMAIN_SIZES,
     DensityRanges,
     World,
+    atoms_to_json,
     draw_complete_world,
     mask_world,
     sample_complete_world,
@@ -790,8 +791,7 @@ class _WorldAcceptor:
 
 
 def _hidden_to_json(hidden: dict) -> dict:
-    """Masking hides binary atoms only, so every hidden atom is a pair."""
-    return {p: sorted(map(list, atoms)) for p, atoms in hidden.items() if atoms}
+    return {p: atoms_to_json(atoms) for p, atoms in hidden.items() if atoms}
 
 
 def _survivors(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .formula import PREDICATES, render_formula
+from .formula import render_formula
 from .generator import InstanceRecord
 from .world import OBSERVABLE_PREDICATES, World
 
@@ -93,10 +93,7 @@ def _element(i: int) -> str:
 
 
 def _atom_set(world: World, pred: str, atoms) -> str:
-    if PREDICATES[pred].arity == 1:
-        items = [_element(i) for i in sorted(atoms)]
-    else:
-        items = [f"({_element(i)}, {_element(j)})" for i, j in sorted(atoms)]
+    items = [_element(a) if isinstance(a, int) else f"({', '.join(map(_element, a))})" for a in sorted(atoms)]
     return "{" + ", ".join(items) + "}"
 
 

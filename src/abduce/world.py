@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache
 from itertools import product
 from math import ceil, log
 from random import Random
@@ -46,9 +46,10 @@ OBSERVABLE_PREDICATES = ("P", "Q", "R", "S")
 # Unknown atoms beyond which exhaustive completion enumeration is refused.
 DEFAULT_ENUMERATION_CAP = 24
 
-# The largest domain size a world may have.  The evaluator holds up to n^4
-# cells per formula node for one world (engine._CELL_BUDGET is one world at
-# this size), so an unchecked n could ask for terabytes.  Generated n <= 12.
+# The largest domain size a world may have; World rejects a larger n.  The
+# evaluator holds up to n^4 cells per formula node for one world
+# (engine._CELL_BUDGET is one world at this size), so an unchecked n could
+# ask for terabytes.  Generated n <= 12.
 MAX_DOMAIN_SIZE = 32
 
 
@@ -60,78 +61,68 @@ class EvalError(ValueError):
     """Formula evaluation hit an unbound variable or missing context."""
 
 
-class _AtomTable(dict):
-    """Canonical ground atoms of one domain size and arity.
-
-    Looking up a value equal to a ground atom returns its one canonical
-    ``int`` or ``(int, int)``; a value equal to none raises ValueError.  The
-    table fills on demand, so a large domain costs only the atoms it uses.
-    """
-
-    def __init__(self, n: int, arity: int):
-        super().__init__()
-        self.n = n
-        self.arity = arity
-
-    def __missing__(self, atom):
-        try:
-            if self.arity == 1:
-                coords = (atom,)
-            else:
-                i, j = atom
-                coords = (i, j)
-            canon = tuple(int(c) for c in coords)
-            valid = canon == coords and all(0 <= c < self.n for c in canon)
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise ValueError(f"atom {atom!r} is malformed or outside the domain of size {self.n}")
-        if self.arity == 1:
-            canon = canon[0]
-        self[canon] = canon
-        return canon
-
-    @cached_property
-    def population(self) -> tuple:
-        """Every ground atom, row-major, as canonical objects: the sampling
-        population, so sampled atoms are interned already."""
-        atoms = range(self.n) if self.arity == 1 else product(range(self.n), repeat=2)
-        return tuple(map(self.__getitem__, atoms))
+def _check_domain_size(n) -> None:
+    """ValueError unless n is an int in 1..MAX_DOMAIN_SIZE."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"domain size must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("domain size must be >= 1")
+    if n > MAX_DOMAIN_SIZE:
+        raise ValueError(f"domain size {n} exceeds MAX_DOMAIN_SIZE {MAX_DOMAIN_SIZE}")
 
 
-@lru_cache(maxsize=64)
-def _atom_table(n: int, arity: int) -> _AtomTable:
-    return _AtomTable(n, arity)
+@cache  # at most 2 * MAX_DOMAIN_SIZE tables, since n is checked first
+def _atom_table(n: int, arity: int) -> dict:
+    """Every ground atom of one domain size and arity, row-major, mapped to
+    itself: an int for arity 1, an (int, int) pair for arity 2.  Looking up
+    any equal value (numpy integers, True, 1.0) returns the one canonical
+    atom that every world of this domain size shares."""
+    return {a: a for a in (range(n) if arity == 1 else product(range(n), repeat=2))}
 
 
-def _hashable(atom):
-    return atom if isinstance(atom, Hashable) else tuple(atom)
+@cache
+def _population(n: int, arity: int) -> tuple:
+    """The atom table's keys, indexable: the sampling population, so
+    sampled atoms are canonical already."""
+    return tuple(_atom_table(n, arity))
 
 
 def _as_atom_set(pred: str, n: int, atoms) -> frozenset:
-    """Validate and intern a predicate's atoms in one pass over them."""
+    """Validate and intern a predicate's atoms: each must equal a key of the
+    atom table, a list pair counting as a tuple."""
     table = _atom_table(n, PREDICATES[pred].arity)
     if not isinstance(atoms, (frozenset, set, list, tuple)):
-        atoms = tuple(atoms)  # the retry below iterates a second time
+        atoms = tuple(atoms)  # the slow path below iterates a second time
     try:
+        return frozenset(map(table.__getitem__, atoms))
+    except (KeyError, TypeError):  # a bad atom, or list pairs read from JSON
+        pass
+    out = []
+    for atom in atoms:
         try:
-            return frozenset(map(table.__getitem__, atoms))
-        except TypeError:  # unhashable atoms, such as list pairs read from JSON
-            return frozenset(map(table.__getitem__, map(_hashable, atoms)))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{pred}: {exc}") from None
+            atom = atom if isinstance(atom, Hashable) else tuple(atom)
+            out.append(table[atom])
+        except (KeyError, TypeError):
+            raise ValueError(f"{pred}: atom {atom!r} is malformed or outside the domain of size {n}") from None
+    return frozenset(out)
+
+
+def atoms_to_json(atoms) -> list:
+    """An atom set as a JSON list in row-major order, pairs as two-element lists."""
+    return [a if isinstance(a, int) else list(a) for a in sorted(atoms)]
 
 
 @dataclass(frozen=True, eq=False)
 class World:
     """Compared with worlds_equivalent; hashed by identity so groundings cache.
 
-    An atom is an int for P and Q and an (int, int) pair for R and S, each
-    index in range(n).  Any value equal to one is accepted (numpy integers,
-    True, 1.0, list pairs) and stored as the canonical Python object, which
-    every world of the same domain size shares; anything else raises
-    ValueError, and so does a predicate key other than P, Q, R and S.
-    The number of unknown atoms is counted once, at construction.
+    The domain size n is an int in 1..MAX_DOMAIN_SIZE.  An atom is an int
+    for P and Q and an (int, int) pair for R and S, each index in range(n).
+    Any value equal to one is accepted (numpy integers, True, 1.0, list
+    pairs) and stored as the canonical Python object, which every world of
+    the same domain size shares; anything else raises ValueError, and so
+    does a predicate key other than P, Q, R and S.  The number of unknown
+    atoms is counted once, at construction.
     """
 
     n: int
@@ -140,8 +131,7 @@ class World:
 
     def __post_init__(self):
         n = self.n
-        if n < 1:
-            raise ValueError("domain size must be >= 1")
+        _check_domain_size(n)
         true = {p: _as_atom_set(p, n, self.true_atoms.get(p, ())) for p in OBSERVABLE_PREDICATES}
         unk = {p: _as_atom_set(p, n, self.unknown_atoms.get(p, ())) for p in OBSERVABLE_PREDICATES}
         stray = {*self.true_atoms, *self.unknown_atoms}.difference(OBSERVABLE_PREDICATES)
@@ -155,20 +145,12 @@ class World:
         object.__setattr__(self, "_num_unknowns", sum(map(len, unk.values())))
 
     def unknown_order(self) -> list[tuple[str, object]]:
-        """All unknown atoms, sorted by predicate name then row-major index.
+        """All unknown atoms, sorted by predicate name then row-major index
+        (the natural order of ints and of pairs).
 
         This order underlies completion bit patterns and serialization.
         """
-        out = []
-        for p in sorted(OBSERVABLE_PREDICATES):
-            if PREDICATES[p].arity == 1:
-                out.extend((p, a) for a in sorted(self.unknown_atoms[p]))
-            else:
-                out.extend(
-                    (p, a)
-                    for a in sorted(self.unknown_atoms[p], key=lambda ij: ij[0] * self.n + ij[1])
-                )
-        return out
+        return [(p, a) for p in sorted(OBSERVABLE_PREDICATES) for a in sorted(self.unknown_atoms[p])]
 
     def num_unknowns(self) -> int:
         return self._num_unknowns
@@ -377,6 +359,7 @@ def draw_complete_world(n_range, densities: DensityRanges, rng: Random) -> tuple
     if not sizes:
         raise ValueError("empty n_range")
     n = rng.choice(sizes)
+    _check_domain_size(n)  # before n^2 atoms are drawn or tabled
     indices: dict[str, list[int]] = {}
     for p in OBSERVABLE_PREDICATES:
         lo, hi = densities.ranges[p]
@@ -392,7 +375,7 @@ def sample_complete_world(n_range, densities: DensityRanges, rng: Random) -> Wor
     """Sample a fully observed world from draw_complete_world's draws."""
     n, indices = draw_complete_world(n_range, densities, rng)
     true = {
-        p: frozenset(map(_atom_table(n, PREDICATES[p].arity).population.__getitem__, idx))
+        p: frozenset(map(_population(n, PREDICATES[p].arity).__getitem__, idx))
         for p, idx in indices.items()
     }
     return World(n, true, {})
@@ -426,7 +409,7 @@ def mask_world(
         base = n * n if mask_basis == "grid" else len(true[p])
         count = min(n * n, round(rate * base))
         if count:
-            population = _atom_table(n, 2).population
+            population = _population(n, 2)
             masked = frozenset(population[j] for j in _sample_range(rng, n * n, count))
             hidden[p] = true[p] & masked
             unknown[p] = unknown[p] | masked

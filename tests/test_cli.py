@@ -864,3 +864,51 @@ def test_optcost_and_prompt_write_canonical_lines(dataset_path, tmp_path):
         lines = out.read_text().splitlines()
         assert lines and all(line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
                              for line in lines)
+
+
+@pytest.mark.parametrize("char, failure", [
+    ("\u2028", "Success"), ("\u2029", "Success"), ("\x85", "Success"),
+    # raw control characters are not JSON, so that line alone fails to parse
+    ("\x0c", "ParseError"), ("\x0b", "ParseError"),
+], ids=["U+2028", "U+2029", "U+0085", "form-feed", "vertical-tab"])
+def test_prediction_line_splits_only_at_line_ends(dataset_path, tmp_path, capsys, char, failure):
+    # str.splitlines broke a line at each of these, so a gold replay whose
+    # description held a raw U+2028 failed the batch: "manifest has 3
+    # entries but predictions file has 4 lines", exit 2
+    gold = _gold_line(dataset_path)
+    raw = gold.replace(b'"description": "g"', f'"description": "a{char}b"'.encode())
+    assert char.encode() in raw
+    records = _score_lines(dataset_path, tmp_path, [gold, raw, gold])
+    assert [r["failure_class"] for r in records] == ["Success", failure, "Success"]
+
+
+def _duplicate_second_id(dataset_path, out):
+    """Copy the dataset to `out` with its second instance taking the first's id."""
+    header, first, second, *rest = open(dataset_path).read().splitlines()
+    data = json.loads(second)
+    data["id"] = json.loads(first)["id"]
+    out.write_text("\n".join([header, first, json.dumps(data), *rest]) + "\n")
+    return data["id"]
+
+
+@pytest.mark.parametrize("command", ["verify", "score"])
+def test_duplicate_instance_id_rejected_at_load(tmp_path, capsys, command):
+    # the repeated id loaded, and score, keyed by id, scored the first
+    # instance's gold replay against the second instance's worlds
+    path = tmp_path / "ds.jsonl"
+    assert main(["generate", "--scenario", "full", "--theory", "T1", "--count", "2", "--seed", "3",
+                 "--out", str(path)]) == 0
+    bad = tmp_path / "bad.jsonl"
+    iid = _duplicate_second_id(str(path), bad)
+    preds, manifest = tmp_path / "p.jsonl", tmp_path / "m.jsonl"
+    preds.write_text(_gold_line(str(path)).decode() + "\n")
+    manifest.write_text(json.dumps({"model_id": "gold", "instance_id": iid}) + "\n")
+    argv = {"verify": ["verify", "--dataset", str(bad)],
+            "score": ["score", "--dataset", str(bad), "--predictions", str(preds), "--manifest", str(manifest),
+                      "--out", str(tmp_path / "s.jsonl")]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"abduce {command}: error: {bad}:3: bad instance line: duplicate instance id {iid!r}\n"
+    assert not (tmp_path / "s.jsonl").exists()

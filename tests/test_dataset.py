@@ -283,3 +283,14 @@ def test_audit_failure_is_reported_before_later_lines(batch, tmp_path):
         load_dataset(str(bad))
     with pytest.raises(DatasetError, match=r"bad\.jsonl:3: bad instance line: Expecting value"):
         load_dataset(str(bad), check=False)
+
+
+def test_prediction_lines_split_at_each_line_end(tmp_path):
+    # \n, \r and \r\n each end a line; a raw U+2028 in a string does not
+    preds, manifest = tmp_path / "p.jsonl", tmp_path / "m.jsonl"
+    line = '{"formula":"(P x)","description":"d"}'
+    held = '{"formula":"(Q x)","description":"a\u2028b"}'
+    preds.write_bytes(f"{line}\r\n{held}\r{line}\n".encode())
+    manifest.write_text('{"model_id":"m","instance_id":"i"}\n' * 3)
+    loaded = load_predictions(str(preds), str(manifest))
+    assert [p.formula_text for p in loaded] == ["(P x)", "(Q x)", "(P x)"]

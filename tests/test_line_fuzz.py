@@ -8,7 +8,9 @@ raises the recursion limit while a test runs, so 1,500 levels decode there;
 100,000 exceed any limit.)  The loaders must return or
 raise a DatasetError naming the line; a prediction line must parse to a
 Prediction; and every score line that loads must aggregate and render into
-a report that is valid JSON.
+a report that is valid JSON.  An instance line whose train world holds what
+no World may hold (an out-of-domain atom, an unknown predicate key, a
+100,000-atom list or a domain size past the bound) must raise one.
 """
 
 import json
@@ -168,6 +170,48 @@ def test_fuzzed_score_line(tmp_path_factory, data):
 def test_fuzzed_prediction_line(data):
     line = data.draw(mutated('{"formula": "(and (P x) (not (Q x)))", "description": "d"}'))
     assert isinstance(parse_prediction_line(line, "i", "m"), Prediction)
+
+
+@st.composite
+def bad_world(draw, line: str) -> tuple[str, str]:
+    """The instance line with one train world made invalid, and the reason
+    World gives."""
+    obj = json.loads(line)
+    world = draw(st.sampled_from(obj["train_worlds"]))
+    side = world[draw(st.sampled_from(["true", "unknown"]))]
+    pred = draw(st.sampled_from("PQRS"))
+    kind = draw(st.sampled_from(["out-of-domain", "unknown-predicate", "wide", "n"]))
+    n, reason = world["n"], "is malformed or outside the domain"
+    if kind == "out-of-domain":
+        bad = draw(st.one_of(st.integers(n, 10**6), st.integers(-10**6, -1)))
+        atom = bad if pred in "PQ" else draw(st.permutations([bad, draw(st.integers(0, n - 1))]))
+        atoms = side.setdefault(pred, [])
+        atoms.insert(draw(st.integers(0, len(atoms))), atom)
+    elif kind == "unknown-predicate":
+        side[draw(st.sampled_from(["Ab", "T", "p", "PQ", "", "R "]))] = draw(st.sampled_from([[], [0], [[0, 0]]]))
+        reason = "unknown predicate key(s): "
+    elif kind == "wide":
+        side[pred] = list(range(WIDE)) if pred in "PQ" else [[i // 400, i % 400] for i in range(WIDE)]
+    else:
+        world["n"] = 33
+        reason = "domain size 33 exceeds MAX_DOMAIN_SIZE 32"
+    return json.dumps(obj), reason
+
+
+WIDE = 100_000
+
+
+@pytest.mark.parametrize("check", [True, False], ids=["check", "no-check"])
+@settings(FUZZ, max_examples=100)
+@given(data=st.data())
+def test_instance_line_with_an_invalid_world(dataset_lines, tmp_path_factory, check, data):
+    header, instance = dataset_lines
+    line, reason = data.draw(bad_world(instance))
+    path = tmp_path_factory.mktemp("w") / "ds.jsonl"
+    path.write_text(header + "\n" + line + "\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(str(path), check=check)
+    assert str(exc.value).startswith(f"{path}:2: bad instance line: ") and reason in str(exc.value), str(exc.value)
 
 
 def test_unmutated_lines_load(dataset_lines, tmp_path):

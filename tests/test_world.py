@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from abduce.generator import GenParams, generate_batch
 from abduce.world import (
     DENSITY_RANGES,
     DOMAIN_SIZES,
+    MAX_DOMAIN_SIZE,
     Completion,
     EnumerationCapError,
     EvalError,
     World,
     enumerate_completions,
     eval_formula,
+    _population,
     _sample_range,
+    draw_complete_world,
     sample_world,
     worlds_equivalent,
 )
@@ -297,3 +301,81 @@ class TestGeneratedWorlds:
         bad.write_text(header + "\n" + json.dumps(data) + "\n")
         with pytest.raises(DatasetError, match="R: atom 5"):
             load_dataset(str(bad))
+
+
+class TestDomainBound:
+    def test_largest_domain_builds(self):
+        w = World(MAX_DOMAIN_SIZE, {"R": {(MAX_DOMAIN_SIZE - 1, 0)}})
+        assert w.n == MAX_DOMAIN_SIZE and w.elements() == range(MAX_DOMAIN_SIZE)
+
+    @pytest.mark.parametrize("n, message", [
+        (0, "domain size must be >= 1"),
+        (-3, "domain size must be >= 1"),
+        (MAX_DOMAIN_SIZE + 1, "domain size 33 exceeds MAX_DOMAIN_SIZE 32"),
+        (10**6, "domain size 1000000 exceeds MAX_DOMAIN_SIZE 32"),
+        (3.5, "domain size must be an integer, got 3.5"),
+        ("4", "domain size must be an integer, got '4'"),
+        (None, "domain size must be an integer, got None"),
+        (True, "domain size must be an integer, got True"),
+    ])
+    def test_domain_size_outside_the_bound_rejected(self, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            World(n)
+
+    def test_sampling_rejects_a_domain_past_the_bound_before_drawing(self):
+        # unchecked, a drawn n would table and draw n^2 atoms before World saw it
+        with pytest.raises(ValueError, match="domain size 33 exceeds MAX_DOMAIN_SIZE 32"):
+            sample_world((MAX_DOMAIN_SIZE + 1,), DENSITY_RANGES["full"], {}, random.Random(5))
+        with pytest.raises(ValueError, match="domain size 33 exceeds MAX_DOMAIN_SIZE 32"):
+            draw_complete_world((MAX_DOMAIN_SIZE + 1,), DENSITY_RANGES["full"], random.Random(5))
+
+
+class TestAtomTable:
+    @pytest.mark.parametrize("form, index", [
+        (2, 2), (np.int64(2), 2), (np.int8(0), 0), (True, 1), (1.0, 1), (np.float64(2.0), 2),
+    ])
+    def test_unary_forms_come_back_as_the_population_object(self, form, index):
+        for key in ("true_atoms", "unknown_atoms"):
+            w = World(3, **{key: {"Q": [form]}})
+            (atom,) = getattr(w, key)["Q"]
+            assert atom is _population(3, 1)[index]
+
+    @pytest.mark.parametrize("form", [
+        (1, 2), [1, 2], (np.int32(1), np.int64(2)), [np.int64(1), 2.0], (True, 2), (1.0, 2.0),
+    ], ids=["tuple", "list", "numpy", "mixed-list", "bool", "floats"])
+    def test_binary_forms_come_back_as_the_population_object(self, form):
+        for key in ("true_atoms", "unknown_atoms"):
+            w = World(4, **{key: {"S": [form]}})
+            (atom,) = getattr(w, key)["S"]
+            assert atom is _population(4, 2)[1 * 4 + 2]
+
+    @pytest.mark.parametrize("pred, atom, shown", [
+        ("R", (0, 1, 2), "(0, 1, 2)"),
+        ("R", [0, 1, 2], "(0, 1, 2)"),
+        ("P", "1", "'1'"),
+        ("P", 3, "3"),
+        ("S", [0, -1], "(0, -1)"),
+    ])
+    def test_malformed_atom_keeps_its_message(self, pred, atom, shown):
+        message = f"{pred}: atom {shown} is malformed or outside the domain of size 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            World(3, {pred: [atom]})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            World(3, {}, {pred: [(0, 0) if pred in "RS" else 0, atom]})
+
+    def test_population_is_row_major_and_canonical(self):
+        for n in (1, 5, MAX_DOMAIN_SIZE):
+            assert _population(n, 1) == tuple(range(n))
+            assert _population(n, 2) == tuple(divmod(i, n) for i in range(n * n))
+            assert all(type(a) is tuple and all(type(c) is int for c in a) for a in _population(n, 2))
+
+    @pytest.mark.parametrize("n", range(1, MAX_DOMAIN_SIZE + 1))
+    def test_unknown_order_is_the_row_major_index_order(self, n):
+        rng = random.Random(n)
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        unknown = {"P": set(rng.sample(range(n), (n + 1) // 2)),
+                   "R": set(rng.sample(cells, min(len(cells), 40))), "S": set(cells)}
+        expected = [("P", a) for a in sorted(unknown["P"])]
+        for p in ("R", "S"):
+            expected += [(p, a) for a in sorted(unknown[p], key=lambda ij: ij[0] * n + ij[1])]
+        assert World(n, {}, unknown).unknown_order() == expected
