@@ -16,7 +16,6 @@ from typing import Optional
 from . import oracle
 from .dataset import (
     DatasetError,
-    check_scenario,
     load_dataset,
     load_predictions,
     load_score_records,
@@ -30,7 +29,7 @@ from .formula import parse_formula, validate_hypothesis
 from .generator import GenerationError, GenParams, audit_instance, baseline_shape_problems, generate_batch
 from .prompts import render_prompt
 from .scoring import aggregate_report, render_report, render_table, score_batch
-from .theory import THEORY_IDS, builtin_theory
+from .theory import SCENARIOS, THEORY_IDS, builtin_theory, check_scenario
 
 
 def _int_in(minimum: int, maximum: Optional[int] = None):
@@ -64,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
     # Each GenParams setting a flag leaves out keeps its GenParams default.
     gen = sub.add_parser("generate", help="generate a dataset with holdouts and a log sidecar",
                          argument_default=argparse.SUPPRESS)
-    gen.add_argument("--scenario", required=True, choices=("full", "partial", "skeptical"))
+    gen.add_argument("--scenario", required=True, choices=SCENARIOS)
     gen.add_argument("--theory", dest="theory_id", required=True, choices=THEORY_IDS)
     gen.add_argument("--count", type=_non_negative, default=10)
     gen.add_argument("--seed", dest="global_seed", metavar="SEED", type=int)
@@ -113,7 +112,7 @@ def _check_out(path: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    check_scenario(builtin_theory(args.theory_id), args.scenario)
+    check_scenario(builtin_theory(args.theory_id), args.scenario, DatasetError)
     _check_out(args.out)
     params = GenParams(**{f.name: getattr(args, f.name) for f in fields(GenParams) if hasattr(args, f.name)})
     # holdout seeds hash the file name alone, however the directory is spelled

@@ -18,7 +18,7 @@ from typing import Callable, Container, Iterable, Optional, Sequence
 from .formula import formula_metrics, parse_formula, render_formula, validate_hypothesis
 from .generator import GenParams, InstanceRecord, audit_instance
 from .scoring import FAILURE_CLASSES, Prediction, ScoreRecord, parse_prediction_line
-from .theory import SCENARIOS, THEORY_IDS, TheorySpec, builtin_theory
+from .theory import SCENARIOS, THEORY_IDS, builtin_theory, check_scenario
 from .world import DEFAULT_ENUMERATION_CAP, OBSERVABLE_PREDICATES, World, atoms_to_json
 from .world import MAX_DOMAIN_SIZE  # noqa: F401  (re-exported; World enforces it)
 
@@ -92,23 +92,22 @@ def world_from_json(data: dict) -> World:
     if not _is_json_int(n):
         raise DatasetError(f"domain size must be a JSON integer, got {n!r}")
     world = World(n, data.get("true", {}), data.get("unknown", {}))
+    for kind, interned in (("true", world.true_atoms), ("unknown", world.unknown_atoms)):
+        for p, atoms in data.get(kind, {}).items():
+            if len(atoms) != len(interned[p]):
+                raise DatasetError(f"{p}: {kind} atom list repeats an atom")
     if world.num_unknowns() > DEFAULT_ENUMERATION_CAP:
         raise DatasetError(f"{world.num_unknowns()} unknown atoms exceed DEFAULT_ENUMERATION_CAP {DEFAULT_ENUMERATION_CAP}")
     return world
 
 
 def instance_to_json(rec: InstanceRecord) -> dict:
-    gold_metrics = formula_metrics(rec.gold.formula)
     return {
         "id": rec.id,
         "scenario": rec.scenario,
         "theory": rec.theory_id,
         "theory_internal": rec.internal_id,
-        "gold": {
-            "formula": render_formula(rec.gold.formula),
-            "ast_size": gold_metrics.ast_size,
-            "quantifier_depth": gold_metrics.quantifier_depth,
-        },
+        "gold": {"formula": render_formula(rec.gold.formula), **asdict(formula_metrics(rec.gold.formula))},
         "train_worlds": [world_to_json(w) for w in rec.train_worlds],
         "baselines": {
             "train": {
@@ -133,14 +132,6 @@ def _baseline_costs(data: dict, split: str, kind: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def check_scenario(theory: TheorySpec, scenario: str) -> None:
-    """DatasetError unless the theory declares the scenario (T6 and T7 are
-    skeptical-only)."""
-    if scenario not in theory.scenarios:
-        raise DatasetError(f"theory {theory.short_id} does not take the {scenario} scenario, only "
-                           + ", ".join(sorted(theory.scenarios)))
-
-
 def instance_from_json(data: dict) -> InstanceRecord:
     if not isinstance(data["id"], str):
         raise DatasetError(f"instance id must be a string, got {data['id']!r}")
@@ -155,7 +146,7 @@ def instance_from_json(data: dict) -> InstanceRecord:
     if data["theory"] not in THEORY_IDS:
         raise DatasetError(f"unknown theory {data['theory']!r}")
     theory = builtin_theory(data["theory"])
-    check_scenario(theory, data["scenario"])
+    check_scenario(theory, data["scenario"], DatasetError)
     if data["theory_internal"] != theory.internal_id:
         raise DatasetError(f"theory_internal {data['theory_internal']!r} is not {theory.short_id}'s internal id")
     if not isinstance(data["train_worlds"], list) or not data["train_worlds"]:
@@ -163,6 +154,9 @@ def instance_from_json(data: dict) -> InstanceRecord:
     gold = validate_hypothesis(
         parse_formula(data["gold"]["formula"]), theory.allowed, theory.forbidden
     )
+    for key, value in asdict(formula_metrics(gold.formula)).items():
+        if not (_is_json_int(data["gold"][key]) and data["gold"][key] == value):
+            raise DatasetError(f"gold {key} {data['gold'][key]!r} is not its formula's {value}")
     if not isinstance(data["holdout_available"], bool):
         raise DatasetError(f"holdout_available must be a JSON bool, got {data['holdout_available']!r}")
     train_worlds = tuple(world_from_json(w) for w in data["train_worlds"])

@@ -1,8 +1,8 @@
 """Exact validity, exception costs, free-Ab lower bounds, and gaps.
 
 The default rule forall x (A(x) and not Ab(x) -> C(x)) grounds, per domain
-element a, to the axiom (or (not V_a) alpha_a), V_a being the violation (and
-A_a (not C_a)), where only subterms touching unknown atoms survive constant
+element a, to the axiom (or (not V_a) alpha_a), V_a being theory.violation,
+(and A (not C)), at a; only subterms touching unknown atoms survive constant
 folding.  In the full regime everything is a constant and is counted
 directly.  With unknowns, every question is one _sweep, the only routine
 that builds truth tables: it splits its expressions into components of
@@ -22,7 +22,7 @@ so the cheapest abnormal set under a fixed completion is exactly the set of
 elements whose default is violated.  The naive oracle (oracle module)
 rechecks all of this by literal enumeration.
 
-One array evaluator serves every regime.  It evaluates A, C and alpha for
+One array evaluator serves every regime.  It evaluates V and alpha for
 all elements at once as a (must, may) pair in Kleene's strong three-valued
 logic: must where the formula holds under every completion, may where it
 holds under some.  On a fully observed world the two are one array, which
@@ -396,9 +396,7 @@ def closed_world_extension(world: World, formula: Formula) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _closed_violations(world: World, theory: TheorySpec) -> np.ndarray:
-    ante = closed_world_extension(world, theory.antecedent)
-    cons = closed_world_extension(world, theory.consequent)
-    return _frozen(ante & ~cons)
+    return closed_world_extension(world, theory.violation)
 
 
 def closed_block(
@@ -415,8 +413,7 @@ def closed_block(
     def extension(f):
         return _per_element(_plan(f)(arrays)[0], batch, n)
 
-    violations = extension(theory.antecedent) & ~extension(theory.consequent)
-    marked = extension(alpha)
+    violations, marked = extension(theory.violation), extension(alpha)
     return violations.sum(axis=1), (marked | ~violations).all(axis=1), marked.sum(axis=1)
 
 
@@ -441,10 +438,8 @@ def _groundings(world: World, formula: Formula, must: np.ndarray, may: np.ndarra
 
 @lru_cache(maxsize=2048)
 def _world_grounding(world: World, theory: TheorySpec) -> tuple[_GExpr, ...]:
-    """Per element a, the grounded violation (and A_a (not C_a))."""
-    ante = _groundings(world, theory.antecedent, *_extension(world, theory.antecedent))
-    cons = _groundings(world, theory.consequent, *_extension(world, theory.consequent))
-    return tuple(_g_junction([ga, _g_not(gc)], False) for ga, gc in zip(ante, cons))
+    """Per element a, the grounded violation V_a."""
+    return _groundings(world, theory.violation, *_extension(world, theory.violation))
 
 
 @lru_cache(maxsize=16384)

@@ -65,7 +65,7 @@ from .formula import (
     subformulas,
     validate_hypothesis,
 )
-from .theory import THEORY_IDS, TheorySpec, UNKNOWN_RATES, builtin_theory
+from .theory import SCENARIOS, THEORY_IDS, TheorySpec, UNKNOWN_RATES, builtin_theory, check_scenario
 from .world import (
     DENSITY_RANGES,
     DOMAIN_SIZES,
@@ -112,7 +112,7 @@ class GenParams:
     instance_attempts: ClassVar[int] = 40
 
     def __post_init__(self):
-        if self.scenario not in ("full", "partial", "skeptical") or self.theory_id not in THEORY_IDS:
+        if self.scenario not in SCENARIOS or self.theory_id not in THEORY_IDS:
             raise ValueError(f"unknown scenario {self.scenario!r} or theory id {self.theory_id!r}")
         if not 1 <= self.world_budget:
             raise ValueError("world_budget must be >= 1")
@@ -603,8 +603,7 @@ def _derive_seed(*parts) -> int:
 
 def holdout_seed(dataset_path: str, instance_id: str, holdout_idx: int, global_seed: int) -> int:
     """SHA-256(dataset_path || instance_id || holdout_idx || global_seed) mod 2^31."""
-    payload = f"{dataset_path}|{instance_id}|{holdout_idx}|{global_seed}".encode()
-    return int(hashlib.sha256(payload).hexdigest(), 16) % (1 << 31)
+    return _derive_seed(dataset_path, instance_id, holdout_idx, global_seed) % (1 << 31)
 
 
 class _EvalCache:
@@ -1124,8 +1123,10 @@ def generate_batch(
 
     An exhausted seed index is skipped and the next index is tried (ids then
     skip numbers); the walk is deterministic, so regeneration reproduces the
-    exact same batch byte for byte.
+    exact same batch byte for byte.  A theory outside the scenario is a
+    ValueError before anything is drawn.
     """
+    check_scenario(params.theory, params.scenario)
     sampler = GoldSampler()
     records = []
     index = 0

@@ -1,9 +1,12 @@
 """The seven built-in default theories and their hypothesis scopes.
 
 Every theory is one default rule: forall x (antecedent(x) and not Ab(x)
-implies consequent(x)).  The predicates repaired by the consequent are
-forbidden in hypotheses, alongside Ab itself.  Specs are immutable
-constants, freely shared.
+implies consequent(x)), built once as the axiom the oracle evaluates and
+the violation (and antecedent (not consequent)) the engine evaluates.  The
+predicates repaired by the consequent are forbidden in hypotheses, alongside
+Ab itself.  check_scenario, applied by generation and loading alike, holds
+each theory to its scenarios (T6 and T7 only skeptical).  Specs are
+immutable constants, freely shared.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ class TheorySpec:
     scenarios: frozenset[str]
     description: str = ""
     axiom: Formula = field(init=False)
+    violation: Formula = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "allowed", frozenset(self.allowed))
@@ -59,6 +63,14 @@ class TheorySpec:
             Implies(And((self.antecedent, Not(Atom("Ab", (x,))))), self.consequent),
         )
         object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "violation", And((self.antecedent, Not(self.consequent))))
+
+
+def check_scenario(theory: TheorySpec, scenario: str, error: type[Exception] = ValueError) -> None:
+    """Raise `error` unless the theory declares the scenario."""
+    if scenario not in theory.scenarios:
+        raise error(f"theory {theory.short_id} does not take the {scenario} scenario, only "
+                    + ", ".join(sorted(theory.scenarios)))
 
 
 def _ante(text: str) -> Formula:
@@ -186,10 +198,7 @@ def custom_theory(
     Experimental: custom theories are excluded from acceptance runs; the
     benchmark proper uses only the built-in constants.
     """
-    if isinstance(antecedent, str):
-        antecedent = parse_formula(antecedent, allow_implies=True)
-    if isinstance(consequent, str):
-        consequent = parse_formula(consequent, allow_implies=True)
+    antecedent, consequent = (_ante(f) if isinstance(f, str) else f for f in (antecedent, consequent))
     return TheorySpec(
         short_id,
         short_id,

@@ -912,3 +912,27 @@ def test_duplicate_instance_id_rejected_at_load(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err == f"abduce {command}: error: {bad}:3: bad instance line: duplicate instance id {iid!r}\n"
     assert not (tmp_path / "s.jsonl").exists()
+
+
+def _repeat_first_true_p_atom(data):
+    atoms = data["train_worlds"][0]["true"]["P"]
+    atoms += atoms[:1] * 3
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_repeat_first_true_p_atom, "P: true atom list repeats an atom"),
+    (lambda data: data["gold"].update(ast_size=999), "gold ast_size 999 is not its formula's "),
+    (lambda data: data["gold"].update(quantifier_depth=7), "gold quantifier_depth 7 is not its formula's "),
+], ids=["repeated-atom", "ast-size", "quantifier-depth"])
+def test_non_canonical_instance_line_rejected_at_load(dataset_path, tmp_path, capsys, edit, reason):
+    # each line verified with 0 violations, and save_dataset wrote other bytes for it;
+    # the repeated-atom edit needs a true P atom in train world 0
+    assert json.loads(open(dataset_path).read().splitlines()[1])["train_worlds"][0]["true"]["P"]
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_first_instance(dataset_path, bad, edit)
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"abduce verify: error: {bad}:2: bad instance line: {reason}")
+    assert captured.err.count("\n") == 1

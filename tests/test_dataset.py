@@ -294,3 +294,28 @@ def test_prediction_lines_split_at_each_line_end(tmp_path):
     manifest.write_text('{"model_id":"m","instance_id":"i"}\n' * 3)
     loaded = load_predictions(str(preds), str(manifest))
     assert [p.formula_text for p in loaded] == ["(P x)", "(Q x)", "(P x)"]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 3, "true": {"P": [0, 2, 0]}}, "P: true atom list repeats an atom"),
+    ({"n": 3, "unknown": {"R": [[0, 1], [0, 1]]}}, "R: unknown atom list repeats an atom"),
+    ({"n": 3, "true": {"S": [[1, 2], (1, 2)]}}, "S: true atom list repeats an atom"),
+], ids=["true-unary", "unknown-pair", "list-and-tuple"])
+def test_world_atom_list_must_not_repeat_an_atom(data, message):
+    # World folds the copies into a set, so the line would not re-save to its own bytes
+    with pytest.raises(DatasetError, match=message):
+        world_from_json(data)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ast_size", 999), ("quantifier_depth", 7), ("ast_size", "5"), ("quantifier_depth", None),
+])
+def test_gold_metrics_must_be_those_of_its_formula(batch, key, value):
+    _, records, _ = batch
+    data = instance_to_json(records[0])
+    data["gold"][key] = value
+    with pytest.raises(DatasetError, match=f"gold {key} {value!r} is not its formula's "):
+        instance_from_json(data)
+    del data["gold"][key]
+    with pytest.raises(KeyError):
+        instance_from_json(data)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from abduce import generator
 from abduce.engine import Regime, cost, opt_cost, validity
 from abduce.formula import formula_metrics, free_variables, predicates_used, render_formula
 from abduce.generator import (
@@ -25,7 +26,7 @@ from abduce.generator import (
     _AcceptedWorld,
     _EvalCache,
 )
-from abduce.theory import THEORY_IDS, builtin_theory
+from abduce.theory import SCENARIOS, THEORY_IDS, builtin_theory
 from abduce.world import World, worlds_equivalent
 
 T1 = builtin_theory("T1")
@@ -506,3 +507,19 @@ class TestStaticPool:
             ours, theirs = random.Random(seed), random.Random(seed)
             assert gold_mutants(gold, theory, ours) == reference(gold, theory, theirs)
             assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("scenario, theory_id", [
+    (s, t) for t in THEORY_IDS for s in SCENARIOS if s not in builtin_theory(t).scenarios
+])
+def test_generate_batch_refuses_a_theory_outside_its_scenarios(monkeypatch, scenario, theory_id):
+    # GenParams takes every pair, and the batch was written and then refused by load_dataset
+    def drawn(*args, **kwargs):
+        raise AssertionError("drew an instance before checking the scenario")
+
+    monkeypatch.setattr(generator, "generate_instance", drawn)
+    params = GenParams(scenario=scenario, theory_id=theory_id, global_seed=1)
+    with pytest.raises(ValueError) as exc:
+        generate_batch(params, 1)
+    # the message load_dataset gives such a line
+    assert str(exc.value) == f"theory {theory_id} does not take the {scenario} scenario, only skeptical"

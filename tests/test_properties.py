@@ -9,6 +9,8 @@ third holds queries over several worlds, which share one evaluator pass per
 domain size, to the one-world queries and the oracle.  The last two hold
 the component sweep and the skeptical counterexample, which every
 completion question goes through, to plain enumeration of truth tables.
+Two more hold the theory's one violation formula to its antecedent and
+consequent: its closed extension, and its grounding's shape.
 """
 
 import numpy as np
@@ -288,3 +290,48 @@ def test_counterexample_is_the_first_falsifying_row_of_the_first_falsifiable_axi
             expected = {v: bool((int(falsified[0]) >> i) & 1) for i, v in enumerate(ordered)}
             break
     assert engine._counterexample(axioms) == expected
+
+
+def _shape(e):
+    """A grounded expression as nested tuples, so equal shapes compare equal."""
+    if isinstance(e, engine._GConst):
+        return e.value
+    if isinstance(e, engine._GUnk):
+        return ("unk", e.index)
+    if isinstance(e, engine._GNot):
+        return ("not", _shape(e.child))
+    return (e.absorb, tuple(map(_shape, e.children)))
+
+
+VIOLATION_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                              suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("theory_id", THEORY_IDS)
+@VIOLATION_SETTINGS
+@given(world=worlds(max_unknowns=0))
+def test_closed_violations_are_antecedent_and_not_consequent(theory_id, world):
+    """On a fully observed world, the violation formula's closed extension
+    is the antecedent's and the negated consequent's."""
+    spec = builtin_theory(theory_id)
+    ante, cons = (engine.closed_world_extension(world, f) for f in (spec.antecedent, spec.consequent))
+    expected = ante & ~cons
+    assert np.array_equal(engine._closed_violations(world, spec), expected)
+    assert np.array_equal(engine.closed_world_extension(world, spec.violation), expected)
+    relations = {p: engine._world_arrays(world)[p][0] for p in ("P", "Q", "R", "S")}
+    opts, _, _ = engine.closed_block(spec, spec.antecedent, world.n, relations)
+    assert opts.tolist() == [int(expected.sum())]
+
+
+@pytest.mark.parametrize("theory_id", THEORY_IDS)
+@VIOLATION_SETTINGS
+@given(world=worlds(max_unknowns=6))
+def test_grounded_violation_is_the_junction_of_its_parts(theory_id, world):
+    """One grounding of the violation formula has, per element, the shape of
+    (and A_a (not C_a)) built from the antecedent's and consequent's own
+    groundings, so every sweep and witness over it is unchanged."""
+    spec = builtin_theory(theory_id)
+    ante, cons = (engine._groundings(world, f, *engine._extension(world, f))
+                  for f in (spec.antecedent, spec.consequent))
+    joined = [engine._g_junction([a, engine._g_not(c)], False) for a, c in zip(ante, cons)]
+    assert list(map(_shape, engine._world_grounding(world, spec))) == list(map(_shape, joined))
