@@ -155,6 +155,11 @@ def _oracle_gold_diff(rec, max_unknowns: int) -> tuple[list[str], int]:
     return problems, skipped
 
 
+def _skip_note(skipped: int) -> str:
+    """The summary suffix for world checks the oracle skipped over the cap."""
+    return f" ({skipped} oracle checks skipped over the unknown cap)" if skipped else ""
+
+
 def cmd_verify(args) -> int:
     records = load_dataset(args.dataset, check=False)
     violations = 0
@@ -170,8 +175,7 @@ def cmd_verify(args) -> int:
                 print(d)
             violations += len(diffs)
             skipped_notes += skipped
-    note = f" ({skipped_notes} oracle checks skipped over the unknown cap)" if skipped_notes else ""
-    print(f"verified {len(records)} instances: {violations} violation(s){note}")
+    print(f"verified {len(records)} instances: {violations} violation(s){_skip_note(skipped_notes)}")
     return 0 if violations == 0 else 1
 
 
@@ -192,8 +196,7 @@ def cmd_optcost(args) -> int:
     rows = [
         {"id": rec.id, "split": split, "world": i, "opt_cost": o, "gold_cost": g}
         for rec in records
-        for split, opts, golds in (("train", rec.train_opt_costs, rec.train_gold_costs),
-                                   ("holdout", rec.holdout_opt_costs, rec.holdout_gold_costs))
+        for split, _, opts, golds in rec.splits()
         for i, (o, g) in enumerate(zip(opts, golds))
     ]
     # --out is written first, so a command that fails on it prints nothing
@@ -212,7 +215,7 @@ def cmd_score(args) -> int:
     save_score_records(scores, args.out)
     n_parse = sum(1 for s in scores if not s.parse_ok)
     n_valid = sum(1 for s in scores if s.train_valid)
-    mismatches = 0
+    mismatches = skipped = 0
     if args.oracle:
         for pred, score in zip(predictions, scores):
             if not score.parse_ok or score.scope_error:
@@ -224,13 +227,14 @@ def cmd_score(args) -> int:
             )
             for world, engine_ok in zip(inst.train_worlds, score.train_world_valid):
                 if world.num_unknowns() > args.oracle_max_unknowns:
+                    skipped += 1
                     continue
                 if oracle.world_valid(inst.regime, theory, world, alpha) != engine_ok:
                     print(f"{inst.id}/{score.model_id}: oracle validity mismatch")
                     mismatches += 1
     print(
         f"scored {len(scores)} predictions: {n_valid} train-valid, {n_parse} parse errors"
-        + (f", {mismatches} oracle mismatches" if args.oracle else "")
+        + (f", {mismatches} oracle mismatches{_skip_note(skipped)}" if args.oracle else "")
     )
     return 0 if mismatches == 0 else 1
 

@@ -110,14 +110,8 @@ def instance_to_json(rec: InstanceRecord) -> dict:
         "gold": {"formula": render_formula(rec.gold.formula), **asdict(formula_metrics(rec.gold.formula))},
         "train_worlds": [world_to_json(w) for w in rec.train_worlds],
         "baselines": {
-            "train": {
-                "opt_costs": list(rec.train_opt_costs),
-                "gold_costs": list(rec.train_gold_costs),
-            },
-            "holdout": {
-                "opt_costs": list(rec.holdout_opt_costs),
-                "gold_costs": list(rec.holdout_gold_costs),
-            },
+            split: {"opt_costs": list(opts), "gold_costs": list(golds)}
+            for split, _, opts, golds in rec.splits()
         },
         "holdout_available": rec.holdout_available,
         "holdout_worlds": [world_to_json(w) for w in rec.holdout_worlds],

@@ -114,10 +114,9 @@ class GenParams:
     def __post_init__(self):
         if self.scenario not in SCENARIOS or self.theory_id not in THEORY_IDS:
             raise ValueError(f"unknown scenario {self.scenario!r} or theory id {self.theory_id!r}")
-        if not 1 <= self.world_budget:
-            raise ValueError("world_budget must be >= 1")
-        if self.margin < 1:
-            raise ValueError("margin must be >= 1")
+        for name in ("world_budget", "margin", "world_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.holdout_count < 0:
             raise ValueError("holdout_count must be >= 0")
 
@@ -176,6 +175,13 @@ class InstanceRecord:
     def gold_ast(self) -> int:
         """The gold's AST size, computed once per instance."""
         return formula_metrics(self.gold.formula).ast_size
+
+    def splits(self) -> tuple[tuple[str, tuple[World, ...], tuple[int, ...], tuple[int, ...]], ...]:
+        """(name, worlds, opt costs, gold costs) for train, then holdout."""
+        return (
+            ("train", self.train_worlds, self.train_opt_costs, self.train_gold_costs),
+            ("holdout", self.holdout_worlds, self.holdout_opt_costs, self.holdout_gold_costs),
+        )
 
 
 @dataclass(frozen=True)
@@ -1023,10 +1029,7 @@ def baseline_shape_problems(instance: InstanceRecord) -> list[str]:
     cost per train and holdout world, and holdout worlds wherever holdouts
     are flagged available.  Scoring relies on exactly these."""
     out = []
-    for split, worlds, opts, golds in (
-        ("train", instance.train_worlds, instance.train_opt_costs, instance.train_gold_costs),
-        ("holdout", instance.holdout_worlds, instance.holdout_opt_costs, instance.holdout_gold_costs),
-    ):
+    for split, worlds, opts, golds in instance.splits():
         for name, cached in (("opt", opts), ("gold", golds)):
             if len(cached) != len(worlds):
                 out.append(f"{split}: {len(cached)} cached {name} cost(s) for {len(worlds)} world(s)")

@@ -132,8 +132,11 @@ def score_prediction(pred: Prediction, inst: InstanceRecord) -> ScoreRecord:
     """Full per-prediction evaluation against one instance.
 
     Uses the instance's cached OptCost and gold baselines; costs are left
-    absent wherever validity fails.  Every outcome fills one dict of all
-    the fields, which _failure labels before the one ScoreRecord is built.
+    absent wherever validity fails.  _score_split scores the train worlds
+    and, for a train-valid rule with holdouts, the holdout worlds; the gold
+    fields stay train-only, the valid fraction and delta_gap holdout-only.
+    Every outcome fills one dict of all the fields, which _failure labels
+    before the one ScoreRecord is built.
     """
     theory = inst.theory
     regime = inst.regime
@@ -170,42 +173,33 @@ def score_prediction(pred: Prediction, inst: InstanceRecord) -> ScoreRecord:
                 rec["scope_error"] = str(exc)
 
     if alpha is not None:
-        train_costs = world_costs(regime, theory, inst.train_worlds, alpha)
-        train_valid = tuple(c is not None for c in train_costs)
-        rec.update(train_world_valid=train_valid, train_valid=all(train_valid))
-        if all(train_valid):
-            train_cost = sum(train_costs)
-            train_opt = sum(inst.train_opt_costs)
-            rec.update(
-                train_cost=train_cost,
-                train_opt=train_opt,
-                train_gap=(train_cost - train_opt) / n_train,
-                gap_gold=(train_cost - gold_train_total) / n_train,
-                gold_margin=train_cost - gold_train_total,
-                beats_gold=train_cost < gold_train_total,
-            )
+        rec["train_world_valid"], train = _score_split(regime, theory, inst.train_worlds, inst.train_opt_costs, alpha)
+        rec["train_valid"] = train is not None
+        if train is not None:
+            margin = train[0] - gold_train_total
+            rec.update(zip(("train_cost", "train_opt", "train_gap"), train),
+                       gap_gold=margin / n_train, gold_margin=margin, beats_gold=margin < 0)
             if inst.holdout_available:
-                hold_costs = world_costs(regime, theory, inst.holdout_worlds, alpha)
-                hold_valid = tuple(c is not None for c in hold_costs)
-                k = len(inst.holdout_worlds)
-                rec.update(
-                    holdout_world_valid=hold_valid,
-                    holdout_valid=all(hold_valid),
-                    holdout_valid_fraction=sum(hold_valid) / k,
-                )
-                if all(hold_valid):
-                    hold_cost = sum(hold_costs)
-                    hold_opt = sum(inst.holdout_opt_costs)
-                    hold_gap = (hold_cost - hold_opt) / k
-                    rec.update(
-                        holdout_cost=hold_cost,
-                        holdout_opt=hold_opt,
-                        holdout_gap=hold_gap,
-                        survivor=True,
-                        delta_gap=hold_gap - rec["train_gap"],
-                    )
+                hold_valid, hold = _score_split(regime, theory, inst.holdout_worlds, inst.holdout_opt_costs, alpha)
+                rec.update(holdout_world_valid=hold_valid, holdout_valid=hold is not None,
+                           holdout_valid_fraction=sum(hold_valid) / len(hold_valid))
+                if hold is not None:
+                    rec.update(zip(("holdout_cost", "holdout_opt", "holdout_gap"), hold),
+                               survivor=True, delta_gap=hold[2] - rec["train_gap"])
     rec["failure_class"], rec["catastrophic"] = _failure(rec)
     return ScoreRecord(**rec)
+
+
+def _score_split(regime, theory, worlds, opt_costs, alpha) -> tuple[tuple[bool, ...], Optional[tuple]]:
+    """One split's per-world validity of alpha and, when alpha is valid on
+    every world, its (total cost, total OptCost bound, gap per world);
+    otherwise None in their place."""
+    costs = world_costs(regime, theory, worlds, alpha)
+    valid = tuple(c is not None for c in costs)
+    if not all(valid):
+        return valid, None
+    total, bound = sum(costs), sum(opt_costs)
+    return valid, (total, bound, (total - bound) / len(worlds))
 
 
 def classify_failure(rec: ScoreRecord) -> tuple[str, bool]:

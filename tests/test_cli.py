@@ -936,3 +936,40 @@ def test_non_canonical_instance_line_rejected_at_load(dataset_path, tmp_path, ca
     assert captured.out == ""
     assert captured.err.startswith(f"abduce verify: error: {bad}:2: bad instance line: {reason}")
     assert captured.err.count("\n") == 1
+
+
+def test_optcost_writes_every_train_and_holdout_world(dataset_path, tmp_path):
+    out = tmp_path / "opt.jsonl"
+    assert main(["optcost", "--dataset", dataset_path, "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    records = load_dataset(dataset_path, check=False)
+    assert any(r.holdout_worlds for r in records)
+    expected = [
+        {"id": r.id, "split": split, "world": i, "opt_cost": o, "gold_cost": g}
+        for r in records
+        for split, opts, golds in (("train", r.train_opt_costs, r.train_gold_costs),
+                                   ("holdout", r.holdout_opt_costs, r.holdout_gold_costs))
+        for i, (o, g) in enumerate(zip(opts, golds))
+    ]
+    assert rows == expected
+    assert len(rows) == sum(len(r.train_worlds) + len(r.holdout_worlds) for r in records)
+
+
+def test_score_oracle_counts_the_checks_it_skips(tmp_path, monkeypatch, capsys):
+    # its one training world has 6 unknown atoms: under a cap of 0 the oracle
+    # checks nothing, and score read "0 oracle mismatches" as if it had
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--scenario", "partial", "--theory", "T2", "--count", "1", "--seed", "3",
+                 "--out", "ds.jsonl"]) == 0
+    assert [w.num_unknowns() for w in load_dataset("ds.jsonl")[0].train_worlds] == [6]
+    _gold_scores("ds.jsonl", tmp_path)
+    score = ["score", "--dataset", "ds.jsonl", "--predictions", "p.jsonl", "--manifest", "m.jsonl",
+             "--out", "s.jsonl", "--oracle"]
+    note = " (1 oracle checks skipped over the unknown cap)\n"
+    capsys.readouterr()
+    assert main(score + ["--oracle-max-unknowns", "0"]) == 0
+    assert capsys.readouterr().out == "scored 1 predictions: 1 train-valid, 0 parse errors, 0 oracle mismatches" + note
+    assert main(["verify", "--dataset", "ds.jsonl", "--oracle", "--oracle-max-unknowns", "0"]) == 0
+    assert capsys.readouterr().out == "verified 1 instances: 0 violation(s)" + note
+    assert main(score) == 0
+    assert capsys.readouterr().out == "scored 1 predictions: 1 train-valid, 0 parse errors, 0 oracle mismatches\n"

@@ -523,3 +523,19 @@ def test_generate_batch_refuses_a_theory_outside_its_scenarios(monkeypatch, scen
         generate_batch(params, 1)
     # the message load_dataset gives such a line
     assert str(exc.value) == f"theory {theory_id} does not take the {scenario} scenario, only skeptical"
+
+
+@pytest.mark.parametrize("attempts", [0, -5])
+def test_gen_params_rejects_world_attempts_below_one(attempts):
+    # these constructed, and generate_batch walked 17 seed indices before it failed
+    with pytest.raises(ValueError) as exc:
+        GenParams(scenario="full", theory_id="T1", world_attempts=attempts)
+    assert str(exc.value) == "world_attempts must be >= 1"
+
+
+def test_splits_list_train_then_holdout(held_instance):
+    _, rec = held_instance
+    assert rec.splits() == (
+        ("train", rec.train_worlds, rec.train_opt_costs, rec.train_gold_costs),
+        ("holdout", rec.holdout_worlds, rec.holdout_opt_costs, rec.holdout_gold_costs),
+    )

@@ -10,7 +10,10 @@ domain size, to the one-world queries and the oracle.  The last two hold
 the component sweep and the skeptical counterexample, which every
 completion question goes through, to plain enumeration of truth tables.
 Two more hold the theory's one violation formula to its antecedent and
-consequent: its closed extension, and its grounding's shape.
+consequent: its closed extension, and its grounding's shape.  The last two
+check metamorphic relations at the generator's scale, past the oracle's
+reach: renaming domain elements changes no answer, and on a fully observed
+world the three regimes agree.
 """
 
 import numpy as np
@@ -34,7 +37,7 @@ from abduce.formula import (
 )
 from abduce.dataset import MAX_DOMAIN_SIZE
 from abduce.theory import THEORY_IDS, builtin_theory
-from abduce.world import World, enumerate_completions, eval_formula
+from abduce.world import DENSITY_RANGES, World, enumerate_completions, eval_formula, sample_complete_world
 
 UNARY = ("P", "Q")
 BINARY = ("R", "S")
@@ -335,3 +338,76 @@ def test_grounded_violation_is_the_junction_of_its_parts(theory_id, world):
                   for f in (spec.antecedent, spec.consequent))
     joined = [engine._g_junction([a, engine._g_not(c)], False) for a, c in zip(ante, cons)]
     assert list(map(_shape, engine._world_grounding(world, spec))) == list(map(_shape, joined))
+
+
+# Metamorphic relations at the generator's scale, where the oracle cannot
+# enumerate: n 9-12 and up to 14 unknown atoms, so the grounding memo and
+# components of several unknowns take part.
+
+SCALE_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None,
+                          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@st.composite
+def generated_worlds(draw, max_unknowns=14):
+    """A fully observed world drawn as the generator draws one (n 9-12,
+    the skeptical scenario's densities), and the same world with up to
+    max_unknowns atoms of any predicate moved to its unknown sets."""
+    rng = draw(st.randoms(use_true_random=False))
+    complete = sample_complete_world(range(9, 13), DENSITY_RANGES["skeptical"], rng)
+    n = complete.n
+    cells = [(p, a) for p in UNARY for a in range(n)]
+    cells += [(p, (i, j)) for p in BINARY for i in range(n) for j in range(n)]
+    hidden = {p: set() for p in UNARY + BINARY}
+    for p, a in rng.sample(cells, draw(st.integers(0, max_unknowns))):
+        hidden[p].add(a)
+    true = {p: complete.true_atoms[p] - hidden[p] for p in hidden}
+    return complete, World(n, true, hidden)
+
+
+def _permuted(world: World, perm) -> World:
+    """The world with each domain element a renamed perm[a]."""
+    def move(atoms):
+        return {perm[a] if isinstance(a, int) else (perm[a[0]], perm[a[1]]) for a in atoms}
+    return World(world.n, {p: move(s) for p, s in world.true_atoms.items()},
+                 {p: move(s) for p, s in world.unknown_atoms.items()})
+
+
+def _hypothesis(data, spec):
+    formula = data.draw(formulas(sorted(spec.allowed), depth=2), label="alpha")
+    assume(free_variables(formula) == {"x"})
+    return validate_hypothesis(formula, spec.allowed, spec.forbidden)
+
+
+def _costs_and_bounds(regime, spec, world, alpha):
+    return (world_costs(regime, spec, [world], alpha),
+            *(opt_cost(regime, spec, world, variant=v) for v in ("pointwise", "uniform")))
+
+
+@pytest.mark.parametrize("theory_id", THEORY_IDS)
+@SCALE_SETTINGS
+@given(data=st.data())
+def test_permuting_elements_keeps_costs_and_bounds(theory_id, data):
+    """Renaming the domain elements changes no world_costs or opt_cost, in
+    any regime: the full one on the complete world, the others on it masked."""
+    spec = builtin_theory(theory_id)
+    complete, masked = data.draw(generated_worlds(), label="worlds")
+    perm = data.draw(st.permutations(range(complete.n)), label="perm")
+    alpha = _hypothesis(data, spec)
+    for regime, world in (("full", complete), ("partial", masked), ("skeptical", masked)):
+        assert _costs_and_bounds(regime, spec, _permuted(world, perm), alpha) == \
+            _costs_and_bounds(regime, spec, world, alpha)
+
+
+@pytest.mark.parametrize("theory_id", THEORY_IDS)
+@SCALE_SETTINGS
+@given(data=st.data())
+def test_regimes_agree_on_fully_observed_worlds(theory_id, data):
+    """With no unknown atom there is one completion, so the best and worst
+    cases are the direct count: the three regimes give one answer."""
+    spec = builtin_theory(theory_id)
+    world, _ = data.draw(generated_worlds(max_unknowns=0), label="worlds")
+    alpha = _hypothesis(data, spec)
+    full = _costs_and_bounds("full", spec, world, alpha)
+    assert _costs_and_bounds("partial", spec, world, alpha) == full
+    assert _costs_and_bounds("skeptical", spec, world, alpha) == full
