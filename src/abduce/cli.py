@@ -225,7 +225,9 @@ def cmd_score(args) -> int:
             alpha = validate_hypothesis(
                 parse_formula(score.formula_text), theory.allowed, theory.forbidden
             )
-            for world, engine_ok in zip(inst.train_worlds, score.train_world_valid):
+            checks = (*zip(inst.train_worlds, score.train_world_valid),
+                      *zip(inst.holdout_worlds, score.holdout_world_valid))
+            for world, engine_ok in checks:
                 if world.num_unknowns() > args.oracle_max_unknowns:
                     skipped += 1
                     continue

@@ -72,9 +72,10 @@ from .world import (
     DensityRanges,
     World,
     atoms_to_json,
+    complete_world,
     draw_complete_world,
     mask_world,
-    sample_complete_world,
+    sample_complete_world,  # noqa: F401  (the bench tracer patches this name here)
     unmask_world,
     worlds_equivalent,
 )
@@ -83,7 +84,7 @@ GOLD_AST_RANGE = (5, 30)
 HOLDOUT_ATTEMPTS_PER_WORLD = 150
 POOL_CAP = 30
 # Candidate worlds drawn, and screened in one evaluator pass, at a time.
-_BLOCK = 16
+_BLOCK = 24
 MASK_BASIS = {"full": "grid", "partial": "true_count", "skeptical": "grid"}
 
 
@@ -558,13 +559,17 @@ def _mutate_once(f: Formula, nodes: Sequence, rng: Random, allowed: frozenset[st
     return _replace_at(f, path, Not(node))
 
 
-def gold_mutants(gold: Hypothesis, theory: TheorySpec, rng: Random, count: int = 10) -> list[Hypothesis]:
-    """Up to `count` distinct scope-valid single-step mutants of the gold."""
+def _mutant_stream(
+    gold: Hypothesis, theory: TheorySpec, rng: Random, count: int
+) -> Iterator[tuple[str, Hypothesis]]:
+    """The mutation loop: (rendering, hypothesis) of up to `count` distinct
+    scope-valid single-step mutants of the gold, within 12 * count tries.
+    Lazy, so a caller that stops early draws no further from rng."""
     seen = {render_formula(gold.formula)}
     nodes = list(subformulas(gold.formula))
-    out = []
+    found = 0
     for _ in range(12 * count):
-        if len(out) >= count:
+        if found >= count:
             break
         mutated = _mutate_once(gold.formula, nodes, rng, theory.allowed)
         if mutated is None:
@@ -575,8 +580,13 @@ def gold_mutants(gold: Hypothesis, theory: TheorySpec, rng: Random, count: int =
         seen.add(key)
         h = _try_scope(mutated, theory)
         if h is not None:
-            out.append(h)
-    return out
+            found += 1
+            yield key, h
+
+
+def gold_mutants(gold: Hypothesis, theory: TheorySpec, rng: Random, count: int = 10) -> list[Hypothesis]:
+    """Up to `count` distinct scope-valid single-step mutants of the gold."""
+    return [h for _, h in _mutant_stream(gold, theory, rng, count)]
 
 
 def build_competitor_pool(
@@ -588,12 +598,14 @@ def build_competitor_pool(
     to POOL_CAP with tier-1 kept preferentially.
 
     The tier-1 and tier-2 part is the theory's cached static pool, so a
-    build renders only the gold's mutants.  A gold that coincides with a
-    pool formula would yield a competitor that can never be beaten; the
-    gold sampler never draws one that renders like a static pool formula,
-    and gold_mutants never yields the gold itself."""
+    build mutates the gold only until it has the mutants that fit under
+    POOL_CAP, skipping those that render like a static pool formula.  A
+    gold that coincides with a pool formula would yield a competitor that
+    can never be beaten; the gold sampler never draws one that renders like
+    a static pool formula, and gold_mutants never yields the gold itself."""
     static = _static_pool(theory, ())
-    mutants = _distinct(gold_mutants(gold, theory, rng, count=10), seen=set(static.renders))
+    fresh = (h for key, h in _mutant_stream(gold, theory, rng, 10) if key not in static.renders)
+    mutants = itertools.islice(fresh, max(0, POOL_CAP - len(static.entries)))
     entries = static.entries + tuple((h, "mutant") for h in mutants)
     return CompetitorPool(entries[:POOL_CAP])
 
@@ -717,13 +729,17 @@ class _WorldAcceptor:
     (draw_complete_world), and the closed-world stage screens a whole block
     in one evaluator pass per domain size.  The rng state is snapshotted
     once per block, before its first draw; survivors are rare, so no
-    candidate pays for a snapshot of its own.  Only the first survivor
-    becomes a World: the rng is rewound to the block's snapshot, the
-    candidates before the survivor are redrawn and discarded, the survivor
-    is redrawn by sample_complete_world and masked, and the rest of the
-    block is dropped and drawn again after it.  So every accepted world
-    comes out at the rng position that drawing one candidate at a time
-    reaches, and the output does not depend on _BLOCK.
+    candidate pays for a snapshot of its own.  Nothing is drawn twice: at
+    a survivor the rng is set back to the snapshot and moved past the
+    words that the candidates up to and including the survivor consumed
+    (getrandbits(32 * words)), and the survivor is built from its drawn
+    indices.  In the full scenario nothing is drawn between survivors, so
+    the block's later survivors are taken the same way and the words of
+    its remaining candidates are skipped at its end.  Elsewhere the
+    survivor is masked, which draws from the rng, so the rest of the block
+    is dropped and drawn again after it.  So every accepted world comes
+    out at the rng position that drawing one candidate at a time reaches,
+    and the output does not depend on _BLOCK.
     """
 
     def __init__(self, params: GenParams, gold: Hypothesis, shared_n: Optional[int]):
@@ -739,12 +755,13 @@ class _WorldAcceptor:
         self.unknown_rates = params.unknown_rates
         self.scen_cache = _EvalCache(self.regime, self.theory)
 
-    def _screen(self, draws: Sequence[tuple[int, dict]]) -> list[tuple[int, bool, int]]:
-        """Per drawn complete world: opt_cost(FULL), whether the gold is
-        valid, and its cost, from one closed_block pass per domain size."""
+    def _screen(self, draws: Sequence[tuple]) -> list[tuple[int, bool, int]]:
+        """Per drawn complete world (n and per-predicate indices first):
+        opt_cost(FULL), whether the gold is valid, and its cost, from one
+        closed_block pass per domain size."""
         out: list = [None] * len(draws)
-        for n in sorted({n for n, _ in draws}):
-            members = [i for i, (m, _) in enumerate(draws) if m == n]
+        for n in sorted({d[0] for d in draws}):
+            members = [i for i, d in enumerate(draws) if d[0] == n]
             relations = {}
             for p, arity in (("P", 1), ("Q", 1), ("R", 2), ("S", 2)):
                 idx = [draws[i][1][p] for i in members]
@@ -761,8 +778,11 @@ class _WorldAcceptor:
     def candidates(self, rng: Random, attempts: int) -> Iterator[_AcceptedWorld]:
         """Accepted worlds among `attempts` candidates drawn from rng, each
         yielded with rng just past its own draws and masking; a caller that
-        stops there leaves rng where one-at-a-time sampling would."""
+        stops there leaves rng where one-at-a-time sampling would.  The rng
+        only moves forward from a block's snapshot, past the words of the
+        candidates examined, and no candidate is drawn twice."""
         params = self.params
+        full = params.scenario == "full"
         left = attempts
         while left > 0:
             state = rng.getstate()
@@ -771,28 +791,32 @@ class _WorldAcceptor:
                 for _ in range(min(_BLOCK, left))
             ]
             screened = self._screen(draws)
-            first = next((
-                i for i, row in enumerate(screened) if not closed_stage_problems(draws[i][0], *row)
-            ), None)
-            if first is None:
+            passed = [i for i, row in enumerate(screened) if not closed_stage_problems(draws[i][0], *row)]
+            if not passed:
                 left -= len(draws)
                 continue
-            left -= first + 1
             rng.setstate(state)
-            for _ in range(first):
-                draw_complete_world(self.n_range, self.densities, rng)
-            complete = sample_complete_world(self.n_range, self.densities, rng)
-            pre_opt, _, pre_gold = screened[first]
-            if params.scenario == "full":
-                yield _AcceptedWorld(complete, {}, pre_opt, pre_gold, pre_opt, pre_gold)
-                continue
-            masked, hidden = mask_world(
-                complete, self.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario]
-            )
-            valid, scen_gold = self.scen_cache.world_eval(masked, self.gold)
-            if valid:
-                scen_opt = opt_cost(self.regime, self.theory, masked)
-                yield _AcceptedWorld(masked, hidden, scen_opt, scen_gold, pre_opt, pre_gold)
+            past = 0  # candidates of this block whose words rng is past
+            for i in passed if full else passed[:1]:
+                rng.getrandbits(32 * sum(d[2] for d in draws[past:i + 1]))
+                past = i + 1
+                n, indices, _ = draws[i]
+                complete = complete_world(n, indices)
+                pre_opt, _, pre_gold = screened[i]
+                if full:
+                    yield _AcceptedWorld(complete, {}, pre_opt, pre_gold, pre_opt, pre_gold)
+                    continue
+                masked, hidden = mask_world(
+                    complete, self.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario]
+                )
+                valid, scen_gold = self.scen_cache.world_eval(masked, self.gold)
+                if valid:
+                    scen_opt = opt_cost(self.regime, self.theory, masked)
+                    yield _AcceptedWorld(masked, hidden, scen_opt, scen_gold, pre_opt, pre_gold)
+            if full:
+                rng.getrandbits(32 * sum(d[2] for d in draws[past:]))
+                past = len(draws)
+            left -= past
 
 
 def _hidden_to_json(hidden: dict) -> dict:

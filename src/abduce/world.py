@@ -7,12 +7,20 @@ evaluation is pure.  Sampling requires exclusive access to its rng.
 
 Sampling is done by index draws: a complete world is drawn as its domain
 size plus, per predicate, the row-major indices of its true atoms
-(draw_complete_world), and a World is built from those indices only when
-one is needed.  Candidate screening in the generator reads the indices
-directly, so a rejected candidate never becomes a World.  Every draw
-without replacement, of true atoms and of masked atoms alike, goes through
-one range sampler, _sample_range, which returns what
-random.sample(range(n), k) returns and consumes the rng the same way.
+(draw_complete_world), and a World is built from those indices
+(complete_world) only when one is needed.  Candidate screening in the
+generator reads the indices directly, so a rejected candidate never
+becomes a World.  Every draw without replacement, of true atoms and of
+masked atoms alike, goes through one range sampler, _draw_range, which
+returns what random.sample(range(n), k) returns and consumes the rng the
+same way.
+
+A draw also counts the 32-bit Mersenne Twister words it consumed, as
+CPython's random uses them (3.10 to 3.13): one per getrandbits(k) call
+with k <= 32, rejected redraws included, and two per uniform.  Since
+getrandbits(32 * w) consumes exactly w words, a caller holding the rng
+state from before some draws reaches the state after them by skipping
+their words, without drawing any of them again.
 """
 
 from __future__ import annotations
@@ -306,9 +314,10 @@ def enumerate_completions(world: World, cap: int = DEFAULT_ENUMERATION_CAP) -> I
 # Sampling
 
 
-def _sample_range(rng: Random, n: int, k: int) -> list[int]:
-    """k distinct indices from range(n): exactly rng.sample(range(n), k),
-    leaving rng in exactly the state that call leaves it in.
+def _draw_range(rng: Random, n: int, k: int) -> tuple[list[int], int]:
+    """k distinct indices from range(n), exactly rng.sample(range(n), k),
+    leaving rng in exactly the state that call leaves it in; with the
+    number of 32-bit words drawn.
 
     Candidate sampling draws about 160 worlds per accepted one, four
     samples each, and Random.sample spends most of a small sample on
@@ -317,14 +326,17 @@ def _sample_range(rng: Random, n: int, k: int) -> list[int]:
     in 3.10 to 3.13) with getrandbits inlined: a shrinking pool of indices
     when an n-length list is smaller than a k-length set, else redraws
     against a set of selections, each index drawn as getrandbits(m's bit
-    length) and redrawn while it is not below the bound m.  The generated
-    data depend on every draw; tests/test_world.py pins this function to
-    Random.sample, result and rng state, over both branches.
+    length) and redrawn while it is not below the bound m.  Each call takes
+    one word while n < 2^32 (callers pass n <= MAX_DOMAIN_SIZE^2), so the
+    count is k plus the redraws.  The generated data depend on every draw;
+    tests/test_world.py pins this function to Random.sample, result and rng
+    state, over both branches.
     """
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
     getrandbits = rng.getrandbits
     result = [0] * k
+    words = k
     setsize = 21  # size of a small set minus size of an empty list
     if k > 5:
         setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
@@ -336,9 +348,10 @@ def _sample_range(rng: Random, n: int, k: int) -> list[int]:
             j = getrandbits(bits)
             while j >= m:
                 j = getrandbits(bits)
+                words += 1
             result[i] = pool[j]
             pool[j] = pool[m - 1]
-        return result
+        return result, words
     bits = n.bit_length()
     selected = set()
     add = selected.add
@@ -346,19 +359,35 @@ def _sample_range(rng: Random, n: int, k: int) -> list[int]:
         j = getrandbits(bits)
         while j >= n or j in selected:
             j = getrandbits(bits)
+            words += 1
         add(j)
         result[i] = j
-    return result
+    return result, words
 
 
-def draw_complete_world(n_range, densities: DensityRanges, rng: Random) -> tuple[int, dict[str, list[int]]]:
-    """The random draws of one fully observed world: n uniform over n_range;
+def _sample_range(rng: Random, n: int, k: int) -> list[int]:
+    """_draw_range's indices alone: exactly rng.sample(range(n), k)."""
+    return _draw_range(rng, n, k)[0]
+
+
+def draw_complete_world(
+    n_range, densities: DensityRanges, rng: Random
+) -> tuple[int, dict[str, list[int]], int]:
+    """The random draws of one fully observed world, and the 32-bit words
+    they consumed: n uniform over n_range, drawn as rng.choice does;
     per predicate, rho uniform on its interval and max(1, floor(n^arity *
     rho)) row-major indices of true atoms drawn without replacement."""
     sizes = list(n_range)
     if not sizes:
         raise ValueError("empty n_range")
-    n = rng.choice(sizes)
+    # rng.choice(sizes): CPython's _randbelow, one word per getrandbits call
+    bits = len(sizes).bit_length()
+    j = rng.getrandbits(bits)
+    words = 1
+    while j >= len(sizes):
+        j = rng.getrandbits(bits)
+        words += 1
+    n = sizes[j]
     _check_domain_size(n)  # before n^2 atoms are drawn or tabled
     indices: dict[str, list[int]] = {}
     for p in OBSERVABLE_PREDICATES:
@@ -367,18 +396,24 @@ def draw_complete_world(n_range, densities: DensityRanges, rng: Random) -> tuple
         arity = PREDICATES[p].arity
         total = n**arity
         count = min(total, max(1, int(total * rho)))
-        indices[p] = _sample_range(rng, total, count)
-    return n, indices
+        indices[p], used = _draw_range(rng, total, count)
+        words += 2 + used  # uniform takes two
+    return n, indices, words
 
 
-def sample_complete_world(n_range, densities: DensityRanges, rng: Random) -> World:
-    """Sample a fully observed world from draw_complete_world's draws."""
-    n, indices = draw_complete_world(n_range, densities, rng)
+def complete_world(n: int, indices: Mapping[str, list[int]]) -> World:
+    """The fully observed World of draw_complete_world's n and indices."""
     true = {
         p: frozenset(map(_population(n, PREDICATES[p].arity).__getitem__, idx))
         for p, idx in indices.items()
     }
     return World(n, true, {})
+
+
+def sample_complete_world(n_range, densities: DensityRanges, rng: Random) -> World:
+    """Sample a fully observed world from draw_complete_world's draws."""
+    n, indices, _ = draw_complete_world(n_range, densities, rng)
+    return complete_world(n, indices)
 
 
 def mask_world(

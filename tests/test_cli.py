@@ -5,7 +5,7 @@ import pytest
 
 from abduce import cli, oracle
 from abduce.cli import main
-from abduce.dataset import load_dataset
+from abduce.dataset import load_dataset, world_to_json
 from abduce.formula import render_formula
 from abduce.prompts import SYSTEM_PROMPT, render_prompt
 
@@ -973,3 +973,36 @@ def test_score_oracle_counts_the_checks_it_skips(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "verified 1 instances: 0 violation(s)" + note
     assert main(score) == 0
     assert capsys.readouterr().out == "scored 1 predictions: 1 train-valid, 0 parse errors, 0 oracle mismatches\n"
+
+
+def test_score_oracle_checks_and_counts_holdout_worlds(tmp_path, monkeypatch, capsys):
+    # score records validity on holdout worlds too, but the oracle used to
+    # check only the training worlds and count only their skips
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--scenario", "partial", "--theory", "T2", "--count", "1", "--seed", "4",
+                 "--out", "ds.jsonl"]) == 0
+    (rec,) = load_dataset("ds.jsonl")
+    assert rec.holdout_worlds and all(w.num_unknowns() for w in rec.train_worlds + rec.holdout_worlds)
+    _gold_scores("ds.jsonl", tmp_path)
+    score = ["score", "--dataset", "ds.jsonl", "--predictions", "p.jsonl", "--manifest", "m.jsonl",
+             "--out", "s.jsonl", "--oracle"]
+    capsys.readouterr()
+    assert main(score + ["--oracle-max-unknowns", "0"]) == 0
+    skipped = len(rec.train_worlds) + len(rec.holdout_worlds)
+    assert capsys.readouterr().out == (
+        "scored 1 predictions: 1 train-valid, 0 parse errors, 0 oracle mismatches"
+        f" ({skipped} oracle checks skipped over the unknown cap)\n"
+    )
+    checked = []
+    world_valid = oracle.world_valid
+    monkeypatch.setattr(oracle, "world_valid",
+                        lambda *args: checked.append(world_to_json(args[2])) or world_valid(*args))
+    assert main(score) == 0
+    assert capsys.readouterr().out == "scored 1 predictions: 1 train-valid, 0 parse errors, 0 oracle mismatches\n"
+    assert checked == [world_to_json(w) for w in rec.train_worlds + rec.holdout_worlds]
+    # a holdout verdict the engine and the oracle disagree on is a mismatch
+    last = world_to_json(rec.holdout_worlds[-1])
+    monkeypatch.setattr(oracle, "world_valid",
+                        lambda *args: world_to_json(args[2]) != last and world_valid(*args))
+    assert main(score) == 1
+    assert capsys.readouterr().out.count("oracle validity mismatch") == 1

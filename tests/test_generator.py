@@ -508,6 +508,34 @@ class TestStaticPool:
             assert gold_mutants(gold, theory, ours) == reference(gold, theory, theirs)
             assert ours.getstate() == theirs.getstate()
 
+    @pytest.mark.parametrize("tid", THEORY_IDS)
+    def test_pool_mutates_only_for_the_mutants_it_keeps(self, monkeypatch, tid):
+        # the pool used to cut ten gold mutants down to POOL_CAP; it must
+        # keep exactly those entries while making no more mutation tries
+        from abduce.generator import _distinct, _mutate_once, _static_pool
+
+        tries = Counter()
+
+        def counted(*args):
+            tries[counted.side] += 1
+            return _mutate_once(*args)
+
+        monkeypatch.setattr(generator, "_mutate_once", counted)
+        theory = builtin_theory(tid)
+        static = _static_pool(theory, ())
+        for seed in range(40):
+            gold = sample_gold(theory, random.Random(seed))
+            counted.side = "reference"
+            mutants = gold_mutants(gold, theory, random.Random(2000 + seed), count=10)
+            kept = _distinct(mutants, seen=set(static.renders))
+            expected = (static.entries + tuple((h, "mutant") for h in kept))[:POOL_CAP]
+            counted.side = "pool"
+            pool = build_competitor_pool(theory, gold, random.Random(2000 + seed))
+            assert tuple(pool.entries) == expected, seed
+        assert tries["pool"] <= tries["reference"]
+        if len(static.entries) > POOL_CAP - 10:
+            assert tries["pool"] < tries["reference"]
+
 
 @pytest.mark.parametrize("scenario, theory_id", [
     (s, t) for t in THEORY_IDS for s in SCENARIOS if s not in builtin_theory(t).scenarios
