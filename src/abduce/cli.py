@@ -25,7 +25,7 @@ from .dataset import (
     save_score_records,
 )
 from .engine import opt_cost, world_costs
-from .formula import parse_formula, validate_hypothesis
+from .formula import parse_hypothesis
 from .generator import GenerationError, GenParams, audit_instance, baseline_shape_problems, generate_batch
 from .prompts import render_prompt
 from .scoring import aggregate_report, render_report, render_table, score_batch
@@ -222,9 +222,7 @@ def cmd_score(args) -> int:
                 continue
             inst = instances[pred.instance_id]
             theory = inst.theory
-            alpha = validate_hypothesis(
-                parse_formula(score.formula_text), theory.allowed, theory.forbidden
-            )
+            alpha = parse_hypothesis(score.formula_text, theory.allowed, theory.forbidden)
             checks = (*zip(inst.train_worlds, score.train_world_valid),
                       *zip(inst.holdout_worlds, score.holdout_world_valid))
             for world, engine_ok in checks:

@@ -145,6 +145,8 @@ def instance_from_json(data: dict) -> InstanceRecord:
         raise DatasetError(f"theory_internal {data['theory_internal']!r} is not {theory.short_id}'s internal id")
     if not isinstance(data["train_worlds"], list) or not data["train_worlds"]:
         raise DatasetError(f"train_worlds must be a non-empty JSON list, got {data['train_worlds']!r}")
+    if not isinstance(data["holdout_worlds"], list):
+        raise DatasetError(f"holdout_worlds must be a JSON list, got {data['holdout_worlds']!r}")
     gold = validate_hypothesis(
         parse_formula(data["gold"]["formula"]), theory.allowed, theory.forbidden
     )

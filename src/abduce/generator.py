@@ -318,13 +318,10 @@ def _try_instantiate(name: str, theory: TheorySpec, rng: Random) -> Optional[Hyp
     # the text is canonical, so it compares directly with the pool's renders
     if text in _static_pool(theory, ()).renders:
         return None
-    f = parse_formula(text)
-    if not GOLD_AST_RANGE[0] <= formula_metrics(f).ast_size <= GOLD_AST_RANGE[1]:
+    h = _try_scope(text, theory)
+    if h is None or not GOLD_AST_RANGE[0] <= formula_metrics(h.formula).ast_size <= GOLD_AST_RANGE[1]:
         return None
-    try:
-        return validate_hypothesis(f, theory.allowed, theory.forbidden)
-    except HypothesisError:
-        return None
+    return h
 
 
 @functools.lru_cache(maxsize=64)
@@ -522,7 +519,7 @@ def _replace_at(f: Formula, path, new: Formula) -> Formula:
     return rebuild(f, kids)
 
 
-def _mutate_once(f: Formula, nodes: Sequence, rng: Random, allowed: frozenset[str]) -> Optional[Formula]:
+def _mutate_once(f: Formula, nodes: Sequence, rng: Random, allowed: frozenset[str]) -> Formula:
     """One random mutation of f at one of its `nodes` (list(subformulas(f)))."""
     path, node = nodes[rng.randrange(len(nodes))]
     ops = []
@@ -572,8 +569,6 @@ def _mutant_stream(
         if found >= count:
             break
         mutated = _mutate_once(gold.formula, nodes, rng, theory.allowed)
-        if mutated is None:
-            continue
         key = render_formula(mutated)
         if key in seen:
             continue
@@ -628,7 +623,9 @@ class _EvalCache:
     """Per-generation memo of (world, formula) -> (valid, per-world cost).
 
     Keyed weakly on the world (worlds hash by identity), so an entry dies
-    with its world and rejected candidates are not kept alive.
+    with its world and rejected candidates are not kept alive.  A world
+    with no unknown atoms is evaluated under the full regime, on which
+    every regime agrees, so one memo serves masked and pre-mask worlds.
     """
 
     def __init__(self, regime: Regime, theory: TheorySpec):
@@ -642,7 +639,8 @@ class _EvalCache:
             memo = self.memo[world] = {}
         hit = memo.get(hyp.formula)
         if hit is None:
-            c = world_costs(self.regime, self.theory, [world], hyp)[0]
+            regime = self.regime if world.num_unknowns() else Regime.FULL
+            c = world_costs(regime, self.theory, [world], hyp)[0]
             hit = memo[hyp.formula] = (c is not None, c)
         return hit
 
@@ -895,8 +893,6 @@ def _attempt_instance(params, index, attempt, rng, sampler):
             return ("no_adversarial_world", template)
         accepted.append(added)
 
-    worlds = [aw.world for aw in accepted]
-    gold_total = sum(aw.gold_cost for aw in accepted)
     cheaters = cheater_pool(theory)
     cheater_margin = _best_cheater_margin(cheaters, worlds, gold_total, cache)
     if cheater_margin is not None and cheater_margin <= -1:
@@ -966,8 +962,6 @@ def refine_gold(
     Falls back to the seed gold.
     """
     cache = cache or _EvalCache(params.regime, theory)
-    # under the full regime a pre-mask world is the world itself
-    full_cache = cache if params.regime is Regime.FULL else _EvalCache(Regime.FULL, theory)
     pre_worlds = [_pre_mask_world(aw.world, aw.hidden) for aw in accepted]
     local_sampler = GoldSampler()  # records nothing, so every applicable template stays eligible
     candidates = [seed_gold, *(local_sampler.draw(theory, rng)[0] for _ in range(10))]
@@ -978,7 +972,7 @@ def refine_gold(
     for cand in _distinct(candidates):
         total = 0
         for aw, pre in zip(accepted, pre_worlds):
-            if closed_stage_problems(pre.n, aw.pre_opt, *full_cache.world_eval(pre, cand)):
+            if closed_stage_problems(pre.n, aw.pre_opt, *cache.world_eval(pre, cand)):
                 break
             svalid, scost = cache.world_eval(aw.world, cand)
             if not svalid:
@@ -1050,15 +1044,18 @@ def _with_holdouts(instance: InstanceRecord, accepted: Sequence[_AcceptedWorld])
 
 def baseline_shape_problems(instance: InstanceRecord) -> list[str]:
     """The audit checks that need no engine call: one cached opt and gold
-    cost per train and holdout world, and holdout worlds wherever holdouts
-    are flagged available.  Scoring relies on exactly these."""
+    cost per train and holdout world, and holdout worlds exactly where
+    holdouts are flagged available.  Scoring relies on exactly these."""
     out = []
     for split, worlds, opts, golds in instance.splits():
         for name, cached in (("opt", opts), ("gold", golds)):
             if len(cached) != len(worlds):
                 out.append(f"{split}: {len(cached)} cached {name} cost(s) for {len(worlds)} world(s)")
-    if instance.holdout_available and not instance.holdout_worlds:
+    held = len(instance.holdout_worlds)
+    if instance.holdout_available and not held:
         out.append("holdouts: flagged available but there are no holdout worlds")
+    if held and not instance.holdout_available:
+        out.append(f"holdouts: {held} holdout world(s) but holdouts are flagged unavailable")
     return out
 
 
@@ -1083,8 +1080,6 @@ def audit_instance(
     margin = params.margin if params else GenParams.margin
     regime, theory, prov = instance.regime, instance.theory, instance.provenance
     cache = _EvalCache(regime, theory)
-    # as in refine_gold, the full regime's worlds are their own pre-mask worlds
-    full_cache = cache if regime is Regime.FULL else _EvalCache(Regime.FULL, theory)
     out = []
     try:
         validate_hypothesis(instance.gold.formula, theory.allowed, theory.forbidden)
@@ -1103,7 +1098,7 @@ def audit_instance(
             out.append(tag + str(exc))
         else:
             pre_opt = opt_cost(Regime.FULL, theory, pre)
-            closed = closed_stage_problems(pre.n, pre_opt, *full_cache.world_eval(pre, instance.gold))
+            closed = closed_stage_problems(pre.n, pre_opt, *cache.world_eval(pre, instance.gold))
             out.extend(tag + m for m in closed)
         valid, gcost = cache.world_eval(world, instance.gold)
         if not valid:
@@ -1115,27 +1110,25 @@ def audit_instance(
                 out.append(f"{tag}cached {name} {cached[i]} != {value}")
         return opt, gcost
 
-    baselines = (instance.train_opt_costs, instance.train_gold_costs)
+    (_, train, *train_cached), (_, held, *held_cached) = instance.splits()
     truths = prov.get("masked_truth")
-    found = [audit_world("world", i, w, truths, baselines) for i, w in enumerate(instance.train_worlds)]
+    found = [audit_world("world", i, w, truths, train_cached) for i, w in enumerate(train)]
     gold_total = sum(f[1] for f in found if f)
 
     pool_seed = prov.get("pool_seed")
     if pools and pool_seed is not None and not out:
         pool = build_competitor_pool(theory, instance.gold, Random(pool_seed))
-        surv = _survivors(pool, instance.train_worlds, gold_total, margin, cache)
+        surv = _survivors(pool, train, gold_total, margin, cache)
         if surv:
             names = [render_formula(pool.entries[i][0].formula) for i in sorted(surv)]
             out.append(f"surviving competitors: {names}")
     if pools and not out:
-        margin = _best_cheater_margin(cheater_pool(theory), instance.train_worlds, gold_total, cache)
+        margin = _best_cheater_margin(cheater_pool(theory), train, gold_total, cache)
         if margin is not None and margin < 0:
             out.append(f"cheater margin {margin} < 0")
 
-    held = instance.holdout_worlds if instance.holdout_available else ()
-    baselines = (instance.holdout_opt_costs, instance.holdout_gold_costs)
     for j, hw in enumerate(held):
-        found = audit_world("holdout", j, hw, prov.get("holdout_masked_truth"), baselines)
+        found = audit_world("holdout", j, hw, prov.get("holdout_masked_truth"), held_cached)
         if found:
             out.extend(f"holdout{j}: {m}" for m in holdout_problems(instance, hw, *found, held[:j]))
     return out

@@ -1006,3 +1006,53 @@ def test_score_oracle_checks_and_counts_holdout_worlds(tmp_path, monkeypatch, ca
                         lambda *args: world_to_json(args[2]) != last and world_valid(*args))
     assert main(score) == 1
     assert capsys.readouterr().out.count("oracle validity mismatch") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "optcost", "score"])
+def test_holdout_worlds_flagged_unavailable_are_rejected(tmp_path, monkeypatch, capsys, command):
+    # with holdouts flagged unavailable, verify skipped the holdout worlds
+    # and passed a wrong cached gold cost, and optcost and score took the line
+    monkeypatch.chdir(tmp_path)
+    assert _generate("bench.jsonl") == 0
+    rec = load_dataset("bench.jsonl")[0]
+    assert rec.holdout_available and len(rec.holdout_worlds) == 5
+    gold = rec.holdout_gold_costs[0]
+
+    def edit(data):
+        data["holdout_available"] = False
+        data["baselines"]["holdout"]["gold_costs"][0] += 7
+
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_first_instance("bench.jsonl", bad, edit)
+    preds, manifest, out = tmp_path / "p.jsonl", tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+    preds.write_text(json.dumps({"formula": render_formula(rec.gold.formula), "description": "g"}) + "\n")
+    manifest.write_text(json.dumps({"model_id": "gold", "instance_id": rec.id}) + "\n")
+    argv = {"verify": ["verify", "--dataset", str(bad)],
+            "optcost": ["optcost", "--dataset", str(bad), "--out", str(out)],
+            "score": ["score", "--dataset", str(bad), "--predictions", str(preds), "--manifest", str(manifest),
+                      "--out", str(out)]}[command]
+    problem = "holdouts: 5 holdout world(s) but holdouts are flagged unavailable"
+    capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    if command == "verify":
+        assert rc == 1
+        assert f"{rec.id}: {problem}\n" in captured.out
+        assert f"{rec.id}: holdout0: cached gold cost {gold + 7} != {gold}\n" in captured.out
+        assert "2 violation(s)" in captured.out
+    else:
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"abduce {command}: error: {bad}: instance {rec.id}: {problem}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("worlds", ["", {}], ids=["string", "object"])
+def test_holdout_worlds_must_be_a_list(dataset_path, tmp_path, capsys, worlds):
+    # either loaded as an instance without holdouts
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_first_instance(dataset_path, bad, lambda data: data.update(holdout_worlds=worlds))
+    capsys.readouterr()
+    rc = main(["verify", "--dataset", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"bad.jsonl:2: bad instance line: holdout_worlds must be a JSON list, got {worlds!r}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

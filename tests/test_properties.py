@@ -10,10 +10,11 @@ domain size, to the one-world queries and the oracle.  The last two hold
 the component sweep and the skeptical counterexample, which every
 completion question goes through, to plain enumeration of truth tables.
 Two more hold the theory's one violation formula to its antecedent and
-consequent: its closed extension, and its grounding's shape.  The last two
+consequent: its closed extension, and its grounding's shape.  The last three
 check metamorphic relations at the generator's scale, past the oracle's
-reach: renaming domain elements changes no answer, and on a fully observed
-world the three regimes agree.
+reach: renaming domain elements changes no answer, on a fully observed
+world the three regimes agree, and revealing unknown atoms moves the
+partial and skeptical answers only the way fewer completions allow.
 """
 
 import numpy as np
@@ -36,6 +37,7 @@ from abduce.formula import (
     validate_hypothesis,
 )
 from abduce.dataset import MAX_DOMAIN_SIZE
+from abduce.generator import tier1_formulas, tier2_formulas
 from abduce.theory import THEORY_IDS, builtin_theory
 from abduce.world import DENSITY_RANGES, World, enumerate_completions, eval_formula, sample_complete_world
 
@@ -411,3 +413,48 @@ def test_regimes_agree_on_fully_observed_worlds(theory_id, data):
     full = _costs_and_bounds("full", spec, world, alpha)
     assert _costs_and_bounds("partial", spec, world, alpha) == full
     assert _costs_and_bounds("skeptical", spec, world, alpha) == full
+
+
+def _revealed(world: World, pred: str, atom, value: bool) -> World:
+    """The world with one unknown atom observed as value."""
+    true = {p: set(s) for p, s in world.true_atoms.items()}
+    unknown = {p: set(s) for p, s in world.unknown_atoms.items()}
+    unknown[pred].discard(atom)
+    if value:
+        true[pred].add(atom)
+    return World(world.n, true, unknown)
+
+
+@pytest.mark.parametrize("theory_id", THEORY_IDS)
+@SCALE_SETTINGS
+@given(data=st.data())
+def test_revealing_unknowns_moves_each_regime_one_way(theory_id, data):
+    """Revealing one unknown atom, to either value, or all of them, to the
+    complete world, leaves fewer completions: the partial regime's best
+    case never falls and an invalid rule stays invalid; the skeptical
+    regime's worst case never rises and a valid rule stays valid."""
+    spec = builtin_theory(theory_id)
+    complete, masked = data.draw(generated_worlds(), label="worlds")
+    if data.draw(st.booleans(), label="pooled"):
+        # random formulas seldom read the unknown atoms; the pools' rules do
+        alpha = data.draw(st.sampled_from(tier1_formulas(spec) + tier2_formulas(spec)), label="alpha")
+    else:
+        alpha = _hypothesis(data, spec)
+    reveals = [complete]
+    hidden = sorted((p, a) for p, atoms in masked.unknown_atoms.items() for a in atoms)
+    if hidden:
+        pred, atom = data.draw(st.sampled_from(hidden), label="atom")
+        reveals += [_revealed(masked, pred, atom, value) for value in (False, True)]
+    (p_cost,), *p_bounds = _costs_and_bounds("partial", spec, masked, alpha)
+    (s_cost,), *s_bounds = _costs_and_bounds("skeptical", spec, masked, alpha)
+    for world in reveals:
+        (cost_after,), *bounds = _costs_and_bounds("partial", spec, world, alpha)
+        assert all(after >= before for after, before in zip(bounds, p_bounds))
+        if p_cost is None:
+            assert cost_after is None
+        elif cost_after is not None:
+            assert cost_after >= p_cost
+        (cost_after,), *bounds = _costs_and_bounds("skeptical", spec, world, alpha)
+        assert all(after <= before for after, before in zip(bounds, s_bounds))
+        if s_cost is not None:
+            assert cost_after is not None and cost_after <= s_cost
