@@ -143,10 +143,6 @@ def instance_from_json(data: dict) -> InstanceRecord:
     check_scenario(theory, data["scenario"], DatasetError)
     if data["theory_internal"] != theory.internal_id:
         raise DatasetError(f"theory_internal {data['theory_internal']!r} is not {theory.short_id}'s internal id")
-    if not isinstance(data["train_worlds"], list) or not data["train_worlds"]:
-        raise DatasetError(f"train_worlds must be a non-empty JSON list, got {data['train_worlds']!r}")
-    if not isinstance(data["holdout_worlds"], list):
-        raise DatasetError(f"holdout_worlds must be a JSON list, got {data['holdout_worlds']!r}")
     gold = validate_hypothesis(
         parse_formula(data["gold"]["formula"]), theory.allowed, theory.forbidden
     )
@@ -155,27 +151,27 @@ def instance_from_json(data: dict) -> InstanceRecord:
             raise DatasetError(f"gold {key} {data['gold'][key]!r} is not its formula's {value}")
     if not isinstance(data["holdout_available"], bool):
         raise DatasetError(f"holdout_available must be a JSON bool, got {data['holdout_available']!r}")
-    train_worlds = tuple(world_from_json(w) for w in data["train_worlds"])
-    holdout_worlds = tuple(world_from_json(w) for w in data["holdout_worlds"])
-    if data["scenario"] == "full":
-        for split, worlds in (("train", train_worlds), ("holdout", holdout_worlds)):
-            for i, world in enumerate(worlds):
-                if world.num_unknowns():
-                    raise DatasetError(f"{split} world {i} has {world.num_unknowns()} unknown atom(s), "
-                                       "but the full scenario observes every atom")
+    splits = {}
+    for split in ("train", "holdout"):
+        raw = data[f"{split}_worlds"]
+        if not isinstance(raw, list) or (split == "train" and not raw):
+            what = "a non-empty" if split == "train" else "a"
+            raise DatasetError(f"{split}_worlds must be {what} JSON list, got {raw!r}")
+        worlds = splits[f"{split}_worlds"] = tuple(map(world_from_json, raw))
+        for i, world in enumerate(worlds):
+            if data["scenario"] == "full" and world.num_unknowns():
+                raise DatasetError(f"{split} world {i} has {world.num_unknowns()} unknown atom(s), "
+                                   "but the full scenario observes every atom")
+        for kind in ("opt_costs", "gold_costs"):
+            splits[f"{split}_{kind}"] = _baseline_costs(data, split, kind)
     return InstanceRecord(
         id=data["id"],
         scenario=data["scenario"],
         theory_id=data["theory"],
-        train_worlds=train_worlds,
         gold=gold,
-        train_opt_costs=_baseline_costs(data, "train", "opt_costs"),
-        train_gold_costs=_baseline_costs(data, "train", "gold_costs"),
-        holdout_worlds=holdout_worlds,
         holdout_available=data["holdout_available"],
-        holdout_opt_costs=_baseline_costs(data, "holdout", "opt_costs"),
-        holdout_gold_costs=_baseline_costs(data, "holdout", "gold_costs"),
         provenance=provenance,
+        **splits,
     )
 
 
@@ -202,8 +198,8 @@ def save_dataset(
     save_jsonl(chain([header], map(instance_to_json, records)), path)
 
 
-def _header_count(header: dict) -> Optional[int]:
-    """The instance count a dataset header declares, or None."""
+def _checked_header(header: dict) -> dict:
+    """A dataset header whose format, version and count type hold."""
     if header.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:
@@ -211,13 +207,14 @@ def _header_count(header: dict) -> Optional[int]:
     count = header.get("count")
     if count is not None and not _is_json_int(count):
         raise TypeError(f"count must be a JSON integer or null, got {count!r}")
-    return count
+    return header
 
 
 def load_dataset(path: str, check: bool = True) -> list[InstanceRecord]:
     """Load instances; with check on, every record re-validates its world
     and filter invariants (pool/cheater re-verification is `verify`'s job).
-    A line repeating an earlier instance id is malformed."""
+    A line repeating an earlier instance id is malformed, and so is a header
+    whose count, scenarios or theories (where given) differ from the records'."""
     seen = set()
 
     def instance(data: dict) -> InstanceRecord:
@@ -230,9 +227,14 @@ def load_dataset(path: str, check: bool = True) -> list[InstanceRecord]:
             raise ValueError(f"invariant violations: {violations}")
         return rec
 
-    count, *records = _read_jsonl(path, "instance", instance, header=_header_count)
+    header, *records = _read_jsonl(path, "instance", instance, header=_checked_header)
+    count = header.get("count")
     if count is not None and count != len(records):
         raise DatasetError(f"{path}:1: header count {count} != {len(records)} records")
+    for key, field in (("scenarios", "scenario"), ("theories", "theory_id")):
+        found = sorted({getattr(r, field) for r in records})
+        if header.get(key) is not None and header[key] != found:
+            raise DatasetError(f"{path}:1: header {key} {header[key]} != {found} of the records")
     return records
 
 

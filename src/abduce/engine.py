@@ -67,7 +67,7 @@ and the stacked world arrays (_stacked_arrays).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
 from typing import Mapping, Optional, Sequence
 
@@ -256,22 +256,19 @@ def _ground(f: Formula, world: World, env: dict, unk_index: dict, memo: dict) ->
         key = tuple(env[v] for v in names)
         got = done.get(key)
         if got is None:
-            got = done[key] = _ground_quantifier(f, world, env, unk_index, memo)
+            absorb = isinstance(f, Exists)
+            kept = []
+            for e in world.elements():
+                got = _ground(f.body, world, {**env, f.var.name: e}, unk_index, memo)
+                if not isinstance(got, _GConst):
+                    kept.append(got)
+                elif got.value is absorb:
+                    break
+            else:
+                got = _g_junction(kept, absorb)
+            done[key] = got
         return got
     raise TypeError(f"not a groundable Formula: {f!r}")
-
-
-def _ground_quantifier(f: Formula, world: World, env: dict, unk_index: dict, memo: dict) -> _GExpr:
-    absorb = isinstance(f, Exists)
-    kept = []
-    for e in world.elements():
-        g = _ground(f.body, world, {**env, f.var.name: e}, unk_index, memo)
-        if isinstance(g, _GConst):
-            if g.value is absorb:
-                return g
-        else:
-            kept.append(g)
-    return _g_junction(kept, absorb)
 
 
 _AXIS = {"x": 1, "y": 2, "z": 3, "w": 4}
@@ -738,26 +735,19 @@ def gaps(
         raise RegimeMismatchError(f"cost regime {costs.regime} != opt regime {opts.regime}")
     if len(costs.per_world_cost) != len(opts.per_world):
         raise RegimeMismatchError("cost and opt reports cover different world counts")
-    n_worlds = len(costs.per_world_cost)
-    gap_total = costs.total - opts.total
-    gold_total = None
-    gap_gold_norm = None
-    if gold_costs is not None:
-        gold_total = int(sum(gold_costs))
-    elif gold is not None:
+    if gold_costs is None and gold is not None:
         if theory is None or worlds is None:
             raise ValueError("computing a gold cost needs the theory and worlds")
-        gold_total = cost(costs.regime, theory, worlds, gold).total
-    if gold_total is not None:
-        gap_gold_norm = (costs.total - gold_total) / n_worlds
-    return CostReport(
-        regime=costs.regime,
-        per_world_cost=costs.per_world_cost,
-        total=costs.total,
+        gold_costs = cost(costs.regime, theory, worlds, gold).per_world_cost
+    n_worlds = len(costs.per_world_cost)
+    gap_total = costs.total - opts.total
+    gold_total = None if gold_costs is None else int(sum(gold_costs))
+    return replace(
+        costs,
         opt_per_world=opts.per_world,
         opt_total=opts.total,
         gap_total=gap_total,
         gap_normalized=gap_total / n_worlds,
         gold_cost=gold_total,
-        gap_gold_normalized=gap_gold_norm,
+        gap_gold_normalized=None if gold_total is None else (costs.total - gold_total) / n_worlds,
     )

@@ -475,7 +475,6 @@ class _StaticPool:
     tier2: tuple[Hypothesis, ...]
     # tier1 then tier2, tagged, without repeated renderings
     entries: tuple[tuple[Hypothesis, str], ...]
-    cheaters: tuple[Hypothesis, ...]
     renders: frozenset[str]
 
 
@@ -488,9 +487,7 @@ def _static_pool(theory: TheorySpec, extra: tuple[str, ...]) -> _StaticPool:
     seen: set[str] = set()
     tiers = (("tier1", tier1), ("tier2", tier2))
     entries = _distinct(((h, tier) for tier, hyps in tiers for h in hyps), lambda e: e[0], seen)
-    return _StaticPool(
-        tuple(tier1), tuple(tier2), tuple(entries), tuple(h for h, _ in entries), frozenset(seen)
-    )
+    return _StaticPool(tuple(tier1), tuple(tier2), tuple(entries), frozenset(seen))
 
 
 def tier1_formulas(theory: TheorySpec) -> list[Hypothesis]:
@@ -504,7 +501,7 @@ def tier2_formulas(theory: TheorySpec, extra: Sequence[str] = ()) -> list[Hypoth
 
 
 def cheater_pool(theory: TheorySpec, extra_tier2: Sequence[str] = ()) -> list[Hypothesis]:
-    return list(_static_pool(theory, tuple(extra_tier2)).cheaters)
+    return [h for h, _ in _static_pool(theory, tuple(extra_tier2)).entries]
 
 
 # Mutations: operator flips, quantifier swaps, polarity flips, subterm
@@ -749,8 +746,6 @@ class _WorldAcceptor:
             self.n_range = (shared_n,)
         else:
             self.n_range = DOMAIN_SIZES[params.scenario]
-        self.densities = params.densities
-        self.unknown_rates = params.unknown_rates
         self.scen_cache = _EvalCache(self.regime, self.theory)
 
     def _screen(self, draws: Sequence[tuple]) -> list[tuple[int, bool, int]]:
@@ -781,11 +776,12 @@ class _WorldAcceptor:
         candidates examined, and no candidate is drawn twice."""
         params = self.params
         full = params.scenario == "full"
+        densities = params.densities
         left = attempts
         while left > 0:
             state = rng.getstate()
             draws = [
-                draw_complete_world(self.n_range, self.densities, rng)
+                draw_complete_world(self.n_range, densities, rng)
                 for _ in range(min(_BLOCK, left))
             ]
             screened = self._screen(draws)
@@ -805,7 +801,7 @@ class _WorldAcceptor:
                     yield _AcceptedWorld(complete, {}, pre_opt, pre_gold, pre_opt, pre_gold)
                     continue
                 masked, hidden = mask_world(
-                    complete, self.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario]
+                    complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario]
                 )
                 valid, scen_gold = self.scen_cache.world_eval(masked, self.gold)
                 if valid:
@@ -903,7 +899,9 @@ def _attempt_instance(params, index, attempt, rng, sampler):
         if render_formula(refined.formula) != render_formula(gold.formula):
             gold = refined
             accepted = [
-                replace(aw, gold_cost=cache.world_eval(aw.world, gold)[1]) for aw in accepted
+                replace(aw, gold_cost=cache.world_eval(aw.world, gold)[1],
+                        pre_gold_cost=cache.world_eval(_pre_mask_world(aw.world, aw.hidden), gold)[1])
+                for aw in accepted
             ]
             gold_total = sum(aw.gold_cost for aw in accepted)
             cheater_margin = _best_cheater_margin(cheaters, worlds, gold_total, cache)
@@ -1071,11 +1069,13 @@ def audit_instance(
     holdout_masked_truth; a missing or malformed entry for a masked world is
     a violation), runs the closed-world stage on it (closed_stage_problems),
     checks gold validity on the masked world under the scenario semantics,
-    and compares the cached baselines, which must hold one value per world
-    equal to the recomputed one.  Holdouts must also pass the holdout rule
-    (holdout_problems), duplicates among them included.  Competitor
-    elimination and the cheater margin are audited on the training worlds;
-    with pools off they are skipped (the cheap load-time check).
+    and compares the cached (for train worlds, also the recorded pre-mask)
+    baselines, which must hold one value per world equal to the recomputed
+    one.  Holdouts must also pass the holdout rule (holdout_problems),
+    duplicates among them included.  Competitor elimination and the cheater
+    margin (the recorded one too) are audited on the training worlds; with
+    pools off they are skipped (the cheap load-time check).  A skeptical
+    line's worlds all have its shared_domain_size; other lines record null.
     """
     margin = params.margin if params else GenParams.margin
     regime, theory, prov = instance.regime, instance.theory, instance.provenance
@@ -1086,11 +1086,16 @@ def audit_instance(
     except HypothesisError as exc:
         out.append(f"gold_scope: {exc}")
     out.extend(baseline_shape_problems(instance))
+    shared = prov.get("shared_domain_size")
+    sizes = sorted({w.n for w in (*instance.train_worlds, *instance.holdout_worlds)})
+    if (sizes != [shared]) if instance.scenario == "skeptical" else (shared is not None):
+        out.append(f"shared_domain_size {shared!r} does not fit the {instance.scenario} worlds' sizes {sizes}")
 
-    def audit_world(label: str, i: int, world: World, truths, baselines) -> Optional[tuple[int, int]]:
-        """Both acceptance stages and the cached-baseline comparison for world
-        i of a split; its scenario (opt, gold cost), or None when the gold is
-        invalid under the scenario semantics."""
+    def audit_world(label: str, i: int, world: World, truths, baselines, pre_baselines=()) -> Optional[tuple[int, int]]:
+        """Both acceptance stages and the comparison with the cached (and the
+        recorded pre-mask) baselines for world i of a split; its scenario
+        (opt, gold cost), or None when the gold is invalid under the scenario
+        semantics."""
         tag = f"{label}{i}: "
         try:
             pre = _pre_mask_world(world, truths[i] if isinstance(truths, list) and i < len(truths) else None)
@@ -1098,8 +1103,12 @@ def audit_instance(
             out.append(tag + str(exc))
         else:
             pre_opt = opt_cost(Regime.FULL, theory, pre)
-            closed = closed_stage_problems(pre.n, pre_opt, *cache.world_eval(pre, instance.gold))
+            pre_valid, pre_gold = cache.world_eval(pre, instance.gold)
+            closed = closed_stage_problems(pre.n, pre_opt, pre_valid, pre_gold)
             out.extend(tag + m for m in closed)
+            for name, recorded, value in zip(("opt", "gold cost"), pre_baselines, (pre_opt, pre_gold)):
+                if not closed and isinstance(recorded, list) and i < len(recorded) and recorded[i] != value:
+                    out.append(f"{tag}recorded pre-mask {name} {recorded[i]} != {value}")
         valid, gcost = cache.world_eval(world, instance.gold)
         if not valid:
             out.append(f"{tag}gold invalid under {instance.scenario} semantics")
@@ -1112,7 +1121,8 @@ def audit_instance(
 
     (_, train, *train_cached), (_, held, *held_cached) = instance.splits()
     truths = prov.get("masked_truth")
-    found = [audit_world("world", i, w, truths, train_cached) for i, w in enumerate(train)]
+    pre_cached = prov.get("pre_mask_opt_costs"), prov.get("pre_mask_gold_costs")
+    found = [audit_world("world", i, w, truths, train_cached, pre_cached) for i, w in enumerate(train)]
     gold_total = sum(f[1] for f in found if f)
 
     pool_seed = prov.get("pool_seed")
@@ -1126,6 +1136,8 @@ def audit_instance(
         margin = _best_cheater_margin(cheater_pool(theory), train, gold_total, cache)
         if margin is not None and margin < 0:
             out.append(f"cheater margin {margin} < 0")
+        if "cheater_margin" in prov and prov["cheater_margin"] != margin:
+            out.append(f"recorded cheater margin {prov['cheater_margin']} != {margin}")
 
     for j, hw in enumerate(held):
         found = audit_world("holdout", j, hw, prov.get("holdout_masked_truth"), held_cached)

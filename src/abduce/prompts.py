@@ -92,7 +92,7 @@ def _element(i: int) -> str:
     return f"a{i}"
 
 
-def _atom_set(world: World, pred: str, atoms) -> str:
+def _atom_set(atoms) -> str:
     items = [_element(a) if isinstance(a, int) else f"({', '.join(map(_element, a))})" for a in sorted(atoms)]
     return "{" + ", ".join(items) + "}"
 
@@ -106,13 +106,13 @@ def _world_block(idx: int, world: World, partial: bool) -> str:
     else:
         lines.append("**Predicates** (Closed World Assumption: unlisted atoms are false):")
     for p in OBSERVABLE_PREDICATES:
-        lines.append(f"- {p}: {_atom_set(world, p, world.true_atoms[p])}")
+        lines.append(f"- {p}: {_atom_set(world.true_atoms[p])}")
     if partial:
         lines.append("")
         lines.append("**Unknown Atoms** (truth value not observed, can be completed either way):")
         for p in OBSERVABLE_PREDICATES:
             if world.unknown_atoms[p]:
-                lines.append(f"- {p}: {_atom_set(world, p, world.unknown_atoms[p])}")
+                lines.append(f"- {p}: {_atom_set(world.unknown_atoms[p])}")
     return "\n".join(lines)
 
 

@@ -299,33 +299,30 @@ def _train_summary_rows(records):
 
 
 def _theory_rows(records):
-    rows = []
-    for (theory, model), sub in _groups(records, "theory_id", "model_id"):
-        valid = [r for r in sub if r.train_valid]
-        rows.append(
-            {
-                "theory": theory,
-                "model": model,
-                "n": len(sub),
-                "validity_pct": _pct(valid, sub),
-                "gap_gold": _mean([r.gap_gold for r in valid]),
-            }
-        )
-    return rows
+    return [
+        {"theory": theory, "model": model, **{k: v for k, v in _train_cell(sub).items() if k != "gap"}}
+        for (theory, model), sub in _groups(records, "theory_id", "model_id")
+    ]
+
+
+def _holdout_valid(sub):
+    """The train-valid records of `sub`, those of them with holdouts, and
+    those of these that are holdout-valid."""
+    train_valid = [r for r in sub if r.train_valid]
+    with_h = [r for r in train_valid if r.holdout_available]
+    return train_valid, with_h, [r for r in with_h if r.holdout_valid]
 
 
 def _holdout_summary_rows(records):
     rows = []
     for model, sub in _groups(records, "model_id"):
-        with_h = [r for r in sub if r.holdout_available]
-        train_valid = [r for r in sub if r.train_valid]
-        holdout_valid = [r for r in with_h if r.train_valid and r.holdout_valid]
+        train_valid, _, holdout_valid = _holdout_valid(sub)
         rows.append(
             {
                 "model": model,
                 "n": len(sub),
                 "train_valid_pct": _pct(train_valid, sub),
-                "holdout_valid_pct": _pct(holdout_valid, with_h),
+                "holdout_valid_pct": _pct(holdout_valid, [r for r in sub if r.holdout_available]),
                 "train_gap": _mean([r.train_gap for r in train_valid]),
                 "holdout_gap": _mean([r.holdout_gap for r in holdout_valid]),
                 "delta_gap": _mean([r.delta_gap for r in sub if r.survivor]),
@@ -338,9 +335,7 @@ def _holdout_summary_rows(records):
 def _holdout_conditional_rows(records):
     rows = []
     for model, sub in _groups(records, "model_id"):
-        t_val = [r for r in sub if r.train_valid]
-        t_and_h = [r for r in t_val if r.holdout_available]
-        h_given_t = [r for r in t_and_h if r.holdout_valid]
+        t_val, t_and_h, h_given_t = _holdout_valid(sub)
         rows.append(
             {
                 "model": model,

@@ -1056,3 +1056,82 @@ def test_holdout_worlds_must_be_a_list(dataset_path, tmp_path, capsys, worlds):
     err = capsys.readouterr().err
     assert rc == 2 and f"bad.jsonl:2: bad instance line: holdout_worlds must be a JSON list, got {worlds!r}" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _first_instance(path):
+    return json.loads(open(path).read().splitlines()[1])
+
+
+def _bump(key, by, index=None):
+    """An edit adding `by` to a provenance number, or to its entry `index`."""
+    def edit(data):
+        prov = data["provenance"]
+        if index is None:
+            prov[key] += by
+        else:
+            prov[key][index] += by
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (_bump("cheater_margin", 5), "recorded cheater margin {0[cheater_margin]} != {1[cheater_margin]}"),
+        (_bump("pre_mask_opt_costs", 8, 0),
+         "world0: recorded pre-mask opt {0[pre_mask_opt_costs][0]} != {1[pre_mask_opt_costs][0]}"),
+        (_bump("pre_mask_gold_costs", 8, 0),
+         "world0: recorded pre-mask gold cost {0[pre_mask_gold_costs][0]} != {1[pre_mask_gold_costs][0]}"),
+        (lambda data: data["provenance"].update(shared_domain_size=10),
+         "shared_domain_size 10 does not fit the partial worlds' sizes"),
+    ],
+    ids=["cheater-margin", "pre-mask-opt", "pre-mask-gold", "shared-size-not-skeptical"],
+)
+def test_verify_checks_the_recorded_provenance_numbers(dataset_path, tmp_path, capsys, edit, expected):
+    # each edited number verified clean: the audit never compared it
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_first_instance(dataset_path, bad, edit)
+    recorded, clean = _first_instance(bad), _first_instance(dataset_path)
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert f"{clean['id']}: {expected.format(recorded['provenance'], clean['provenance'])}" in out
+    assert "1 violation(s)" in out
+
+
+def test_verify_checks_the_skeptical_shared_domain_size(tmp_path, capsys):
+    path, bad = tmp_path / "s.jsonl", tmp_path / "bad.jsonl"
+    assert main(["generate", "--scenario", "skeptical", "--theory", "T4", "--count", "1", "--seed", "2",
+                 "--world-attempts", "1500", "--out", str(path)]) == 0
+    data = _first_instance(path)
+    sizes = sorted({w["n"] for w in data["train_worlds"] + data["holdout_worlds"]})
+    assert sizes == [data["provenance"]["shared_domain_size"]]
+    _rewrite_first_instance(path, bad, lambda data: data["provenance"].update(shared_domain_size=99))
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert f"{data['id']}: shared_domain_size 99 does not fit the skeptical worlds' sizes {sizes}\n" in out
+    assert "1 violation(s)" in out
+
+
+def test_refined_full_instance_records_its_gold_pre_mask_costs(tmp_path, capsys):
+    # refinement replaced the gold but kept the seed gold's pre-mask costs:
+    # [2, 1, 3] beside train gold costs [1, 1, 3] in a full-scenario file
+    path = tmp_path / "r.jsonl"
+    assert main(["generate", "--scenario", "full", "--theory", "T2", "--count", "1", "--seed", "11",
+                 "--refine", "--out", str(path)]) == 0
+    data = _first_instance(path)
+    assert data["provenance"]["pre_mask_gold_costs"] == data["baselines"]["train"]["gold_costs"]
+    assert main(["verify", "--dataset", str(path)]) == 0
+
+
+@pytest.mark.parametrize("key, value, records", [("scenarios", ["skeptical"], ["partial"]), ("theories", ["T7"], ["T2"])],
+                         ids=["scenarios", "theories"])
+def test_header_scenarios_and_theories_must_match_the_records(dataset_path, tmp_path, capsys, key, value, records):
+    # a header claiming what no record holds verified clean
+    header, *rest = open(dataset_path).read().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps({**json.loads(header), key: value}), *rest]) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"abduce verify: error: {bad}:1: header {key} {value} != {records} of the records\n"

@@ -567,3 +567,18 @@ def test_splits_list_train_then_holdout(held_instance):
         ("train", rec.train_worlds, rec.train_opt_costs, rec.train_gold_costs),
         ("holdout", rec.holdout_worlds, rec.holdout_opt_costs, rec.holdout_gold_costs),
     )
+
+
+@pytest.mark.parametrize("scenario, theory_id, seed", [("full", "T2", 11), ("partial", "T2", 5), ("partial", "T1", 4)])
+def test_refined_gold_records_its_own_pre_mask_costs(scenario, theory_id, seed):
+    # the refine step updated the gold costs but left the pre-mask ones of the
+    # discarded seed gold
+    params = GenParams(scenario=scenario, theory_id=theory_id, global_seed=seed, holdout_count=0)
+    seeded = generate_instance(params)
+    rec = generate_instance(replace(params, refine=True))
+    assert render_formula(rec.gold.formula) != render_formula(seeded.gold.formula)
+    prov = rec.provenance
+    pre = [generator._pre_mask_world(w, t) for w, t in zip(rec.train_worlds, prov["masked_truth"])]
+    costs = [cost(Regime.FULL, builtin_theory(theory_id), [w], rec.gold).total for w in pre]
+    assert prov["pre_mask_gold_costs"] == costs
+    assert audit_instance(rec, params) == []

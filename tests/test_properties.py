@@ -14,7 +14,8 @@ consequent: its closed extension, and its grounding's shape.  The last three
 check metamorphic relations at the generator's scale, past the oracle's
 reach: renaming domain elements changes no answer, on a fully observed
 world the three regimes agree, and revealing unknown atoms moves the
-partial and skeptical answers only the way fewer completions allow.
+partial and skeptical answers only the way fewer completions allow.  A
+last one rewrites alpha into equivalent formulas, which must cost the same.
 """
 
 import numpy as np
@@ -30,10 +31,14 @@ from abduce.formula import (
     Equal,
     Exists,
     Forall,
+    Hypothesis,
+    Implies,
     Not,
     Or,
     Variable,
+    children,
     free_variables,
+    rebuild,
     validate_hypothesis,
 )
 from abduce.dataset import MAX_DOMAIN_SIZE
@@ -458,3 +463,79 @@ def test_revealing_unknowns_moves_each_regime_one_way(theory_id, data):
         assert all(after <= before for after, before in zip(bounds, s_bounds))
         if s_cost is not None:
             assert cost_after is not None and cost_after <= s_cost
+
+
+def _rewritten(f, node):
+    """f with `node` applied bottom-up: to every subformula, after its children."""
+    return node(rebuild(f, [_rewritten(c, node) for c in children(f)]))
+
+
+def _renamed(f, names: dict):
+    """f with every variable, bound or free, named names.get(name, name)."""
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(Variable(names.get(v.name, v.name)) for v in f.args))
+    if isinstance(f, Equal):
+        return Equal(*(Variable(names.get(v.name, v.name)) for v in (f.left, f.right)))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(Variable(names.get(f.var.name, f.var.name)), _renamed(f.body, names))
+    return rebuild(f, [_renamed(c, names) for c in children(f)])
+
+
+def _de_morgan(f):
+    if isinstance(f, (And, Or)):
+        return Not((Or if isinstance(f, And) else And)(tuple(Not(c) for c in f.children)))
+    return f
+
+
+def _quantifier_dual(f):
+    if isinstance(f, (Forall, Exists)):
+        return Not((Exists if isinstance(f, Forall) else Forall)(f.var, Not(f.body)))
+    return f
+
+
+def _as_implication(f):
+    """An or (a, b, ...) as (implies not-a (or b ...)), where not-a of
+    (not c) is c: (or (not c) b) becomes (implies c b)."""
+    if not isinstance(f, Or):
+        return f
+    first, *rest = f.children
+    return Implies(first.child if isinstance(first, Not) else Not(first), rest[0] if len(rest) == 1 else Or(rest))
+
+
+def _reversed(f):
+    return rebuild(f, f.children[::-1]) if isinstance(f, (And, Or)) else f
+
+
+# Rewrites of one node, applied at every node by _rewritten.
+NODE_REWRITES = {
+    "de-morgan": _de_morgan,
+    "quantifier-dual": _quantifier_dual,
+    "double-negation": lambda f: Not(Not(f)),
+    "reversed": _reversed,
+    "implies": _as_implication,
+}
+
+
+@pytest.mark.parametrize("theory_id", THEORY_IDS)
+@SCALE_SETTINGS
+@given(data=st.data())
+def test_rewriting_alpha_keeps_its_costs(theory_id, data):
+    """Rewrites of alpha that keep its meaning keep world_costs in every
+    regime: a bijective renaming of the bound names y, z and w, De Morgan at
+    every junction, the forall / exists duals, double negation, reversed
+    junction children, and (or (not a) b) as (implies a b)."""
+    spec = builtin_theory(theory_id)
+    complete, masked = data.draw(generated_worlds(), label="worlds")
+    if data.draw(st.booleans(), label="pooled"):
+        alpha = data.draw(st.sampled_from(tier1_formulas(spec) + tier2_formulas(spec)), label="alpha")
+    else:
+        alpha = _hypothesis(data, spec)
+    names = dict(zip("yzw", data.draw(st.permutations("yzw"), label="names")))
+    cases = (("full", complete), ("partial", masked), ("skeptical", masked))
+    expected = [world_costs(regime, spec, [world], alpha) for regime, world in cases]
+    rewrites = {"rename": _renamed(alpha.formula, names)}
+    rewrites.update((name, _rewritten(alpha.formula, node)) for name, node in NODE_REWRITES.items())
+    for name, formula in rewrites.items():
+        # built directly: implies is no hypothesis syntax, and the rewrites grow the AST
+        rewritten = Hypothesis(formula, alpha.allowed)
+        assert [world_costs(regime, spec, [world], rewritten) for regime, world in cases] == expected, name
