@@ -39,7 +39,7 @@ import itertools
 import weakref
 from dataclasses import asdict, dataclass, field, replace
 from random import Random
-from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +73,7 @@ from .world import (
     World,
     atoms_to_json,
     complete_world,
-    draw_complete_world,
+    draw_candidates,
     mask_world,
     sample_complete_world,  # noqa: F401  (the bench tracer patches this name here)
     unmask_world,
@@ -720,21 +720,21 @@ def _pre_mask_world(world: World, truth) -> World:
 class _WorldAcceptor:
     """Two-stage world acceptance shared by training and holdout sampling.
 
-    Candidates are drawn _BLOCK at a time as index draws
-    (draw_complete_world), and the closed-world stage screens a whole block
-    in one evaluator pass per domain size.  The rng state is snapshotted
-    once per block, before its first draw; survivors are rare, so no
-    candidate pays for a snapshot of its own.  Nothing is drawn twice: at
-    a survivor the rng is set back to the snapshot and moved past the
-    words that the candidates up to and including the survivor consumed
-    (getrandbits(32 * words)), and the survivor is built from its drawn
-    indices.  In the full scenario nothing is drawn between survivors, so
-    the block's later survivors are taken the same way and the words of
-    its remaining candidates are skipped at its end.  Elsewhere the
-    survivor is masked, which draws from the rng, so the rest of the block
-    is dropped and drawn again after it.  So every accepted world comes
-    out at the rng position that drawing one candidate at a time reaches,
-    and the output does not depend on _BLOCK.
+    Candidates are drawn _BLOCK at a time into bool arrays, one per domain
+    size and predicate (draw_candidates), and the closed-world stage screens
+    a whole block on those arrays in one evaluator pass per domain size.
+    The rng state is snapshotted once per block, before its first draw;
+    survivors are rare, so no candidate pays for a snapshot of its own.
+    Nothing is drawn twice: at a survivor the rng is set back to the
+    snapshot and moved past the words that the candidates up to and
+    including the survivor consumed (getrandbits(32 * words)), and the
+    survivor is built from its row of the arrays.  In the full scenario
+    nothing is drawn between survivors, so the block's later survivors are
+    taken the same way and the words of its remaining candidates are
+    skipped at its end.  Elsewhere the survivor is masked, which draws from
+    the rng, so the rest of the block is dropped and drawn again after it.
+    So every accepted world comes out at the rng position that drawing one
+    candidate at a time reaches, and the output does not depend on _BLOCK.
     """
 
     def __init__(self, params: GenParams, gold: Hypothesis, shared_n: Optional[int]):
@@ -748,25 +748,13 @@ class _WorldAcceptor:
             self.n_range = DOMAIN_SIZES[params.scenario]
         self.scen_cache = _EvalCache(self.regime, self.theory)
 
-    def _screen(self, draws: Sequence[tuple]) -> list[tuple[int, bool, int]]:
-        """Per drawn complete world (n and per-predicate indices first):
-        opt_cost(FULL), whether the gold is valid, and its cost, from one
-        closed_block pass per domain size."""
-        out: list = [None] * len(draws)
-        for n in sorted({d[0] for d in draws}):
-            members = [i for i, d in enumerate(draws) if d[0] == n]
-            relations = {}
-            for p, arity in (("P", 1), ("Q", 1), ("R", 2), ("S", 2)):
-                idx = [draws[i][1][p] for i in members]
-                counts = [len(a) for a in idx]
-                cols = np.fromiter(itertools.chain.from_iterable(idx), np.intp, sum(counts))
-                flat = np.zeros((len(members), n**arity), dtype=bool)
-                flat[np.repeat(np.arange(len(members)), counts), cols] = True
-                relations[p] = flat.reshape((len(members),) + (n,) * arity)
-            opts, valid, costs = closed_block(self.theory, self.gold.formula, n, relations)
-            for i, o, v, c in zip(members, opts.tolist(), valid.tolist(), costs.tolist()):
-                out[i] = (o, v, c)
-        return out
+    def _screen(self, blocks: Mapping[int, Mapping[str, np.ndarray]]) -> dict[int, list[tuple[int, bool, int]]]:
+        """Per domain size n of a draw_candidates block, per row: opt_cost(FULL),
+        whether the gold is valid, and its cost, from one closed_block pass."""
+        return {
+            n: list(zip(*(a.tolist() for a in closed_block(self.theory, self.gold.formula, n, relations))))
+            for n, relations in blocks.items()
+        }
 
     def candidates(self, rng: Random, attempts: int) -> Iterator[_AcceptedWorld]:
         """Accepted worlds among `attempts` candidates drawn from rng, each
@@ -780,22 +768,20 @@ class _WorldAcceptor:
         left = attempts
         while left > 0:
             state = rng.getstate()
-            draws = [
-                draw_complete_world(self.n_range, densities, rng)
-                for _ in range(min(_BLOCK, left))
-            ]
-            screened = self._screen(draws)
-            passed = [i for i, row in enumerate(screened) if not closed_stage_problems(draws[i][0], *row)]
+            blocks, drawn = draw_candidates(self.n_range, densities, rng, min(_BLOCK, left))
+            rows = self._screen(blocks)
+            screened = [rows[n][row] for n, row, _ in drawn]
+            passed = [i for i, (n, _, _) in enumerate(drawn) if not closed_stage_problems(n, *screened[i])]
             if not passed:
-                left -= len(draws)
+                left -= len(drawn)
                 continue
             rng.setstate(state)
             past = 0  # candidates of this block whose words rng is past
             for i in passed if full else passed[:1]:
-                rng.getrandbits(32 * sum(d[2] for d in draws[past:i + 1]))
+                rng.getrandbits(32 * sum(d[2] for d in drawn[past:i + 1]))
                 past = i + 1
-                n, indices, _ = draws[i]
-                complete = complete_world(n, indices)
+                n, row, _ = drawn[i]
+                complete = complete_world(n, {p: a[row] for p, a in blocks[n].items()})
                 pre_opt, _, pre_gold = screened[i]
                 if full:
                     yield _AcceptedWorld(complete, {}, pre_opt, pre_gold, pre_opt, pre_gold)
@@ -808,8 +794,8 @@ class _WorldAcceptor:
                     scen_opt = opt_cost(self.regime, self.theory, masked)
                     yield _AcceptedWorld(masked, hidden, scen_opt, scen_gold, pre_opt, pre_gold)
             if full:
-                rng.getrandbits(32 * sum(d[2] for d in draws[past:]))
-                past = len(draws)
+                rng.getrandbits(32 * sum(d[2] for d in drawn[past:]))
+                past = len(drawn)
             left -= past
 
 
@@ -1074,8 +1060,10 @@ def audit_instance(
     one.  Holdouts must also pass the holdout rule (holdout_problems),
     duplicates among them included.  Competitor elimination and the cheater
     margin (the recorded one too) are audited on the training worlds; with
-    pools off they are skipped (the cheap load-time check).  A skeptical
-    line's worlds all have its shared_domain_size; other lines record null.
+    pools off they are skipped (the cheap load-time check).  A line with a
+    pool_seed must record both pre-mask lists and the cheater margin.  A
+    skeptical line's worlds all have its shared_domain_size; other lines
+    record null.
     """
     margin = params.margin if params else GenParams.margin
     regime, theory, prov = instance.regime, instance.theory, instance.provenance
@@ -1126,6 +1114,12 @@ def audit_instance(
     gold_total = sum(f[1] for f in found if f)
 
     pool_seed = prov.get("pool_seed")
+    if pool_seed is not None:  # a generated line records every provenance number
+        for key in ("pre_mask_opt_costs", "pre_mask_gold_costs"):
+            if not isinstance(prov.get(key), list) or len(prov[key]) != len(train):
+                out.append(f"{key}: {prov.get(key)!r} does not hold one cost per train world ({len(train)})")
+        if "cheater_margin" not in prov:
+            out.append("no recorded cheater margin")
     if pools and pool_seed is not None and not out:
         pool = build_competitor_pool(theory, instance.gold, Random(pool_seed))
         surv = _survivors(pool, train, gold_total, margin, cache)

@@ -5,14 +5,14 @@ true and a set of atoms whose truth value is unobserved.  Everything not
 listed in either set is known false.  Worlds and completions are immutable;
 evaluation is pure.  Sampling requires exclusive access to its rng.
 
-Sampling is done by index draws: a complete world is drawn as its domain
-size plus, per predicate, the row-major indices of its true atoms
-(draw_complete_world), and a World is built from those indices
+Sampling marks cells: a block of complete worlds is drawn into one bool
+array per domain size and predicate, a world's true atoms marked in its
+row-major cells (draw_candidates), and a World is built from a row
 (complete_world) only when one is needed.  Candidate screening in the
-generator reads the indices directly, so a rejected candidate never
+generator reads the arrays directly, so a rejected candidate never
 becomes a World.  Every draw without replacement, of true atoms and of
-masked atoms alike, goes through one range sampler, _draw_range, which
-returns what random.sample(range(n), k) returns and consumes the rng the
+masked atoms alike, goes through one range sampler, _mark_range, which
+marks the set random.sample(range(n), k) picks and consumes the rng the
 same way.
 
 A draw also counts the 32-bit Mersenne Twister words it consumed, as
@@ -28,10 +28,12 @@ from __future__ import annotations
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
+from itertools import compress, product
 from math import ceil, log
 from random import Random
 from typing import AbstractSet, Iterator, Mapping, Optional
+
+import numpy as np
 
 from .formula import (
     And,
@@ -314,106 +316,123 @@ def enumerate_completions(world: World, cap: int = DEFAULT_ENUMERATION_CAP) -> I
 # Sampling
 
 
-def _draw_range(rng: Random, n: int, k: int) -> tuple[list[int], int]:
-    """k distinct indices from range(n), exactly rng.sample(range(n), k),
-    leaving rng in exactly the state that call leaves it in; with the
-    number of 32-bit words drawn.
+# random.sample's setsize per k <= MAX_DOMAIN_SIZE^2 (small set minus empty list, plus table size)
+_SETSIZE = tuple(21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0) for k in range(MAX_DOMAIN_SIZE**2 + 1))
 
-    Candidate sampling draws about 160 worlds per accepted one, four
-    samples each, and Random.sample spends most of a small sample on
-    per-draw overhead: a _randbelow call per index and an abstract-base-class
-    check of the population per call.  This is CPython's algorithm (the same
-    in 3.10 to 3.13) with getrandbits inlined: a shrinking pool of indices
-    when an n-length list is smaller than a k-length set, else redraws
-    against a set of selections, each index drawn as getrandbits(m's bit
-    length) and redrawn while it is not below the bound m.  Each call takes
-    one word while n < 2^32 (callers pass n <= MAX_DOMAIN_SIZE^2), so the
-    count is k plus the redraws.  The generated data depend on every draw;
-    tests/test_world.py pins this function to Random.sample, result and rng
-    state, over both branches.
+
+def _mark_range(getrandbits, n: int, k: int, marks: bytearray, off: int) -> int:
+    """Set marks[off + j] to 1 for the k distinct indices j of range(n)
+    that rng.sample(range(n), k) picks, leaving rng (whose getrandbits this
+    is) in exactly the state that call leaves it in; returns the number of
+    32-bit words drawn.  marks[off:off + n] must be zero on entry.
+
+    This is CPython's algorithm (the same in 3.10 to 3.13) with getrandbits
+    inlined and without the per-draw call overhead of Random.sample: a
+    shrinking pool of indices when an n-length list is smaller than a
+    k-length set, else redraws against the selections, which the marks
+    themselves record; each index is drawn as getrandbits(m's bit length)
+    and redrawn while it is not below the bound m.  Each call takes one
+    word while n < 2^32 (callers pass n <= MAX_DOMAIN_SIZE^2), so the count
+    is k plus the redraws.  The generated data depend on every draw;
+    tests/test_world.py pins the marked set and the rng state to
+    Random.sample over both branches.
     """
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
-    getrandbits = rng.getrandbits
-    result = [0] * k
     words = k
-    setsize = 21  # size of a small set minus size of an empty list
-    if k > 5:
-        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
-    if n <= setsize:
-        pool = list(range(n))
-        for i in range(k):
-            m = n - i
+    if n <= _SETSIZE[k]:
+        pool = list(range(off, off + n))
+        for m in range(n, n - k, -1):
             bits = m.bit_length()
             j = getrandbits(bits)
             while j >= m:
                 j = getrandbits(bits)
                 words += 1
-            result[i] = pool[j]
+            marks[pool[j]] = 1
             pool[j] = pool[m - 1]
-        return result, words
+        return words
     bits = n.bit_length()
-    selected = set()
-    add = selected.add
-    for i in range(k):
+    for _ in range(k):
         j = getrandbits(bits)
-        while j >= n or j in selected:
+        while j >= n or marks[off + j]:
             j = getrandbits(bits)
             words += 1
-        add(j)
-        result[i] = j
-    return result, words
+        marks[off + j] = 1
+    return words
 
 
-def _sample_range(rng: Random, n: int, k: int) -> list[int]:
-    """_draw_range's indices alone: exactly rng.sample(range(n), k)."""
-    return _draw_range(rng, n, k)[0]
+def draw_candidates(
+    n_range, densities: DensityRanges, rng: Random, count: int
+) -> tuple[dict[int, dict[str, np.ndarray]], list[tuple[int, int, int]]]:
+    """The random draws of `count` fully observed worlds, one after another:
+    per world, n uniform over n_range, drawn as rng.choice does, and per
+    predicate rho uniform on its interval and max(1, floor(n^arity * rho))
+    true atoms drawn without replacement.
+
+    The true atoms are marked in one bytearray per domain size and
+    predicate.  Returned are, per drawn size n, each predicate's (m, n) or
+    (m, n, n) bool view of its bytearray (m worlds of size n, row-major
+    atoms), and per world in draw order (n, its row in those views, the
+    32-bit words its draws consumed)."""
+    sizes = list(n_range)
+    if not sizes:
+        raise ValueError("empty n_range")
+    getrandbits, random = rng.getrandbits, rng.random
+    bits = len(sizes).bit_length()
+    spans = [(p, *densities.ranges[p], PREDICATES[p].arity) for p in OBSERVABLE_PREDICATES]
+    layout: dict[int, list] = {}  # per size n, per predicate: (lo, hi - lo, n^arity, its cells)
+    rows: dict[int, int] = {}  # per size n, the worlds drawn so far
+    drawn = []
+    for _ in range(count):
+        # rng.choice(sizes): CPython's _randbelow, one word per getrandbits call
+        j = getrandbits(bits)
+        words = 1
+        while j >= len(sizes):
+            j = getrandbits(bits)
+            words += 1
+        n = sizes[j]
+        if n not in layout:
+            _check_domain_size(n)  # before n^2 cells are allocated
+            layout[n] = [(lo, hi - lo, n**a, bytearray(count * n**a)) for _, lo, hi, a in spans]
+        row = rows.get(n, 0)
+        rows[n] = row + 1
+        for lo, span, total, cells in layout[n]:
+            # rho = rng.uniform(lo, hi) spelled out, two words; rho <= hi <= 1
+            # (to within a rounding), so int(total * rho) <= total
+            k = int(total * (lo + span * random())) or 1
+            words += 2 + _mark_range(getrandbits, total, k, cells, row * total)
+        drawn.append((n, row, words))
+    blocks = {
+        n: {p: np.frombuffer(cells, dtype=bool).reshape((count,) + (n,) * a)[: rows[n]]
+            for (p, *_, a), (*_, cells) in zip(spans, preds)}
+        for n, preds in layout.items()
+    }
+    return blocks, drawn
 
 
 def draw_complete_world(
     n_range, densities: DensityRanges, rng: Random
-) -> tuple[int, dict[str, list[int]], int]:
-    """The random draws of one fully observed world, and the 32-bit words
-    they consumed: n uniform over n_range, drawn as rng.choice does;
-    per predicate, rho uniform on its interval and max(1, floor(n^arity *
-    rho)) row-major indices of true atoms drawn without replacement."""
-    sizes = list(n_range)
-    if not sizes:
-        raise ValueError("empty n_range")
-    # rng.choice(sizes): CPython's _randbelow, one word per getrandbits call
-    bits = len(sizes).bit_length()
-    j = rng.getrandbits(bits)
-    words = 1
-    while j >= len(sizes):
-        j = rng.getrandbits(bits)
-        words += 1
-    n = sizes[j]
-    _check_domain_size(n)  # before n^2 atoms are drawn or tabled
-    indices: dict[str, list[int]] = {}
-    for p in OBSERVABLE_PREDICATES:
-        lo, hi = densities.ranges[p]
-        rho = rng.uniform(lo, hi)
-        arity = PREDICATES[p].arity
-        total = n**arity
-        count = min(total, max(1, int(total * rho)))
-        indices[p], used = _draw_range(rng, total, count)
-        words += 2 + used  # uniform takes two
-    return n, indices, words
+) -> tuple[int, dict[str, np.ndarray], int]:
+    """draw_candidates for one world: its n, per predicate its bool array
+    of true atoms, and the 32-bit words its draws consumed."""
+    blocks, ((n, row, words),) = draw_candidates(n_range, densities, rng, 1)
+    return n, {p: a[row] for p, a in blocks[n].items()}, words
 
 
-def complete_world(n: int, indices: Mapping[str, list[int]]) -> World:
-    """The fully observed World of draw_complete_world's n and indices."""
+def complete_world(n: int, relations: Mapping[str, np.ndarray]) -> World:
+    """The fully observed World whose true atoms are marked in relations
+    (per predicate, a bool array over its row-major atoms)."""
     true = {
-        p: frozenset(map(_population(n, PREDICATES[p].arity).__getitem__, idx))
-        for p, idx in indices.items()
+        p: frozenset(map(_population(n, PREDICATES[p].arity).__getitem__, np.flatnonzero(a).tolist()))
+        for p, a in relations.items()
     }
     return World(n, true, {})
 
 
 def sample_complete_world(n_range, densities: DensityRanges, rng: Random) -> World:
     """Sample a fully observed world from draw_complete_world's draws."""
-    n, indices, _ = draw_complete_world(n_range, densities, rng)
-    return complete_world(n, indices)
+    n, relations, _ = draw_complete_world(n_range, densities, rng)
+    return complete_world(n, relations)
 
 
 def mask_world(
@@ -444,8 +463,9 @@ def mask_world(
         base = n * n if mask_basis == "grid" else len(true[p])
         count = min(n * n, round(rate * base))
         if count:
-            population = _population(n, 2)
-            masked = frozenset(population[j] for j in _sample_range(rng, n * n, count))
+            marks = bytearray(n * n)
+            _mark_range(rng.getrandbits, n * n, count, marks, 0)
+            masked = frozenset(compress(_population(n, 2), marks))
             hidden[p] = true[p] & masked
             unknown[p] = unknown[p] | masked
             true[p] = true[p] - masked

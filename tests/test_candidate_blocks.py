@@ -2,7 +2,7 @@
 
 The generator draws candidate worlds _BLOCK at a time and screens each
 block in one evaluator pass.  Its output must not depend on the block
-size (5 puts block boundaries where the default 16 does not), and the
+size (1 and 5 put block boundaries where the default 24 does not), and the
 candidate stream must match a reference loop that builds and checks one
 World at a time, down to the rng state it leaves.  The screen itself must
 agree, world by world, with the engine's full-regime opt_cost, validity
@@ -11,6 +11,7 @@ and cost.
 
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from abduce import generator
 from abduce.dataset import instance_to_json, world_to_json
 from abduce.engine import Regime, cost, opt_cost, validity
-from abduce.formula import free_variables, validate_hypothesis
+from abduce.formula import PREDICATES, free_variables, validate_hypothesis
 from abduce.generator import MASK_BASIS, GenParams, _WorldAcceptor, generate_batch
 from abduce.theory import THEORY_IDS, builtin_theory
 from abduce.world import World, mask_world, sample_complete_world
@@ -126,7 +127,19 @@ def test_screen_matches_engine_per_world(data):
     gold = validate_hypothesis(formula, spec.allowed, spec.forbidden)
     draws = data.draw(index_draws(), label="draws")
     acceptor = _WorldAcceptor(GenParams(scenario="full", theory_id=theory_id), gold, None)
-    for (n, idx), (opt, valid, gold_cost) in zip(draws, acceptor._screen(draws)):
+    # draw_candidates' layout: per domain size, one bool array per
+    # predicate, and per draw its size and row
+    sizes = [n for n, _ in draws]
+    blocks = {
+        n: {p: np.zeros((sizes.count(n),) + (n,) * PREDICATES[p].arity, dtype=bool) for p in "PQRS"}
+        for n in set(sizes)
+    }
+    where = [(n, sizes[:i].count(n)) for i, n in enumerate(sizes)]
+    for (n, row), (_, idx) in zip(where, draws):
+        for p, cells in blocks[n].items():
+            cells[row].flat[idx[p]] = True
+    rows = acceptor._screen(blocks)
+    for (n, idx), (opt, valid, gold_cost) in zip(draws, (rows[n][row] for n, row in where)):
         world = World(n, {
             "P": idx["P"], "Q": idx["Q"],
             "R": [divmod(i, n) for i in idx["R"]], "S": [divmod(i, n) for i in idx["S"]],

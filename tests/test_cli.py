@@ -1098,6 +1098,41 @@ def test_verify_checks_the_recorded_provenance_numbers(dataset_path, tmp_path, c
     assert "1 violation(s)" in out
 
 
+def _drop(key, keep=None):
+    """An edit deleting a provenance key, or cutting its list to `keep` entries."""
+    def edit(data):
+        prov = data["provenance"]
+        if keep is None:
+            del prov[key]
+        else:
+            prov[key] = prov[key][:keep]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (_drop("pre_mask_opt_costs"), "pre_mask_opt_costs: None does not hold one cost per train world (2)"),
+        (_drop("pre_mask_gold_costs"), "pre_mask_gold_costs: None does not hold one cost per train world (2)"),
+        (_drop("pre_mask_opt_costs", 1), "pre_mask_opt_costs: [{0[pre_mask_opt_costs][0]}] does not hold"),
+        (_drop("pre_mask_gold_costs", 1), "pre_mask_gold_costs: [{0[pre_mask_gold_costs][0]}] does not hold"),
+        (_drop("cheater_margin"), "no recorded cheater margin"),
+    ],
+    ids=["no-pre-mask-opt", "no-pre-mask-gold", "short-pre-mask-opt", "short-pre-mask-gold", "no-cheater-margin"],
+)
+def test_verify_requires_the_provenance_numbers_of_a_generated_line(dataset_path, tmp_path, capsys, edit, expected):
+    # each edit verified clean: the audit compared only the numbers present
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_first_instance(dataset_path, bad, edit)
+    clean = _first_instance(dataset_path)
+    assert len(clean["train_worlds"]) == 2 and clean["provenance"]["pool_seed"] is not None
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert f"{clean['id']}: {expected.format(clean['provenance'])}" in out
+    assert "1 violation(s)" in out
+
+
 def test_verify_checks_the_skeptical_shared_domain_size(tmp_path, capsys):
     path, bad = tmp_path / "s.jsonl", tmp_path / "bad.jsonl"
     assert main(["generate", "--scenario", "skeptical", "--theory", "T4", "--count", "1", "--seed", "2",

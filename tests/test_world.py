@@ -20,7 +20,7 @@ from abduce.world import (
     enumerate_completions,
     eval_formula,
     _population,
-    _sample_range,
+    _mark_range,
     draw_complete_world,
     sample_world,
     worlds_equivalent,
@@ -232,16 +232,27 @@ class TestSample:
         "n", [1, 2, 5, 9, 10, 11, 12, 20, 21, 22, 81, 84, 85, 86, 100, 121, 144, 277, 278, 400]
     )
     def test_sample_range_is_random_sample(self, n):
+        """_mark_range marks the set Random.sample picks, inside its slice of
+        the marks alone (the marked cells around it stay as they were),
+        leaves the rng as Random.sample does, and counts the words it drew."""
         for seed in range(20):
             rng, ref = random.Random(seed), random.Random(seed)
             for k in range(n + 1):
-                assert _sample_range(rng, n, k) == ref.sample(range(n), k), (seed, k)
+                skipped = random.Random()
+                skipped.setstate(rng.getstate())
+                marks = bytearray(b"\x01" * 3 + bytes(n) + b"\x01" * 2)
+                words = _mark_range(rng.getrandbits, n, k, marks, 3)
+                assert marks[:3] + marks[3 + n:] == b"\x01" * 5, (seed, k)
+                picked = {j for j, m in enumerate(marks[3:3 + n]) if m}
+                assert picked == set(ref.sample(range(n), k)), (seed, k)
                 assert rng.getstate() == ref.getstate(), (seed, k)
+                skipped.getrandbits(32 * words)
+                assert skipped.getstate() == ref.getstate(), (seed, k)
 
     @pytest.mark.parametrize("n, k", [(0, 1), (5, 6), (5, -1)])
     def test_sample_range_rejects_bad_k(self, n, k):
         with pytest.raises(ValueError, match="Sample larger"):
-            _sample_range(random.Random(0), n, k)
+            _mark_range(random.Random(0).getrandbits, n, k, bytearray(n), 0)
 
 
 class TestEquivalence:
