@@ -85,7 +85,7 @@ HOLDOUT_ATTEMPTS_PER_WORLD = 150
 POOL_CAP = 30
 # Candidate worlds drawn, and screened in one evaluator pass, at a time.
 _BLOCK = 24
-MASK_BASIS = {"full": "grid", "partial": "true_count", "skeptical": "grid"}
+MASK_BASIS = {"partial": "true_count", "skeptical": "grid"}
 
 
 class GenerationError(RuntimeError):
@@ -616,8 +616,12 @@ def holdout_seed(dataset_path: str, instance_id: str, holdout_idx: int, global_s
     return _derive_seed(dataset_path, instance_id, holdout_idx, global_seed) % (1 << 31)
 
 
+_MISS = object()
+
+
 class _EvalCache:
-    """Per-generation memo of (world, formula) -> (valid, per-world cost).
+    """Per-generation memo of (world, formula) -> per-world cost, None when
+    the formula is invalid on the world.
 
     Keyed weakly on the world (worlds hash by identity), so an entry dies
     with its world and rejected candidates are not kept alive.  A world
@@ -630,23 +634,22 @@ class _EvalCache:
         self.theory = theory
         self.memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    def world_eval(self, world: World, hyp: Hypothesis) -> tuple[bool, Optional[int]]:
+    def world_eval(self, world: World, hyp: Hypothesis) -> Optional[int]:
         memo = self.memo.get(world)
         if memo is None:
             memo = self.memo[world] = {}
-        hit = memo.get(hyp.formula)
-        if hit is None:
+        c = memo.get(hyp.formula, _MISS)
+        if c is _MISS:
             regime = self.regime if world.num_unknowns() else Regime.FULL
-            c = world_costs(regime, self.theory, [world], hyp)[0]
-            hit = memo[hyp.formula] = (c is not None, c)
-        return hit
+            c = memo[hyp.formula] = world_costs(regime, self.theory, [world], hyp)[0]
+        return c
 
     def total_cost(self, worlds: Sequence[World], hyp: Hypothesis) -> Optional[int]:
         """Total cost across worlds, or None if invalid anywhere."""
         total = 0
         for w in worlds:
-            valid, c = self.world_eval(w, hyp)
-            if not valid:
+            c = self.world_eval(w, hyp)
+            if c is None:
                 return None
             total += c
         return total
@@ -655,24 +658,24 @@ class _EvalCache:
 @dataclass(frozen=True)
 class _AcceptedWorld:
     world: World
-    hidden: dict
+    complete: World  # the world before masking; in the full scenario, world itself
     opt: int
     gold_cost: int
     pre_opt: int
     pre_gold_cost: int
 
 
-def closed_stage_problems(n: int, opt: int, valid: bool, gold_cost: Optional[int]) -> list[str]:
+def closed_stage_problems(n: int, opt: int, gold_cost: Optional[int]) -> list[str]:
     """The closed-world stage on a complete world of domain size n with
-    opt_cost(FULL) `opt`: one message per failed filter among the
-    nontriviality floor, the exception cap, gold validity and the gold gap
-    (gold_cost is read only when the gold is valid)."""
+    opt_cost(FULL) `opt` and gold cost `gold_cost`, None when the gold is
+    invalid on it: one message per failed filter among the nontriviality
+    floor, the exception cap, gold validity and the gold gap."""
     out = []
     if opt < 1:
         out.append(f"opt_cost {opt} < 1")
     if opt / n > GenParams.exception_cap:
         out.append(f"exception rate {opt}/{n} > {GenParams.exception_cap}")
-    if not valid:
+    if gold_cost is None:
         out.append("gold invalid on the pre-mask world")
     elif gold_cost > opt + GenParams.gold_gap_slack:
         out.append(f"gold gap {gold_cost - opt} > {GenParams.gold_gap_slack}")
@@ -728,13 +731,14 @@ class _WorldAcceptor:
     Nothing is drawn twice: at a survivor the rng is set back to the
     snapshot and moved past the words that the candidates up to and
     including the survivor consumed (getrandbits(32 * words)), and the
-    survivor is built from its row of the arrays.  In the full scenario
-    nothing is drawn between survivors, so the block's later survivors are
-    taken the same way and the words of its remaining candidates are
-    skipped at its end.  Elsewhere the survivor is masked, which draws from
-    the rng, so the rest of the block is dropped and drawn again after it.
-    So every accepted world comes out at the rng position that drawing one
-    candidate at a time reaches, and the output does not depend on _BLOCK.
+    survivor is built from its row of the arrays.  One loop takes the
+    survivors in order.  In the full scenario nothing is drawn between
+    survivors, so the loop goes on to the block's later survivors and, at
+    its end, skips the words of the remaining candidates.  Elsewhere the
+    survivor is masked, which draws from the rng, so the loop stops there
+    and the rest of the block is drawn again after it.  So every accepted
+    world comes out at the rng position that drawing one candidate at a
+    time reaches, and the output does not depend on _BLOCK.
     """
 
     def __init__(self, params: GenParams, gold: Hypothesis, shared_n: Optional[int]):
@@ -748,11 +752,13 @@ class _WorldAcceptor:
             self.n_range = DOMAIN_SIZES[params.scenario]
         self.scen_cache = _EvalCache(self.regime, self.theory)
 
-    def _screen(self, blocks: Mapping[int, Mapping[str, np.ndarray]]) -> dict[int, list[tuple[int, bool, int]]]:
-        """Per domain size n of a draw_candidates block, per row: opt_cost(FULL),
-        whether the gold is valid, and its cost, from one closed_block pass."""
+    def _screen(self, blocks: Mapping[int, Mapping[str, np.ndarray]]) -> dict[int, list[tuple[int, Optional[int]]]]:
+        """Per domain size n of a draw_candidates block, per row: opt_cost(FULL)
+        and the gold's cost, None when it is invalid, from one closed_block
+        pass."""
         return {
-            n: list(zip(*(a.tolist() for a in closed_block(self.theory, self.gold.formula, n, relations))))
+            n: [(opt, c if valid else None) for opt, valid, c in
+                zip(*(a.tolist() for a in closed_block(self.theory, self.gold.formula, n, relations)))]
             for n, relations in blocks.items()
         }
 
@@ -764,11 +770,10 @@ class _WorldAcceptor:
         candidates examined, and no candidate is drawn twice."""
         params = self.params
         full = params.scenario == "full"
-        densities = params.densities
         left = attempts
         while left > 0:
             state = rng.getstate()
-            blocks, drawn = draw_candidates(self.n_range, densities, rng, min(_BLOCK, left))
+            blocks, drawn = draw_candidates(self.n_range, params.densities, rng, min(_BLOCK, left))
             rows = self._screen(blocks)
             screened = [rows[n][row] for n, row, _ in drawn]
             passed = [i for i, (n, _, _) in enumerate(drawn) if not closed_stage_problems(n, *screened[i])]
@@ -777,30 +782,33 @@ class _WorldAcceptor:
                 continue
             rng.setstate(state)
             past = 0  # candidates of this block whose words rng is past
-            for i in passed if full else passed[:1]:
+            for i in passed:
                 rng.getrandbits(32 * sum(d[2] for d in drawn[past:i + 1]))
                 past = i + 1
                 n, row, _ = drawn[i]
                 complete = complete_world(n, {p: a[row] for p, a in blocks[n].items()})
-                pre_opt, _, pre_gold = screened[i]
+                pre_opt, pre_gold = screened[i]
                 if full:
-                    yield _AcceptedWorld(complete, {}, pre_opt, pre_gold, pre_opt, pre_gold)
+                    yield _AcceptedWorld(complete, complete, pre_opt, pre_gold, pre_opt, pre_gold)
                     continue
-                masked, hidden = mask_world(
-                    complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario]
-                )
-                valid, scen_gold = self.scen_cache.world_eval(masked, self.gold)
-                if valid:
+                masked, _ = mask_world(complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario])
+                scen_gold = self.scen_cache.world_eval(masked, self.gold)
+                if scen_gold is not None:
                     scen_opt = opt_cost(self.regime, self.theory, masked)
-                    yield _AcceptedWorld(masked, hidden, scen_opt, scen_gold, pre_opt, pre_gold)
-            if full:
+                    yield _AcceptedWorld(masked, complete, scen_opt, scen_gold, pre_opt, pre_gold)
+                break  # masking drew from rng: the rest of the block is drawn again
+            else:
                 rng.getrandbits(32 * sum(d[2] for d in drawn[past:]))
                 past = len(drawn)
             left -= past
 
 
-def _hidden_to_json(hidden: dict) -> dict:
-    return {p: atoms_to_json(atoms) for p, atoms in hidden.items() if atoms}
+def _masked_truth(aw: _AcceptedWorld) -> dict:
+    """The masked atoms that are true, as recorded JSON: per predicate, the
+    complete world's true atoms that the masked world lacks, empty entries
+    left out."""
+    hidden = ((p, atoms - aw.world.true_atoms[p]) for p, atoms in aw.complete.true_atoms.items())
+    return {p: atoms_to_json(atoms) for p, atoms in hidden if atoms}
 
 
 def _survivors(
@@ -885,8 +893,8 @@ def _attempt_instance(params, index, attempt, rng, sampler):
         if render_formula(refined.formula) != render_formula(gold.formula):
             gold = refined
             accepted = [
-                replace(aw, gold_cost=cache.world_eval(aw.world, gold)[1],
-                        pre_gold_cost=cache.world_eval(_pre_mask_world(aw.world, aw.hidden), gold)[1])
+                replace(aw, gold_cost=cache.world_eval(aw.world, gold),
+                        pre_gold_cost=cache.world_eval(aw.complete, gold))
                 for aw in accepted
             ]
             gold_total = sum(aw.gold_cost for aw in accepted)
@@ -909,7 +917,7 @@ def _attempt_instance(params, index, attempt, rng, sampler):
             "gold_template": template,
             "shared_domain_size": shared_n,
             "cheater_margin": cheater_margin,
-            "masked_truth": [_hidden_to_json(aw.hidden) for aw in accepted],
+            "masked_truth": [_masked_truth(aw) for aw in accepted],
             "pre_mask_opt_costs": [aw.pre_opt for aw in accepted],
             "pre_mask_gold_costs": [aw.pre_gold_cost for aw in accepted],
             "elimination_log": log,
@@ -946,7 +954,6 @@ def refine_gold(
     Falls back to the seed gold.
     """
     cache = cache or _EvalCache(params.regime, theory)
-    pre_worlds = [_pre_mask_world(aw.world, aw.hidden) for aw in accepted]
     local_sampler = GoldSampler()  # records nothing, so every applicable template stays eligible
     candidates = [seed_gold, *(local_sampler.draw(theory, rng)[0] for _ in range(10))]
     candidates.extend(gold_mutants(seed_gold, theory, rng, count=10))
@@ -955,11 +962,11 @@ def refine_gold(
     best = best_key = None
     for cand in _distinct(candidates):
         total = 0
-        for aw, pre in zip(accepted, pre_worlds):
-            if closed_stage_problems(pre.n, aw.pre_opt, *cache.world_eval(pre, cand)):
+        for aw in accepted:
+            if closed_stage_problems(aw.complete.n, aw.pre_opt, cache.world_eval(aw.complete, cand)):
                 break
-            svalid, scost = cache.world_eval(aw.world, cand)
-            if not svalid:
+            scost = cache.world_eval(aw.world, cand)
+            if scost is None:
                 break
             total += scost
         else:
@@ -1011,7 +1018,7 @@ def _with_holdouts(instance: InstanceRecord, accepted: Sequence[_AcceptedWorld])
     without holdouts."""
     prov = {k: v for k, v in instance.provenance.items() if k != "holdout_masked_truth"}
     if accepted:
-        prov["holdout_masked_truth"] = [_hidden_to_json(aw.hidden) for aw in accepted]
+        prov["holdout_masked_truth"] = [_masked_truth(aw) for aw in accepted]
     return replace(
         instance,
         holdout_worlds=tuple(aw.world for aw in accepted),
@@ -1065,7 +1072,7 @@ def audit_instance(
     skeptical line's worlds all have its shared_domain_size; other lines
     record null.
     """
-    margin = params.margin if params else GenParams.margin
+    elimination_margin = params.margin if params else GenParams.margin
     regime, theory, prov = instance.regime, instance.theory, instance.provenance
     cache = _EvalCache(regime, theory)
     out = []
@@ -1091,14 +1098,14 @@ def audit_instance(
             out.append(tag + str(exc))
         else:
             pre_opt = opt_cost(Regime.FULL, theory, pre)
-            pre_valid, pre_gold = cache.world_eval(pre, instance.gold)
-            closed = closed_stage_problems(pre.n, pre_opt, pre_valid, pre_gold)
+            pre_gold = cache.world_eval(pre, instance.gold)
+            closed = closed_stage_problems(pre.n, pre_opt, pre_gold)
             out.extend(tag + m for m in closed)
             for name, recorded, value in zip(("opt", "gold cost"), pre_baselines, (pre_opt, pre_gold)):
                 if not closed and isinstance(recorded, list) and i < len(recorded) and recorded[i] != value:
                     out.append(f"{tag}recorded pre-mask {name} {recorded[i]} != {value}")
-        valid, gcost = cache.world_eval(world, instance.gold)
-        if not valid:
+        gcost = cache.world_eval(world, instance.gold)
+        if gcost is None:
             out.append(f"{tag}gold invalid under {instance.scenario} semantics")
             return None
         opt = opt_cost(regime, theory, world)
@@ -1122,16 +1129,16 @@ def audit_instance(
             out.append("no recorded cheater margin")
     if pools and pool_seed is not None and not out:
         pool = build_competitor_pool(theory, instance.gold, Random(pool_seed))
-        surv = _survivors(pool, train, gold_total, margin, cache)
+        surv = _survivors(pool, train, gold_total, elimination_margin, cache)
         if surv:
             names = [render_formula(pool.entries[i][0].formula) for i in sorted(surv)]
             out.append(f"surviving competitors: {names}")
     if pools and not out:
-        margin = _best_cheater_margin(cheater_pool(theory), train, gold_total, cache)
-        if margin is not None and margin < 0:
-            out.append(f"cheater margin {margin} < 0")
-        if "cheater_margin" in prov and prov["cheater_margin"] != margin:
-            out.append(f"recorded cheater margin {prov['cheater_margin']} != {margin}")
+        cheater_margin = _best_cheater_margin(cheater_pool(theory), train, gold_total, cache)
+        if cheater_margin is not None and cheater_margin < 0:
+            out.append(f"cheater margin {cheater_margin} < 0")
+        if "cheater_margin" in prov and prov["cheater_margin"] != cheater_margin:
+            out.append(f"recorded cheater margin {prov['cheater_margin']} != {cheater_margin}")
 
     for j, hw in enumerate(held):
         found = audit_world("holdout", j, hw, prov.get("holdout_masked_truth"), held_cached)

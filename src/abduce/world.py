@@ -10,10 +10,11 @@ array per domain size and predicate, a world's true atoms marked in its
 row-major cells (draw_candidates), and a World is built from a row
 (complete_world) only when one is needed.  Candidate screening in the
 generator reads the arrays directly, so a rejected candidate never
-becomes a World.  Every draw without replacement, of true atoms and of
-masked atoms alike, goes through one range sampler, _mark_range, which
-marks the set random.sample(range(n), k) picks and consumes the rng the
-same way.
+becomes a World.  draw_candidates is the one sampling entry point:
+sample_complete_world draws a block of one.  Every draw without
+replacement, of true atoms and of masked atoms alike, goes through one
+range sampler, _mark_range, which marks the set random.sample(range(n), k)
+picks and consumes the rng the same way.
 
 A draw also counts the 32-bit Mersenne Twister words it consumed, as
 CPython's random uses them (3.10 to 3.13): one per getrandbits(k) call
@@ -214,16 +215,12 @@ class DensityRanges:
         object.__setattr__(self, "ranges", rngs)
 
 
+# Partial worlds are drawn as full ones are, and masked afterwards.
+_OBSERVED_DENSITIES = DensityRanges({"P": (0.20, 0.60), "Q": (0.20, 0.60), "R": (0.12, 0.25), "S": (0.08, 0.18)})
 DENSITY_RANGES = {
-    "full": DensityRanges(
-        {"P": (0.20, 0.60), "Q": (0.20, 0.60), "R": (0.12, 0.25), "S": (0.08, 0.18)}
-    ),
-    "partial": DensityRanges(
-        {"P": (0.20, 0.60), "Q": (0.20, 0.60), "R": (0.12, 0.25), "S": (0.08, 0.18)}
-    ),
-    "skeptical": DensityRanges(
-        {"P": (0.40, 0.60), "Q": (0.20, 0.50), "R": (0.15, 0.30), "S": (0.10, 0.25)}
-    ),
+    "full": _OBSERVED_DENSITIES,
+    "partial": _OBSERVED_DENSITIES,
+    "skeptical": DensityRanges({"P": (0.40, 0.60), "Q": (0.20, 0.50), "R": (0.15, 0.30), "S": (0.10, 0.25)}),
 }
 
 DOMAIN_SIZES = {"full": (9, 10, 11), "partial": (9, 10, 11), "skeptical": (10, 11, 12)}
@@ -410,15 +407,6 @@ def draw_candidates(
     return blocks, drawn
 
 
-def draw_complete_world(
-    n_range, densities: DensityRanges, rng: Random
-) -> tuple[int, dict[str, np.ndarray], int]:
-    """draw_candidates for one world: its n, per predicate its bool array
-    of true atoms, and the 32-bit words its draws consumed."""
-    blocks, ((n, row, words),) = draw_candidates(n_range, densities, rng, 1)
-    return n, {p: a[row] for p, a in blocks[n].items()}, words
-
-
 def complete_world(n: int, relations: Mapping[str, np.ndarray]) -> World:
     """The fully observed World whose true atoms are marked in relations
     (per predicate, a bool array over its row-major atoms)."""
@@ -430,9 +418,10 @@ def complete_world(n: int, relations: Mapping[str, np.ndarray]) -> World:
 
 
 def sample_complete_world(n_range, densities: DensityRanges, rng: Random) -> World:
-    """Sample a fully observed world from draw_complete_world's draws."""
-    n, relations, _ = draw_complete_world(n_range, densities, rng)
-    return complete_world(n, relations)
+    """Sample one fully observed world: a block of one from draw_candidates,
+    built as a World."""
+    blocks, ((n, row, _),) = draw_candidates(n_range, densities, rng, 1)
+    return complete_world(n, {p: a[row] for p, a in blocks[n].items()})
 
 
 def mask_world(

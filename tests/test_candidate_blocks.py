@@ -22,7 +22,7 @@ from abduce.engine import Regime, cost, opt_cost, validity
 from abduce.formula import PREDICATES, free_variables, validate_hypothesis
 from abduce.generator import MASK_BASIS, GenParams, _WorldAcceptor, generate_batch
 from abduce.theory import THEORY_IDS, builtin_theory
-from abduce.world import World, mask_world, sample_complete_world
+from abduce.world import World, atoms_to_json, mask_world, sample_complete_world
 
 from test_properties import formulas
 
@@ -51,7 +51,9 @@ def test_block_size_does_not_change_instances(monkeypatch, scenario, theory_id, 
 
 
 def _one_at_a_time(acceptor, rng, attempts):
-    """Reference: draw, build and check one candidate world at a time."""
+    """Reference: draw, build and check one candidate world at a time;
+    yields the accepted world, its complete world, the masked truth as
+    recorded JSON, and its four costs."""
     params, theory = acceptor.params, acceptor.theory
     for _ in range(attempts):
         complete = sample_complete_world(acceptor.n_range, params.densities, rng)
@@ -64,12 +66,29 @@ def _one_at_a_time(acceptor, rng, attempts):
         if pre_gold > pre_opt + params.gold_gap_slack:
             continue
         if params.scenario == "full":
-            yield complete, {}, pre_opt, pre_gold, pre_opt, pre_gold
+            yield complete, complete, {}, pre_opt, pre_gold, pre_opt, pre_gold
             continue
         masked, hidden = mask_world(complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario])
         if validity(acceptor.regime, theory, [masked], acceptor.gold).valid:
             gold_cost = cost(acceptor.regime, theory, [masked], acceptor.gold).total
-            yield masked, hidden, opt_cost(acceptor.regime, theory, masked), gold_cost, pre_opt, pre_gold
+            truth = {p: atoms_to_json(atoms) for p, atoms in hidden.items() if atoms}
+            yield masked, complete, truth, opt_cost(acceptor.regime, theory, masked), gold_cost, pre_opt, pre_gold
+
+
+def _drain(stream, seed):
+    """The worlds (as JSON) and numbers a candidate stream yields from
+    Random(seed), and the rng state it leaves."""
+    rng = Random(seed)
+    seen = [(world_to_json(w), world_to_json(c), *rest) for w, c, *rest in stream(rng)]
+    return seen, rng.getstate()
+
+
+def _accepted(acceptor, attempts):
+    """The candidate stream, each accepted world as _one_at_a_time yields it."""
+    return lambda rng: (
+        (aw.world, aw.complete, generator._masked_truth(aw), aw.opt, aw.gold_cost, aw.pre_opt, aw.pre_gold_cost)
+        for aw in acceptor.candidates(rng, attempts)
+    )
 
 
 @pytest.mark.parametrize("scenario,theory_id,seed", CASES)
@@ -81,21 +100,11 @@ def test_candidates_match_one_at_a_time_sampling(monkeypatch, scenario, theory_i
                        holdout_count=0)
     rec = generate_batch(params, 1)[0]
     acceptor = _WorldAcceptor(params, rec.gold, rec.provenance["shared_domain_size"])
-
-    def drain(stream):
-        rng = Random(seed)
-        seen = [(world_to_json(w), hidden, *numbers) for w, hidden, *numbers in stream(rng)]
-        return seen, rng.getstate()
-
-    reference = drain(lambda rng: _one_at_a_time(acceptor, rng, 1203))
+    reference = _drain(lambda rng: _one_at_a_time(acceptor, rng, 1203), seed)
     assert reference[0], "the stream should accept some world"
     for block in (16, 5, 1):
         monkeypatch.setattr(generator, "_BLOCK", block)
-        got = drain(lambda rng: (
-            (aw.world, aw.hidden, aw.opt, aw.gold_cost, aw.pre_opt, aw.pre_gold_cost)
-            for aw in acceptor.candidates(rng, 1203)
-        ))
-        assert got == reference, f"block size {block}"
+        assert _drain(_accepted(acceptor, 1203), seed) == reference, f"block size {block}"
 
 
 @st.composite
@@ -139,13 +148,13 @@ def test_screen_matches_engine_per_world(data):
         for p, cells in blocks[n].items():
             cells[row].flat[idx[p]] = True
     rows = acceptor._screen(blocks)
-    for (n, idx), (opt, valid, gold_cost) in zip(draws, (rows[n][row] for n, row in where)):
+    for (n, idx), (opt, gold_cost) in zip(draws, (rows[n][row] for n, row in where)):
         world = World(n, {
             "P": idx["P"], "Q": idx["Q"],
             "R": [divmod(i, n) for i in idx["R"]], "S": [divmod(i, n) for i in idx["S"]],
         })
         assert opt == opt_cost(Regime.FULL, spec, world)
         verdict = validity(Regime.FULL, spec, [world], gold)
-        assert valid == verdict.valid
-        if valid:
+        assert (gold_cost is not None) == verdict.valid
+        if verdict.valid:
             assert gold_cost == cost(Regime.FULL, spec, [world], gold).total

@@ -169,7 +169,7 @@ class TestGenerateInstance:
 class TestRefineGold:
     def _accepted(self, params, rec):
         return [
-            _AcceptedWorld(w, {}, o, g, o, g)
+            _AcceptedWorld(w, w, o, g, o, g)
             for w, o, g in zip(rec.train_worlds, rec.train_opt_costs, rec.train_gold_costs)
         ]
 

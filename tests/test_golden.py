@@ -12,6 +12,8 @@ the records score_prediction makes for a fixed set of prediction lines
 against real instances, from the gold replay to hostile input.  The
 template hash pins every gold template's output and its use of the random
 generator, which the gold sampler's draws, and so every dataset, rest on.
+The refine hashes pin gold refinement, which reads each accepted world's
+pre-mask world, on masked worlds.
 """
 
 import hashlib
@@ -20,6 +22,9 @@ import json
 import random
 from dataclasses import asdict, replace
 
+import pytest
+
+from abduce import generator
 from abduce.dataset import FORMAT_VERSION, save_dataset
 from abduce.engine import cost, opt_cost, validity
 from abduce.formula import (
@@ -86,6 +91,13 @@ TEMPLATE_NAMES = (
 )
 TEMPLATE_SEEDS = 200
 TEMPLATE_SHA256 = "4da9d0fac2702dc4c95f28cfe7baf0ba7612976f5476466cee373d374711a096"
+# (scenario, theory, global seed, world attempts, count) -> dataset sha256 of
+# refined instances with holdouts; refinement replaces the gold of partial T2
+# seed 5's first instance and of skeptical T6 seed 23's only one.
+REFINE_SHA256 = {
+    ("partial", "T2", 5, 200, 2): "8b7892ceb1da00d9bb499afe9a33a4f1b0fee919f50cf4a54ad967193b2ce556",
+    ("skeptical", "T6", 23, 1500, 1): "f4049a0b4f038ec4fa747de7588c1555e5e274f6e7698d329a91f18123c8612d",
+}
 
 
 def _golden(tmp_path):
@@ -121,6 +133,27 @@ def test_golden_holdout_dataset(tmp_path):
     path = tmp_path / "holdouts.jsonl"
     save_dataset(records, str(path), params_list, global_seed=0)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == HOLDOUT_SHA256
+
+
+@pytest.mark.parametrize("case", REFINE_SHA256)
+def test_golden_refined_dataset(tmp_path, monkeypatch, case):
+    scenario, theory_id, seed, attempts, count = case
+    replaced = []
+    refine_gold = generator.refine_gold
+
+    def spy(theory, accepted, seed_gold, *args):
+        gold = refine_gold(theory, accepted, seed_gold, *args)
+        replaced.append(render_formula(gold.formula) != render_formula(seed_gold.formula))
+        return gold
+
+    monkeypatch.setattr(generator, "refine_gold", spy)
+    params = GenParams(scenario=scenario, theory_id=theory_id, global_seed=seed, world_attempts=attempts,
+                       refine=True)
+    records = generate_batch(params, count, dataset_path="refined.jsonl")
+    assert replaced[0] and all(rec.holdout_available for rec in records)
+    path = tmp_path / "refined.jsonl"
+    save_dataset(records, str(path), [params], global_seed=seed)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REFINE_SHA256[case]
 
 
 def test_golden_gold_templates():

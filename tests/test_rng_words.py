@@ -1,6 +1,6 @@
 """Skipping drawn words instead of drawing again.
 
-draw_complete_world counts the 32-bit words its draws take from the rng,
+draw_candidates counts the 32-bit words its draws take from the rng,
 and the generator's candidate stream moves the rng past examined
 candidates with getrandbits(32 * words) instead of redrawing them.  Both
 rest on how CPython's random consumes Mersenne Twister words, so the count
@@ -16,12 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abduce import generator
-from abduce.dataset import world_to_json
 from abduce.generator import GenParams, _WorldAcceptor, generate_batch
 from abduce.theory import THEORY_IDS, builtin_theory
-from abduce.world import DOMAIN_SIZES, draw_complete_world
+from abduce.world import DOMAIN_SIZES, draw_candidates
 
-from test_candidate_blocks import CASES, _one_at_a_time
+from test_candidate_blocks import CASES, _accepted, _drain, _one_at_a_time
 
 PAIRS = [(s, t) for t in THEORY_IDS for s in builtin_theory(t).scenarios]
 
@@ -39,7 +38,7 @@ def test_skipping_the_counted_words_reaches_the_state_after_a_draw(seed, data):
     rng.getrandbits(32 * data.draw(st.integers(0, 700), label="offset"))
     for _ in range(3):
         before = rng.getstate()
-        n, _, words = draw_complete_world(n_range, densities, rng)
+        _, ((n, _, words),) = draw_candidates(n_range, densities, rng, 1)
         skipped, chosen = Random(), Random()
         skipped.setstate(before)
         skipped.getrandbits(32 * words)
@@ -56,18 +55,8 @@ def test_candidates_match_one_at_a_time_in_large_blocks(monkeypatch, scenario, t
                        holdout_count=0)
     rec = generate_batch(params, 1)[0]
     acceptor = _WorldAcceptor(params, rec.gold, rec.provenance["shared_domain_size"])
-
-    def drain(stream):
-        rng = Random(seed)
-        seen = [(world_to_json(w), hidden, *numbers) for w, hidden, *numbers in stream(rng)]
-        return seen, rng.getstate()
-
-    reference = drain(lambda rng: _one_at_a_time(acceptor, rng, 1203))
+    reference = _drain(lambda rng: _one_at_a_time(acceptor, rng, 1203), seed)
     assert len(reference[0]) >= (2 if scenario == "full" else 1)
     for block in (32, 64, 1203):
         monkeypatch.setattr(generator, "_BLOCK", block)
-        got = drain(lambda rng: (
-            (aw.world, aw.hidden, aw.opt, aw.gold_cost, aw.pre_opt, aw.pre_gold_cost)
-            for aw in acceptor.candidates(rng, 1203)
-        ))
-        assert got == reference, f"block size {block}"
+        assert _drain(_accepted(acceptor, 1203), seed) == reference, f"block size {block}"

@@ -21,7 +21,7 @@ from abduce.world import (
     eval_formula,
     _population,
     _mark_range,
-    draw_complete_world,
+    draw_candidates,
     sample_world,
     worlds_equivalent,
 )
@@ -338,7 +338,7 @@ class TestDomainBound:
         with pytest.raises(ValueError, match="domain size 33 exceeds MAX_DOMAIN_SIZE 32"):
             sample_world((MAX_DOMAIN_SIZE + 1,), DENSITY_RANGES["full"], {}, random.Random(5))
         with pytest.raises(ValueError, match="domain size 33 exceeds MAX_DOMAIN_SIZE 32"):
-            draw_complete_world((MAX_DOMAIN_SIZE + 1,), DENSITY_RANGES["full"], random.Random(5))
+            draw_candidates((MAX_DOMAIN_SIZE + 1,), DENSITY_RANGES["full"], random.Random(5), 1)
 
 
 class TestAtomTable:
