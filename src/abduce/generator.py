@@ -616,9 +616,6 @@ def holdout_seed(dataset_path: str, instance_id: str, holdout_idx: int, global_s
     return _derive_seed(dataset_path, instance_id, holdout_idx, global_seed) % (1 << 31)
 
 
-_MISS = object()
-
-
 class _EvalCache:
     """Per-generation memo of (world, formula) -> per-world cost, None when
     the formula is invalid on the world.
@@ -638,11 +635,10 @@ class _EvalCache:
         memo = self.memo.get(world)
         if memo is None:
             memo = self.memo[world] = {}
-        c = memo.get(hyp.formula, _MISS)
-        if c is _MISS:
+        if hyp.formula not in memo:
             regime = self.regime if world.num_unknowns() else Regime.FULL
-            c = memo[hyp.formula] = world_costs(regime, self.theory, [world], hyp)[0]
-        return c
+            memo[hyp.formula] = world_costs(regime, self.theory, [world], hyp)[0]
+        return memo[hyp.formula]
 
     def total_cost(self, worlds: Sequence[World], hyp: Hypothesis) -> Optional[int]:
         """Total cost across worlds, or None if invalid anywhere."""
@@ -791,7 +787,7 @@ class _WorldAcceptor:
                 if full:
                     yield _AcceptedWorld(complete, complete, pre_opt, pre_gold, pre_opt, pre_gold)
                     continue
-                masked, _ = mask_world(complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario])
+                masked = mask_world(complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario])
                 scen_gold = self.scen_cache.world_eval(masked, self.gold)
                 if scen_gold is not None:
                     scen_opt = opt_cost(self.regime, self.theory, masked)

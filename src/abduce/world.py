@@ -429,22 +429,19 @@ def mask_world(
     unknown_rates: Mapping[str, float],
     rng: Random,
     mask_basis: str = "grid",
-) -> tuple[World, dict[str, frozenset]]:
+) -> World:
     """Move binary atoms of a complete world into its unknown sets.
 
     With mask_basis "grid" the per-predicate count is round(rate * n^2),
     with "true_count" it is round(rate * #true atoms); either way the masked
     cells are drawn uniformly from all n^2 ground atoms, so hidden-true and
-    hidden-false atoms both occur.  Returns the masked world plus, per
-    predicate, the masked atoms that were true (enough to reconstruct the
-    pre-mask world).
+    hidden-false atoms both occur.
     """
     if mask_basis not in ("grid", "true_count"):
         raise ValueError(f"unknown mask_basis {mask_basis!r}")
     n = world.n
     true = {p: world.true_atoms[p] for p in OBSERVABLE_PREDICATES}
     unknown = {p: world.unknown_atoms[p] for p in OBSERVABLE_PREDICATES}
-    hidden: dict[str, frozenset] = {}
     for p in BINARY_PREDICATES:
         rate = float(unknown_rates.get(p, 0.0))
         if not (0.0 <= rate <= 1.0):
@@ -455,10 +452,9 @@ def mask_world(
             marks = bytearray(n * n)
             _mark_range(rng.getrandbits, n * n, count, marks, 0)
             masked = frozenset(compress(_population(n, 2), marks))
-            hidden[p] = true[p] & masked
             unknown[p] = unknown[p] | masked
             true[p] = true[p] - masked
-    return World(n, true, unknown), hidden
+    return World(n, true, unknown)
 
 
 def unmask_world(world: World, hidden: Mapping[str, frozenset]) -> World:
@@ -479,8 +475,7 @@ def sample_world(
 ) -> World:
     """Sample one world and mask binary atoms into the unknown sets."""
     complete = sample_complete_world(n_range, densities, rng)
-    masked, _ = mask_world(complete, unknown_rates, rng, mask_basis=mask_basis)
-    return masked
+    return mask_world(complete, unknown_rates, rng, mask_basis=mask_basis)
 
 
 def worlds_equivalent(w1: World, w2: World) -> bool:

@@ -68,10 +68,11 @@ def _one_at_a_time(acceptor, rng, attempts):
         if params.scenario == "full":
             yield complete, complete, {}, pre_opt, pre_gold, pre_opt, pre_gold
             continue
-        masked, hidden = mask_world(complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario])
+        masked = mask_world(complete, params.unknown_rates, rng, mask_basis=MASK_BASIS[params.scenario])
         if validity(acceptor.regime, theory, [masked], acceptor.gold).valid:
             gold_cost = cost(acceptor.regime, theory, [masked], acceptor.gold).total
-            truth = {p: atoms_to_json(atoms) for p, atoms in hidden.items() if atoms}
+            hidden = ((p, complete.true_atoms[p] & atoms) for p, atoms in masked.unknown_atoms.items())
+            truth = {p: atoms_to_json(atoms) for p, atoms in hidden if atoms}
             yield masked, complete, truth, opt_cost(acceptor.regime, theory, masked), gold_cost, pre_opt, pre_gold
 
 
