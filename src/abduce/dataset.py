@@ -20,7 +20,6 @@ from .generator import GenParams, InstanceRecord, audit_instance
 from .scoring import FAILURE_CLASSES, Prediction, ScoreRecord, parse_prediction_line
 from .theory import SCENARIOS, THEORY_IDS, builtin_theory, check_scenario
 from .world import DEFAULT_ENUMERATION_CAP, OBSERVABLE_PREDICATES, World, atoms_to_json
-from .world import MAX_DOMAIN_SIZE  # noqa: F401  (re-exported; World enforces it)
 
 FORMAT_NAME = "abduce-dataset"
 FORMAT_VERSION = 1

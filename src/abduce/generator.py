@@ -76,7 +76,6 @@ from .world import (
     draw_candidates,
     mask_world,
     sample_complete_world,  # noqa: F401  (the bench tracer patches this name here)
-    unmask_world,
     worlds_equivalent,
 )
 
@@ -183,11 +182,6 @@ class InstanceRecord:
             ("train", self.train_worlds, self.train_opt_costs, self.train_gold_costs),
             ("holdout", self.holdout_worlds, self.holdout_opt_costs, self.holdout_gold_costs),
         )
-
-
-@dataclass(frozen=True)
-class CompetitorPool:
-    entries: tuple[tuple[Hypothesis, str], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +310,7 @@ def _try_instantiate(name: str, theory: TheorySpec, rng: Random) -> Optional[Hyp
         return None
     text = template(rng, unary, binary)
     # the text is canonical, so it compares directly with the pool's renders
-    if text in _static_pool(theory, ()).renders:
+    if text in _static_pool(theory).renders:
         return None
     h = _try_scope(text, theory)
     if h is None or not GOLD_AST_RANGE[0] <= formula_metrics(h.formula).ast_size <= GOLD_AST_RANGE[1]:
@@ -326,6 +320,9 @@ def _try_instantiate(name: str, theory: TheorySpec, rng: Random) -> Optional[Hyp
 
 @functools.lru_cache(maxsize=64)
 def _applicable_templates(theory: TheorySpec) -> tuple[str, ...]:
+    """Templates with at least one in-scope, non-pool instantiation;
+    the rest (e.g., unary pairs under a single unary predicate, or
+    shapes the mined-shortcut list fully covers) are never drawn."""
     probe = Random(12345)
     return tuple(
         name
@@ -357,14 +354,8 @@ class GoldSampler:
         limit = max(1, int(self.DIVERSITY_CAP * (self.total + 1)))
         return self.counts.get(name, 0) + 1 <= limit
 
-    def applicable_templates(self, theory: TheorySpec) -> tuple[str, ...]:
-        """Templates with at least one in-scope, non-pool instantiation;
-        the rest (e.g., unary pairs under a single unary predicate, or
-        shapes the mined-shortcut list fully covers) are never drawn."""
-        return _applicable_templates(theory)
-
     def draw(self, theory: TheorySpec, rng: Random) -> tuple[Hypothesis, str]:
-        applicable = self.applicable_templates(theory)
+        applicable = _applicable_templates(theory)
         names = [name for name in applicable if self._eligible(name)]
         if not names:
             names = [
@@ -479,11 +470,11 @@ class _StaticPool:
 
 
 @functools.lru_cache(maxsize=64)
-def _static_pool(theory: TheorySpec, extra: tuple[str, ...]) -> _StaticPool:
-    """Parsed, scope-checked and rendered once per theory (by value) and
-    extra tier-2 tuple; every pool build and audit reads the same one."""
+def _static_pool(theory: TheorySpec) -> _StaticPool:
+    """Parsed, scope-checked and rendered once per theory (by value); every
+    pool build and audit reads the same one."""
     tier1 = _distinct(_try_scope(t, theory) for t in _tier1_texts(theory))
-    tier2 = _distinct(_try_scope(t, theory) for t in (*TIER2_PATTERNS, *extra))
+    tier2 = _distinct(_try_scope(t, theory) for t in TIER2_PATTERNS)
     seen: set[str] = set()
     tiers = (("tier1", tier1), ("tier2", tier2))
     entries = _distinct(((h, tier) for tier, hyps in tiers for h in hyps), lambda e: e[0], seen)
@@ -493,15 +484,15 @@ def _static_pool(theory: TheorySpec, extra: tuple[str, ...]) -> _StaticPool:
 def tier1_formulas(theory: TheorySpec) -> list[Hypothesis]:
     """Curated shortcuts: constants, literals, self-loops, bare existence,
     and pairwise unary combinations, restricted to the theory's scope."""
-    return list(_static_pool(theory, ()).tier1)
+    return list(_static_pool(theory).tier1)
 
 
-def tier2_formulas(theory: TheorySpec, extra: Sequence[str] = ()) -> list[Hypothesis]:
-    return list(_static_pool(theory, tuple(extra)).tier2)
+def tier2_formulas(theory: TheorySpec) -> list[Hypothesis]:
+    return list(_static_pool(theory).tier2)
 
 
-def cheater_pool(theory: TheorySpec, extra_tier2: Sequence[str] = ()) -> list[Hypothesis]:
-    return [h for h, _ in _static_pool(theory, tuple(extra_tier2)).entries]
+def cheater_pool(theory: TheorySpec) -> list[Hypothesis]:
+    return [h for h, _ in _static_pool(theory).entries]
 
 
 # Mutations: operator flips, quantifier swaps, polarity flips, subterm
@@ -585,9 +576,9 @@ def build_competitor_pool(
     theory: TheorySpec,
     gold: Hypothesis,
     rng: Random,
-) -> CompetitorPool:
-    """Tier-1 curated, tier-2 mined, then up to 10 gold mutants, truncated
-    to POOL_CAP with tier-1 kept preferentially.
+) -> tuple[tuple[Hypothesis, str], ...]:
+    """(hypothesis, tier) entries: tier-1 curated, tier-2 mined, then up to
+    10 gold mutants, truncated to POOL_CAP with tier-1 kept preferentially.
 
     The tier-1 and tier-2 part is the theory's cached static pool, so a
     build mutates the gold only until it has the mutants that fit under
@@ -595,11 +586,10 @@ def build_competitor_pool(
     gold that coincides with a pool formula would yield a competitor that
     can never be beaten; the gold sampler never draws one that renders like
     a static pool formula, and gold_mutants never yields the gold itself."""
-    static = _static_pool(theory, ())
+    static = _static_pool(theory)
     fresh = (h for key, h in _mutant_stream(gold, theory, rng, 10) if key not in static.renders)
     mutants = itertools.islice(fresh, max(0, POOL_CAP - len(static.entries)))
-    entries = static.entries + tuple((h, "mutant") for h in mutants)
-    return CompetitorPool(entries[:POOL_CAP])
+    return (static.entries + tuple((h, "mutant") for h in mutants))[:POOL_CAP]
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +703,7 @@ def _pre_mask_world(world: World, truth) -> World:
         raise ValueError(f"bad masked truth: {exc}") from None
     if any(not atoms <= world.unknown_atoms[p] for p, atoms in claimed.true_atoms.items()):
         raise ValueError("bad masked truth: an atom that is not unknown")
-    return unmask_world(world, claimed.true_atoms)
+    return World(world.n, {p: atoms | claimed.true_atoms[p] for p, atoms in world.true_atoms.items()})
 
 
 class _WorldAcceptor:
@@ -808,14 +798,14 @@ def _masked_truth(aw: _AcceptedWorld) -> dict:
 
 
 def _survivors(
-    pool: CompetitorPool,
+    pool: Sequence[tuple[Hypothesis, str]],
     worlds: Sequence[World],
     gold_total: int,
     margin: int,
     cache: _EvalCache,
 ) -> set[int]:
     """Pool indices still valid on all worlds and within the cost margin."""
-    totals = enumerate(cache.total_cost(worlds, hyp) for hyp, _ in pool.entries)
+    totals = enumerate(cache.total_cost(worlds, hyp) for hyp, _ in pool)
     return {i for i, total in totals if total is not None and total < gold_total + margin}
 
 
@@ -885,7 +875,7 @@ def _attempt_instance(params, index, attempt, rng, sampler):
         return ("cheater_beats_gold", template)
 
     if params.refine:
-        refined = refine_gold(theory, accepted, gold, params, rng, cheaters, cache)
+        refined = refine_gold(accepted, gold, params, rng, cheaters, cache)
         if render_formula(refined.formula) != render_formula(gold.formula):
             gold = refined
             accepted = [
@@ -934,7 +924,6 @@ def _best_cheater_margin(cheaters, worlds, gold_total, cache) -> Optional[int]:
 
 
 def refine_gold(
-    theory: TheorySpec,
     accepted: Sequence[_AcceptedWorld],
     seed_gold: Hypothesis,
     params: GenParams,
@@ -947,8 +936,9 @@ def refine_gold(
     Candidates must pass the closed-world stage on the pre-mask worlds and
     be valid on all (masked) worlds under the scenario semantics; ties
     break by total cost, then largest cheater margin, then smallest AST.
-    Falls back to the seed gold.
+    Falls back to the seed gold.  The theory is params.theory.
     """
+    theory = params.theory
     cache = cache or _EvalCache(params.regime, theory)
     local_sampler = GoldSampler()  # records nothing, so every applicable template stays eligible
     candidates = [seed_gold, *(local_sampler.draw(theory, rng)[0] for _ in range(10))]
@@ -981,12 +971,12 @@ def refine_gold(
 def generate_holdouts(
     instance: InstanceRecord,
     dataset_path: str,
-    global_seed: int,
     params: GenParams,
 ) -> InstanceRecord:
     """Attach k holdout worlds sampled from the instance's distribution.
 
-    Each world slot gets its own deterministic hash seed; its first
+    Each world slot gets its own deterministic hash seed, holdout_seed of
+    the dataset path, instance id, slot and params.global_seed; its first
     candidate that passes the same two-stage world acceptance as training
     and then the holdout rule (holdout_problems) fills it.  No competitor
     elimination, cheater screen, or refinement here.  Failure, or a
@@ -997,7 +987,7 @@ def generate_holdouts(
     acceptor = _WorldAcceptor(params, instance.gold, instance.provenance.get("shared_domain_size"))
     accepted: list[_AcceptedWorld] = []
     for idx in range(params.holdout_count):
-        rng = Random(holdout_seed(dataset_path, instance.id, idx, global_seed))
+        rng = Random(holdout_seed(dataset_path, instance.id, idx, params.global_seed))
         earlier = [a.world for a in accepted]
         found = next((
             aw for aw in acceptor.candidates(rng, HOLDOUT_ATTEMPTS_PER_WORLD)
@@ -1127,7 +1117,7 @@ def audit_instance(
         pool = build_competitor_pool(theory, instance.gold, Random(pool_seed))
         surv = _survivors(pool, train, gold_total, elimination_margin, cache)
         if surv:
-            names = [render_formula(pool.entries[i][0].formula) for i in sorted(surv)]
+            names = [render_formula(pool[i][0].formula) for i in sorted(surv)]
             out.append(f"surviving competitors: {names}")
     if pools and not out:
         cheater_margin = _best_cheater_margin(cheater_pool(theory), train, gold_total, cache)
@@ -1171,7 +1161,7 @@ def generate_batch(
             record = None
         index += 1
         if record is not None:
-            records.append(generate_holdouts(record, dataset_path, params.global_seed, params=params))
+            records.append(generate_holdouts(record, dataset_path, params))
         # The engine caches key on worlds, and no later instance evaluates
         # this one's candidates: drop them rather than keep them alive.
         clear_caches()

@@ -457,15 +457,6 @@ def mask_world(
     return World(n, true, unknown)
 
 
-def unmask_world(world: World, hidden: Mapping[str, frozenset]) -> World:
-    """Reconstruct the complete pre-mask world from the hidden truth."""
-    true = {
-        p: world.true_atoms[p] | frozenset(hidden.get(p, ()))
-        for p in OBSERVABLE_PREDICATES
-    }
-    return World(world.n, true, {})
-
-
 def sample_world(
     n_range,
     densities: DensityRanges,

@@ -141,8 +141,8 @@ def test_golden_refined_dataset(tmp_path, monkeypatch, case):
     replaced = []
     refine_gold = generator.refine_gold
 
-    def spy(theory, accepted, seed_gold, *args):
-        gold = refine_gold(theory, accepted, seed_gold, *args)
+    def spy(accepted, seed_gold, *args):
+        gold = refine_gold(accepted, seed_gold, *args)
         replaced.append(render_formula(gold.formula) != render_formula(seed_gold.formula))
         return gold
 

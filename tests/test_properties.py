@@ -41,10 +41,9 @@ from abduce.formula import (
     rebuild,
     validate_hypothesis,
 )
-from abduce.dataset import MAX_DOMAIN_SIZE
 from abduce.generator import tier1_formulas, tier2_formulas
 from abduce.theory import THEORY_IDS, builtin_theory
-from abduce.world import DENSITY_RANGES, World, enumerate_completions, eval_formula, sample_complete_world
+from abduce.world import DENSITY_RANGES, MAX_DOMAIN_SIZE, World, enumerate_completions, eval_formula, sample_complete_world
 
 UNARY = ("P", "Q")
 BINARY = ("R", "S")
